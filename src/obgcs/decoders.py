@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, ShapeError
-from .generator import forward, forward_batch, latent_vjp_batch, lipschitz_upper_bound
+from .generator import forward, forward_with_preacts, lipschitz_upper_bound, vjp_from_preacts
 from .measurement import scaling_constant, sign_pm1
 
 
@@ -77,6 +77,14 @@ def ls_decode(obs, ens, net, cfg):
     objective wins, ties broken by lowest restart index. Deterministic in
     ``cfg.seed``. Raises DivergenceError naming the restart and step if the
     loss becomes non-finite.
+
+    All restarts advance together, with one generator pass per step feeding
+    both the loss and the gradient. The loss is quadratic in x = G(z): when
+    m > n a one-off O(m n^2) build of H = A^T A / m, b = A^T y / m and
+    c = |y|^2 / m makes every step O(n^2 R) for R restarts, independent of
+    m; when m <= n the residual A x - y is the cheaper form and is used
+    directly. The returned ``objective`` is always recomputed from the
+    residual, so a near-zero loss is not lost to cancellation.
     """
     y = obs.y
     A = ens.A
@@ -84,47 +92,41 @@ def ls_decode(obs, ens, net, cfg):
         raise ShapeError("observation length does not match measurement count")
     if net.signal_dim != A.shape[1]:
         raise ShapeError("generator output dimension does not match signal size")
-    m = A.shape[0]
+    m, n = A.shape
     k = net.latent_dim
+    steps = cfg.steps_per_restart
     step = cfg.step_size if cfg.step_size is not None else _default_step(net)
     lam = cfg.lam if cfg.mode == "lagrangian" else 0.0
+    data_term = _gram_term(A, y) if m > n else _residual_term(A, y)
 
     rng = np.random.default_rng(cfg.seed)
     Z = cfg.init_scale * rng.standard_normal((k, cfg.restarts))
     if cfg.mode == "constrained":
         Z = _project_ball_cols(Z, cfg.radius)
 
-    traces = np.empty((cfg.steps_per_restart + 1, cfg.restarts))
+    traces = np.empty((steps + 1, cfg.restarts))
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(cfg.steps_per_restart):
-            X = forward_batch(net, Z)
-            resid = A @ X - y[:, None]
-            losses = 0.5 * np.sum(resid * resid, axis=0) / m + lam * np.sum(Z * Z, axis=0)
+        for t in range(steps + 1):
+            X, preacts = forward_with_preacts(net, Z)
+            data_loss, cotangent = data_term(X)
+            losses = data_loss + lam * np.sum(Z * Z, axis=0)
             if not np.all(np.isfinite(losses)):
                 bad = int(np.flatnonzero(~np.isfinite(losses))[0])
                 raise DivergenceError(
                     f"non-finite loss at restart {bad}, step {t}; reduce the step size",
                     restart=bad, step=t)
             traces[t] = losses
-            grad = latent_vjp_batch(net, Z, (A.T @ resid) / m) + 2.0 * lam * Z
+            if t == steps:
+                break
+            grad = vjp_from_preacts(net, preacts, cotangent) + 2.0 * lam * Z
             Z = Z - step * grad
             if cfg.mode == "constrained":
                 Z = _project_ball_cols(Z, cfg.radius)
 
-        X = forward_batch(net, Z)
-        resid = A @ X - y[:, None]
-        losses = 0.5 * np.sum(resid * resid, axis=0) / m + lam * np.sum(Z * Z, axis=0)
-        if not np.all(np.isfinite(losses)):
-            bad = int(np.flatnonzero(~np.isfinite(losses))[0])
-            raise DivergenceError(
-                f"non-finite loss at restart {bad}, step {cfg.steps_per_restart}",
-                restart=bad, step=cfg.steps_per_restart)
-        traces[-1] = losses
-
     best = int(np.argmin(losses))  # argmin returns the first (lowest) index on ties
     z_hat = Z[:, best].copy()
     x_hat = forward(net, z_hat)
-    r = ens.A @ x_hat - y
+    r = A @ x_hat - y
     objective = float(0.5 * (r @ r) / m + lam * float(z_hat @ z_hat))
     return DecoderResult(
         z_hat=z_hat,
@@ -132,8 +134,31 @@ def ls_decode(obs, ens, net, cfg):
         objective=objective,
         loss_trace=traces[:, best].tolist(),
         restart_index=best,
-        iterations=cfg.steps_per_restart,
+        iterations=steps,
     )
+
+
+def _residual_term(A, y):
+    """Per-column (|A x - y|^2 / 2m, A^T (A x - y) / m), from the residual."""
+    m = A.shape[0]
+
+    def term(X):
+        resid = A @ X - y[:, None]
+        return 0.5 * np.sum(resid * resid, axis=0) / m, (A.T @ resid) / m
+    return term
+
+
+def _gram_term(A, y):
+    """The same pair as ``_residual_term`` from H = A^T A / m, b = A^T y / m."""
+    m = A.shape[0]
+    H = (A.T @ A) / m
+    b = (A.T @ y) / m
+    c = float(y @ y) / m
+
+    def term(X):
+        HX = H @ X
+        return 0.5 * (np.sum(X * HX, axis=0) - 2.0 * (b @ X) + c), HX - b[:, None]
+    return term
 
 
 def _project_ball_cols(Z, radius):

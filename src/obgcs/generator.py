@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .util import spectral_norm
 
 ACTIVATIONS = ("identity", "relu", "sigmoid")
 
@@ -112,29 +111,15 @@ def _apply_final(net, h):
 
 def forward(net, z):
     """Evaluate the generator at a single latent vector."""
-    h = _as_latent_array(net, z)
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = w @ h + b
-        if i < last:
-            h = np.maximum(h, 0.0)
-    return _apply_final(net, h)
+    return _apply_final(net, _preacts(net, _as_latent_array(net, z))[-1])
 
 
 def forward_batch(net, zs):
     """Evaluate the generator column-wise on a (k, batch) array."""
-    h = np.asarray(zs, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] != net.latent_dim:
-        raise ShapeError(f"batch must be (k, batch) with k={net.latent_dim}")
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = w @ h + b[:, None]
-        if i < last:
-            h = np.maximum(h, 0.0)
-    return _apply_final(net, h)
+    return forward_with_preacts(net, zs)[0]
 
 
-def _forward_with_preacts(net, h):
+def _preacts(net, h):
     preacts = []
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -142,7 +127,20 @@ def _forward_with_preacts(net, h):
         preacts.append(h)
         if i < last:
             h = np.maximum(h, 0.0)
-    return h, preacts
+    return preacts
+
+
+def forward_with_preacts(net, zs):
+    """``forward_batch`` that also returns every layer's pre-activation.
+
+    The list is what ``vjp_from_preacts`` needs, so a caller that wants both
+    G(Z) and J(Z)^T V runs the network forward once.
+    """
+    zs = np.asarray(zs, dtype=np.float64)
+    if zs.ndim != 2 or zs.shape[0] != net.latent_dim:
+        raise ShapeError(f"batch must be (k, batch) with k={net.latent_dim}")
+    preacts = _preacts(net, zs)
+    return _apply_final(net, preacts[-1]), preacts
 
 
 def latent_vjp(net, z, cotangent):
@@ -151,7 +149,7 @@ def latent_vjp(net, z, cotangent):
     v = np.asarray(cotangent, dtype=np.float64)
     if v.shape != (net.signal_dim,):
         raise ShapeError(f"cotangent shape {v.shape} != {(net.signal_dim,)}")
-    return _vjp_impl(net, z, v)
+    return vjp_from_preacts(net, _preacts(net, z), v)
 
 
 def latent_vjp_batch(net, zs, cotangents):
@@ -162,11 +160,12 @@ def latent_vjp_batch(net, zs, cotangents):
         raise ShapeError("latent batch must be (k, batch)")
     if vs.shape != (net.signal_dim, zs.shape[1]):
         raise ShapeError("cotangent batch must be (n, batch)")
-    return _vjp_impl(net, zs, vs)
+    return vjp_from_preacts(net, _preacts(net, zs), vs)
 
 
-def _vjp_impl(net, z, v):
-    out, preacts = _forward_with_preacts(net, z)
+def vjp_from_preacts(net, preacts, v):
+    """J^T v at the point whose pre-activations ``preacts`` came from a forward
+    pass (``forward_with_preacts``); ``v`` is (n,) or (n, batch) to match."""
     g = v.copy()
     if net.normalize_output:
         # d(x/|x|)^T v = (v - u <u, v>) / |x| with u = x/|x|
@@ -199,13 +198,17 @@ def lipschitz_upper_bound(net):
     """
     if net.lipschitz_bound is not None:
         return net.lipschitz_bound
-    bound = 1.0
-    for w in net.weights:
-        bound *= spectral_norm(w, iters=200, tol=1e-8, min_iters=30)
+    bound = _spectral_norm_product(net.weights)
     if net.final_activation == "sigmoid":
         bound *= 0.25
     net.lipschitz_bound = float(bound)
     return net.lipschitz_bound
+
+
+def _spectral_norm_product(weights):
+    # exact largest singular values (SVD): an iterative estimate converges
+    # from below and would make the product fall short of the true bound
+    return float(np.prod([np.linalg.norm(w, 2) for w in weights]))
 
 
 def synth_generator(k, n, hidden_dims=(), seed=0, scale=1.0, unit_sphere=False,
@@ -237,9 +240,7 @@ def synth_generator(k, n, hidden_dims=(), seed=0, scale=1.0, unit_sphere=False,
     if unit_l1_image:
         # |G(z)|_1 <= sqrt(n) |G(z)|_2 <= sqrt(n) L |z|, so this rescaling
         # pins the image of the unit ball inside the unit L1 ball
-        lip = 1.0
-        for w in weights:
-            lip *= spectral_norm(w)
+        lip = _spectral_norm_product(weights)
         if lip > 0:
             weights[-1] = weights[-1] / (np.sqrt(n) * lip)
     return GeneratorNetwork(dims, weights, biases, final_activation=final_activation,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .decoders import (LsDecoderConfig, biht_decode, estimation_error, ls_decode,
                        pv_convex_decode)
-from .errors import DivergenceError, ObgcsError
+from .errors import DivergenceError
 from .generator import forward, lipschitz_upper_bound, synth_generator
 from .measurement import CovarianceSpec, observe, sample_ensemble, sigma_norm
 from .serialization import load_generator
@@ -90,42 +90,38 @@ class CellResult:
 
 
 def _run_cell(grid, net, m, trial):
-    """All requested decoders on one freshly sampled (ensemble, truth, y)."""
+    """All requested decoders on one freshly sampled (ensemble, truth, y).
+
+    A decoder that diverges or returns a zero vector, and every decoder of a
+    cell whose sampled truth has zero covariance norm (nothing to recover),
+    gives a converged=False row with NaN errors.
+    """
     cell_seed = derive_seed(grid.base_seed, m, trial)
     cov = CovarianceSpec.identity(net.signal_dim) if grid.nu == 0.0 else \
         CovarianceSpec.toeplitz(net.signal_dim, grid.nu)
     ens = sample_ensemble(m, cov, grid.sigma, grid.q, cell_seed)
     rng = rng_for(grid.base_seed, m, trial, 1)
     z_star = rng.standard_normal(net.latent_dim)
-    x_star = forward(net, z_star)
-    nrm = sigma_norm(cov, x_star)
-    if nrm == 0.0:
-        raise ObgcsError("sampled ground truth has zero covariance norm")
-    x_star = x_star / nrm
-    obs = observe(ens, x_star, cell_seed)
+    try:
+        x_star = forward(net, z_star)
+        nrm = sigma_norm(cov, x_star)
+    except ZeroDivisionError:  # a unit-sphere generator cannot normalize a zero output
+        nrm = 0.0
+    if nrm > 0.0:
+        x_star = x_star / nrm
+        obs = observe(ens, x_star, cell_seed)
 
     results = []
     for name in grid.decoders:
         start = time.perf_counter()
-        converged = True
-        try:
-            if name == "ls":
-                cfg = LsDecoderConfig(
-                    mode="lagrangian", lam=grid.ls_lambda,
-                    restarts=grid.ls_restarts, steps_per_restart=grid.ls_steps,
-                    step_size=grid.ls_step_size,
-                    seed=derive_seed(grid.base_seed, m, trial, 2),
-                )
-                x_hat = ls_decode(obs, ens, net, cfg).x_hat
-            elif name == "biht":
-                x_hat = biht_decode(obs, ens, s=grid.biht_s,
-                                    iters=grid.biht_iters, step=grid.biht_step)
-            else:
-                x_hat = pv_convex_decode(obs, ens, s_ell1=grid.pv_s,
-                                         iters=grid.pv_iters, step=grid.pv_step)
-            err = estimation_error(x_hat, x_star, grid.sigma, grid.q)
-        except (DivergenceError, ZeroDivisionError):
-            converged = False
+        converged = nrm > 0.0
+        if converged:
+            try:
+                err = estimation_error(_decode(grid, name, obs, ens, net, m, trial),
+                                       x_star, grid.sigma, grid.q)
+            except (DivergenceError, ZeroDivisionError):
+                converged = False
+        if not converged:
             err = {"l2_err_vs_c_xstar": math.nan, "cosine": math.nan,
                    "per_pixel": math.nan}
         elapsed = time.perf_counter() - start
@@ -136,6 +132,20 @@ def _run_cell(grid, net, m, trial):
     return results
 
 
+def _decode(grid, name, obs, ens, net, m, trial):
+    if name == "ls":
+        cfg = LsDecoderConfig(
+            mode="lagrangian", lam=grid.ls_lambda,
+            restarts=grid.ls_restarts, steps_per_restart=grid.ls_steps,
+            step_size=grid.ls_step_size,
+            seed=derive_seed(grid.base_seed, m, trial, 2),
+        )
+        return ls_decode(obs, ens, net, cfg).x_hat
+    if name == "biht":
+        return biht_decode(obs, ens, s=grid.biht_s, iters=grid.biht_iters, step=grid.biht_step)
+    return pv_convex_decode(obs, ens, s_ell1=grid.pv_s, iters=grid.pv_iters, step=grid.pv_step)
+
+
 def _run_cell_star(args):
     return _run_cell(*args)
 
@@ -143,9 +153,10 @@ def _run_cell_star(args):
 def run_grid(grid, progress=None):
     """Run every (m, trial) cell; returns CellResults sorted by (m, decoder, trial).
 
-    Decoder divergence is recorded as converged=False with NaN errors, never
-    fatal. With ``workers`` > 1 cells run in separate processes; ordering and
-    values do not depend on the worker count.
+    Decoder divergence and degenerate sampled truths are recorded as
+    converged=False with NaN errors, never fatal. With ``workers`` > 1 cells
+    run in separate processes; ordering and values do not depend on the
+    worker count.
     """
     net = grid.make_generator()
     lipschitz_upper_bound(net)  # cache once so workers do not redo it
@@ -204,12 +215,13 @@ def read_csv(path):
     return out
 
 
-def _medians_by_m(results, decoder):
+def _medians_by_m(results, decoder, min_trials=1):
+    """Median l2 error per m over converged trials, for m with enough trials."""
     by_m = {}
     for r in results:
         if r.decoder == decoder and r.converged and math.isfinite(r.l2_err):
             by_m.setdefault(r.m, []).append(r.l2_err)
-    return {m: float(np.median(v)) for m, v in by_m.items()}
+    return {m: float(np.median(v)) for m, v in by_m.items() if len(v) >= min_trials}
 
 
 def fit_scaling(results, decoder):
@@ -218,17 +230,9 @@ def fit_scaling(results, decoder):
     Medians are per-m over converged trials; zero or negative medians are
     excluded. Needs at least 3 usable m values with at least 3 trials each.
     """
-    by_m = {}
-    for r in results:
-        if r.decoder == decoder and r.converged and math.isfinite(r.l2_err):
-            by_m.setdefault(r.m, []).append(r.l2_err)
-    pts = []
-    for m, errs in sorted(by_m.items()):
-        if len(errs) < 3:
-            continue
-        med = float(np.median(errs))
-        if med > 0:
-            pts.append((math.log(m), math.log(med)))
+    pts = [(math.log(m), math.log(med))
+           for m, med in sorted(_medians_by_m(results, decoder, min_trials=3).items())
+           if med > 0]
     if len(pts) < 3:
         raise ValueError(f"need >= 3 usable m values with >= 3 trials each, got {len(pts)}")
     xs = np.array([p[0] for p in pts])

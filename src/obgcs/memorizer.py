@@ -124,14 +124,6 @@ class _Stack:
         self.layers.append((W, b))
         return len(self.layers) - 1
 
-    def add_affine_layer(self, rows_matrix, bias_vec):
-        """Add a layer given directly as arrays over the current top units."""
-        W = np.asarray(rows_matrix, dtype=np.float64)
-        if W.shape[1] != self.top_width:
-            raise ShapeError("affine layer width mismatch")
-        self.layers.append((W, np.asarray(bias_vec, dtype=np.float64)))
-        return len(self.layers) - 1
-
     def finish(self, readout_rows, readout_bias, width):
         """Pad hidden layers to ``width`` and return a GeneratorNetwork."""
         weights = [W.copy() for W, _ in self.layers]

@@ -1,59 +1,8 @@
-"""Small numeric helpers: spectral norms, seed derivation, float formatting."""
+"""Small numeric helpers: seed derivation, float formatting, exact means."""
 
 import math
 
 import numpy as np
-
-
-def spectral_norm(mat, iters=200, tol=1e-8, min_iters=30):
-    """Largest singular value of ``mat`` by power iteration on ``mat.T @ mat``.
-
-    Deterministic: the start vector comes from a fixed-seed generator. Runs at
-    least ``min_iters`` iterations and stops once the Rayleigh estimate moves
-    by less than ``tol`` relative.
-    """
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.size == 0:
-        return 0.0
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(mat.shape[1])
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return 0.0
-    v /= nv
-    est = 0.0
-    for i in range(max(iters, min_iters)):
-        w = mat.T @ (mat @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        new_est = math.sqrt(nw)
-        if i + 1 >= min_iters and abs(new_est - est) <= tol * max(new_est, 1.0):
-            est = new_est
-            break
-        est = new_est
-    return float(est)
-
-
-def symmetric_spectral_norm(mat, iters=300, tol=1e-10):
-    """Spectral norm (largest |eigenvalue|) of a symmetric matrix by power iteration."""
-    mat = np.asarray(mat, dtype=np.float64)
-    rng = np.random.default_rng(0x5EED + 1)
-    v = rng.standard_normal(mat.shape[0])
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for i in range(iters):
-        w = mat @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if i >= 30 and abs(nw - est) <= tol * max(nw, 1.0):
-            est = nw
-            break
-        est = nw
-    return float(est)
 
 
 def derive_seed(*parts):

@@ -8,7 +8,39 @@ from obgcs import (CovarianceSpec, DivergenceError,
                    hard_threshold, ls_decode, observe, project_l1_ball,
                    pv_convex_decode, sample_ensemble, scaling_constant,
                    synth_generator)
-from obgcs.generator import forward, identity_generator
+from obgcs import decoders
+from obgcs.generator import (forward, forward_batch, identity_generator,
+                             latent_vjp_batch, lipschitz_upper_bound)
+
+
+def reference_ls(obs, ens, net, cfg):
+    """Lagrangian LS in residual form, two generator passes per step.
+
+    Returns (x_hat, restart_index, loss_trace) for comparison with ls_decode.
+    """
+    A, y = ens.A, obs.y
+    m = A.shape[0]
+    step = cfg.step_size or 0.1 / lipschitz_upper_bound(net) ** 2
+    Z = cfg.init_scale * np.random.default_rng(cfg.seed).standard_normal(
+        (net.latent_dim, cfg.restarts))
+    traces = []
+    for t in range(cfg.steps_per_restart + 1):
+        resid = A @ forward_batch(net, Z) - y[:, None]
+        losses = 0.5 * np.sum(resid * resid, axis=0) / m + cfg.lam * np.sum(Z * Z, axis=0)
+        traces.append(losses)
+        if t < cfg.steps_per_restart:
+            Z = Z - step * (latent_vjp_batch(net, Z, (A.T @ resid) / m) + 2.0 * cfg.lam * Z)
+    best = int(np.argmin(losses))
+    return forward(net, Z[:, best]), best, np.array(traces)[:, best]
+
+
+def parity_problem(m, seed):
+    net = synth_generator(k=4, n=40, hidden_dims=[24], seed=seed)
+    ens = sample_ensemble(m, CovarianceSpec.toeplitz(40, 0.3), 0.1, 0.97, seed=seed + 1)
+    x_star = forward(net, np.random.default_rng(seed + 2).standard_normal(4))
+    obs = observe(ens, x_star, seed=seed + 3)
+    cfg = LsDecoderConfig(restarts=5, steps_per_restart=150, seed=seed + 4)
+    return obs, ens, net, cfg
 
 
 class TestLsDecode:
@@ -103,6 +135,40 @@ class TestLsDecode:
             ls_decode(obs, ens, net, cfg)
         assert err.value.restart is not None
         assert err.value.step is not None
+
+
+class TestLsParity:
+    @pytest.mark.parametrize("m,seed", [(10, 1), (25, 2), (40, 3)])
+    def test_bitwise_equal_to_residual_form_when_m_le_n(self, m, seed):
+        obs, ens, net, cfg = parity_problem(m, seed)
+        res = ls_decode(obs, ens, net, cfg)
+        x_ref, best_ref, trace_ref = reference_ls(obs, ens, net, cfg)
+        np.testing.assert_array_equal(res.x_hat, x_ref)
+        assert res.restart_index == best_ref
+        np.testing.assert_array_equal(res.loss_trace, trace_ref)
+
+    @pytest.mark.parametrize("m,seed", [(41, 4), (120, 5), (600, 6), (3000, 7)])
+    def test_gram_form_matches_residual_form_when_m_gt_n(self, m, seed):
+        obs, ens, net, cfg = parity_problem(m, seed)
+        res = ls_decode(obs, ens, net, cfg)
+        x_ref, best_ref, trace_ref = reference_ls(obs, ens, net, cfg)
+        np.testing.assert_allclose(res.x_hat, x_ref, rtol=0, atol=1e-12)
+        assert res.restart_index == best_ref
+        np.testing.assert_allclose(res.loss_trace, trace_ref, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("m", [25, 120])
+    def test_one_generator_pass_per_step(self, m, monkeypatch):
+        obs, ens, net, cfg = parity_problem(m, 8)
+        calls = []
+        real = decoders.forward_with_preacts
+
+        def counting(net, Z):
+            calls.append(Z.shape)
+            return real(net, Z)
+
+        monkeypatch.setattr(decoders, "forward_with_preacts", counting)
+        ls_decode(obs, ens, net, cfg)
+        assert calls == [(net.latent_dim, cfg.restarts)] * (cfg.steps_per_restart + 1)
 
 
 class TestHardThreshold:

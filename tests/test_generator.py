@@ -161,6 +161,13 @@ class TestLipschitzBound:
         den = np.linalg.norm(Z1 - Z2, axis=0)
         assert np.max(num / den) <= bound * (1 + 1e-12)
 
+    def test_not_below_exact_product_of_layer_norms(self):
+        # an estimate that converges from below (power iteration) fails this
+        for seed in range(40):
+            net = synth_generator(k=5, n=100, hidden_dims=[64], seed=seed)
+            exact = np.prod([np.linalg.svd(w, compute_uv=False)[0] for w in net.weights])
+            assert lipschitz_upper_bound(net) >= exact * (1 - 1e-12)
+
     def test_caches_value(self, small_net):
         val = lipschitz_upper_bound(small_net)
         assert small_net.lipschitz_bound == val

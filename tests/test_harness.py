@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from obgcs import (CellResult, ExperimentGrid, fit_scaling,
-                   flip_robustness_report, read_csv, run_grid, write_csv)
+from obgcs import (CellResult, ExperimentGrid, GeneratorNetwork, fit_scaling,
+                   flip_robustness_report, read_csv, run_grid, save_generator,
+                   write_csv)
 from obgcs.harness import CSV_HEADER
 from obgcs.util import derive_seed
 
@@ -61,6 +62,23 @@ class TestRunGrid:
         assert len(back) == len(res)
         assert back[0].l2_err == res[0].l2_err
         assert all(r.runtime_s == 0.0 for r in back)  # zeroed for determinism
+
+    @pytest.mark.parametrize("unit_sphere", [False, True])
+    def test_zero_output_generator_gives_unconverged_rows(self, tmp_path, unit_sphere):
+        # every sampled truth is zero, so no cell has anything to recover
+        net = GeneratorNetwork([3, 8, 20], [np.ones((8, 3)), np.zeros((20, 8))],
+                               [np.zeros(8), np.zeros(20)], normalize_output=unit_sphere)
+        gen_path, csv_path = tmp_path / "zero.bin", tmp_path / "r.csv"
+        save_generator(net, gen_path)
+        res = run_grid(tiny_grid(generator=str(gen_path), decoders=("ls", "biht", "pv"),
+                                 output_path=str(csv_path)))
+        assert len(res) == 2 * 2 * 3
+        assert not any(r.converged for r in res)
+        assert all(math.isnan(r.l2_err) and math.isnan(r.cosine) for r in res)
+        back = read_csv(csv_path)
+        assert csv_path.read_text().splitlines()[0] == CSV_HEADER
+        assert [(r.m, r.decoder, r.trial, r.converged) for r in back] == \
+            [(r.m, r.decoder, r.trial, False) for r in res]
 
     def test_metrics_are_sane(self):
         for r in run_grid(tiny_grid()):
