@@ -2,9 +2,11 @@
 
 Subcommands: synth-gen, measure, decode, grid, fit, validate, memorize.
 Every subcommand accepts --seed, --config <file>, --out <path>, and --quiet.
-Configs are flat key=value text files ('#' starts a comment); keys are
-documented per subcommand in the README. Exit codes: 0 success, 1 usage or
-input error, 2 numerical failure.
+Configs are flat key=value text files ('#' starts a comment). ``TABLES``
+names every key each subcommand accepts (per decoder for decode, per check
+for validate) with its type; a key outside the table or of the wrong type
+is a usage error. Exit codes: 0 success, 1 usage or input error, 2
+numerical failure.
 """
 
 import argparse
@@ -19,11 +21,57 @@ from .decoders import LsDecoderConfig, biht_decode, estimation_error, ls_decode,
 from .errors import (CapacityError, DegenerateConeError, DimensionMismatchError,
                      DivergenceError, MalformedFileError, NonFiniteError,
                      NotSpdError, ObgcsError, ShapeError)
-from .generator import forward, lipschitz_upper_bound, synth_generator
-from .measurement import CovarianceSpec, observe, sample_ensemble, sigma_norm
+from .generator import lipschitz_upper_bound, synth_generator
+from .measurement import CovarianceSpec, observe, sample_ensemble, sample_truth
 from .serialization import (load_ensemble, load_generator, load_observation,
                             save_ensemble, save_generator, save_observation)
 from .util import derive_seed, dumps17, rng_for
+
+_REQUIRED = object()
+
+# key: (type,) or (type, default), a default only where the callee has none:
+# a key the config does not set is not passed on, so the callee's applies.
+_GEN = {"k": ("count", 5), "n": ("count", 100), "hidden_dims": ("counts",),
+        "scale": ("float",), "unit_sphere": ("bool",)}
+_FILES = {"gen": ("str", _REQUIRED), "ens": ("str", _REQUIRED), "obs": ("str", _REQUIRED),
+          "decoder": ("str",)}
+_LS = {"mode": ("str",), "lambda": ("float",), "radius": ("float",), "restarts": ("count",),
+       "steps": ("count",), "step_size": ("float",)}
+_BIHT = {"s": ("count", 10), "iters": ("int",), "step": ("float",)}
+_PV = {"s_ell1": ("float", 3.0)}
+_SWEEP = {"m_values": ("counts", [100, 200, 300]), "trials": ("count",), "decoders": ("strs",),
+          "sigma": ("float",), "q": ("float",), "nu": ("float",), "ls_restarts": ("count",),
+          "ls_steps": ("count",), "ls_lambda": ("float",), "ls_step_size": ("float",),
+          "biht_s": ("count",), "biht_iters": ("int",), "biht_step": ("float",),
+          "pv_s": ("float",), "workers": ("int",), "record_runtime": ("bool",)}
+TABLES = {
+    "synth-gen": _GEN,
+    "measure": {"gen": ("str", _REQUIRED), "m": ("count", 100), "nu": ("float", 0.3),
+                "sigma": ("float", 0.1), "q": ("float", 0.97)},
+    "decode ls": {**_FILES, **_LS},
+    "decode biht": {**_FILES, **_BIHT},
+    "decode pv": {**_FILES, **_PV},
+    "grid": {"gen": ("str",), **_GEN, "gen_seed": ("int",), **_SWEEP},
+    "fit": {"in": ("str", _REQUIRED), "decoder": ("str", "ls")},
+    "validate srec": {"k": ("count", 4), "n": ("count", 50), "m": ("count",),
+                      "runs": ("count", 20), "delta": ("float", 0.1), "pairs": ("count", 10_000)},
+    "validate jl": {"n": ("count", 50), "m": ("count",), "runs": ("count", 20),
+                    "points": ("count", 40), "epsilon": ("float", 0.5), "nu": ("float", 0.3)},
+    "validate meanwidth": {"k": ("count", 4), "n": ("count", 50), "gamma": ("float", 0.05),
+                           "num_gaussians": ("count", 2000), "net_epsilon": ("float", 0.5)},
+    "validate concentration": {"n": ("count", 20), "m": ("count", 100_000), "runs": ("count", 20)},
+    "validate epsnet": {"k": ("count", 4), "r": ("float", 1.0), "epsilon": ("float", 0.5)},
+    "memorize": {"targets": ("str",), "s": ("count", 5), "n": ("count", 8),
+                 "tau": ("float", 0.25), "k": ("count",)},
+}
+# a file key and the keys it replaces; setting both is a usage error
+_ALTERNATIVES = {"grid": ("gen", (*_GEN, "gen_seed")), "memorize": ("targets", ("s", "n"))}
+
+_TYPES = {"int": (lambda v: type(v) is int, "an integer"),
+          "count": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+          "float": (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number"),
+          "bool": (lambda v: type(v) is bool, "true or false"),
+          "str": (lambda v: type(v) is str, "a string")}
 
 
 class _UsageError(Exception):
@@ -66,6 +114,55 @@ def _auto_type(val):
     return val
 
 
+def _typed(value, kind, name):
+    """``value`` checked as ``kind``; "counts"/"strs" take a list, one value or nothing."""
+    if kind.endswith("s"):
+        items = value if isinstance(value, list) else [] if value == "" else [value]
+        return [_typed(v, kind[:-1], name) for v in items]
+    ok, desc = _TYPES[kind]
+    if not ok(value):
+        raise _UsageError(f"{name} must be {desc}, got {value!r}")
+    return float(value) if kind == "float" else value
+
+
+def _settings(args):
+    """The config's keys and the flags given, checked against the table of
+    this subcommand; the table's defaults fill in what neither sets."""
+    given = parse_config(args.config) if args.config else {}
+    label = args.command
+    if label == "validate":
+        label += " " + args.check
+    elif label == "decode":
+        label += " " + str(given.setdefault("decoder", "ls"))
+        if label not in TABLES:
+            raise _UsageError(f"unknown decoder {given['decoder']!r}")
+    table = TABLES[label]
+    name = {key: f"{args.config}: key {key!r}" for key in given}
+    for key in args.flags:
+        if getattr(args, key) is not None:
+            given[key], name[key] = getattr(args, key), f"--{key}"
+    for key in given:
+        if key not in table:
+            raise _UsageError(f"{name[key]} is not accepted by {label} "
+                              f"(accepted: {', '.join(table)})")
+    given = {key: _typed(value, table[key][0], name[key]) for key, value in given.items()}
+    file_key, replaced = _ALTERNATIVES.get(label, (None, ()))
+    clash = [key for key in replaced if key in given]
+    if file_key in given and clash:
+        raise _UsageError(f"{name[clash[0]]} cannot be set together with {file_key}")
+    cfg = {key: spec[1] for key, spec in table.items() if len(spec) > 1}
+    cfg.update(given)
+    for key, value in cfg.items():
+        if value is _REQUIRED:
+            raise _UsageError(f"{label} needs {key} = <file>")
+    return cfg
+
+
+def _passed(cfg, keys, rename=None):
+    """The entries of ``cfg`` among ``keys``, under the callee's parameter names."""
+    return {(rename or {}).get(key, key): cfg[key] for key in keys if key in cfg}
+
+
 def _emit(args, text):
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -89,11 +186,7 @@ def _note(args, msg):
 # ------------------------------------------------------------- subcommands
 
 def _cmd_synth_gen(args, cfg):
-    net = synth_generator(
-        k=cfg.get("k", 5), n=cfg.get("n", 100),
-        hidden_dims=_as_list(cfg.get("hidden_dims", [])),
-        seed=args.seed, scale=cfg.get("scale", 1.0),
-        unit_sphere=cfg.get("unit_sphere", False))
+    net = synth_generator(seed=args.seed, **cfg)
     out = args.out or "generator.bin"
     save_generator(net, out)
     _note(args, f"wrote generator {net.layer_dims} to {out}")
@@ -102,222 +195,126 @@ def _cmd_synth_gen(args, cfg):
     return 0
 
 
-def _as_list(v):
-    if isinstance(v, list):
-        return v
-    if v in ("", None):
-        return []
-    return [v]
-
-
-def _cov_from_cfg(cfg, n):
-    nu = float(cfg.get("nu", 0.3))
-    return CovarianceSpec.identity(n) if nu == 0.0 else CovarianceSpec.toeplitz(n, nu)
-
-
 def _cmd_measure(args, cfg):
-    if "gen" not in cfg:
-        raise _UsageError("measure needs gen=<generator file> in the config")
     net = load_generator(cfg["gen"])
-    cov = _cov_from_cfg(cfg, net.signal_dim)
-    m = int(cfg.get("m", 100))
-    ens = sample_ensemble(m, cov, float(cfg.get("sigma", 0.1)),
-                          float(cfg.get("q", 0.97)), args.seed)
-    rng = rng_for(args.seed, 1)
-    x_star = forward(net, rng.standard_normal(net.latent_dim))
-    x_star = x_star / sigma_norm(cov, x_star)
-    obs = observe(ens, x_star, args.seed)
+    cov = CovarianceSpec.from_nu(net.signal_dim, cfg["nu"])
+    ens = sample_ensemble(cfg["m"], cov, cfg["sigma"], cfg["q"], args.seed)
+    obs = observe(ens, sample_truth(net, cov, rng_for(args.seed, 1)), args.seed)
     prefix = args.out or "measurement"
     save_ensemble(ens, prefix + ".ens.bin")
     save_observation(obs, prefix + ".obs.bin")
     _note(args, f"wrote {prefix}.ens.bin and {prefix}.obs.bin")
-    print(dumps17({"m": m, "n": net.signal_dim,
+    print(dumps17({"m": cfg["m"], "n": net.signal_dim,
                    "flip_fraction": float(np.mean(obs.eta < 0)),
                    "ens": prefix + ".ens.bin", "obs": prefix + ".obs.bin"}))
     return 0
 
 
 def _cmd_decode(args, cfg):
-    for key in ("gen", "ens", "obs"):
-        if key not in cfg:
-            raise _UsageError(f"decode needs {key}=<file> in the config")
     net = load_generator(cfg["gen"])
     ens = load_ensemble(cfg["ens"])
     obs = load_observation(cfg["obs"])
-    which = cfg.get("decoder", "ls")
+    which = cfg["decoder"]
+    extra = {}
     if which == "ls":
-        dcfg = LsDecoderConfig(
-            mode=cfg.get("mode", "lagrangian"),
-            lam=float(cfg.get("lambda", 1e-3)),
-            radius=float(cfg.get("radius", 1.0)),
-            restarts=int(cfg.get("restarts", 10)),
-            steps_per_restart=int(cfg.get("steps", 1000)),
-            step_size=float(cfg["step_size"]) if "step_size" in cfg else None,
-            seed=args.seed)
-        res = ls_decode(obs, ens, net, dcfg)
+        res = ls_decode(obs, ens, net, LsDecoderConfig(seed=args.seed, **_passed(
+            cfg, _LS, {"lambda": "lam", "steps": "steps_per_restart"})))
         x_hat = res.x_hat
         extra = {"objective": res.objective, "restart_index": res.restart_index,
                  "iterations": res.iterations, "loss_trace": res.loss_trace,
                  "z_hat": res.z_hat.tolist()}
     elif which == "biht":
-        x_hat = biht_decode(obs, ens, s=int(cfg.get("s", 10)),
-                            iters=int(cfg.get("iters", 100)),
-                            step=float(cfg.get("step", 1.0)))
-        extra = {}
-    elif which == "pv":
-        x_hat = pv_convex_decode(obs, ens, s_ell1=float(cfg.get("s_ell1", 3.0)),
-                                 iters=int(cfg.get("iters", 100)),
-                                 step=float(cfg.get("step", 1.0)))
-        extra = {}
+        x_hat = biht_decode(obs, ens, **_passed(cfg, _BIHT))
     else:
-        raise _UsageError(f"unknown decoder {which!r}")
+        x_hat = pv_convex_decode(obs, ens, **_passed(cfg, _PV))
     err = estimation_error(x_hat, obs.x_star, ens.sigma, ens.q)
-    doc = {"decoder": which, "x_hat": x_hat.tolist(), **err, **extra}
-    _emit(args, dumps17(doc))
+    _emit(args, dumps17({"decoder": which, "x_hat": x_hat.tolist(), **err, **extra}))
     return 0
 
 
 def _cmd_grid(args, cfg):
-    gen = cfg.get("gen")
-    if gen is None:
-        gen = {"k": int(cfg.get("k", 5)), "n": int(cfg.get("n", 100)),
-               "hidden_dims": _as_list(cfg.get("hidden_dims", [])),
-               "seed": int(cfg.get("gen_seed", 0)),
-               "scale": float(cfg.get("scale", 1.0))}
+    gen = cfg["gen"] if "gen" in cfg else _passed(cfg, (*_GEN, "gen_seed"), {"gen_seed": "seed"})
     grid = harness.ExperimentGrid(
-        generator=gen,
-        m_values=_as_list(cfg.get("m_values", [100, 200, 300])),
-        sigma=float(cfg.get("sigma", 0.1)),
-        q=float(cfg.get("q", 0.97)),
-        nu=float(cfg.get("nu", 0.3)),
-        trials_per_cell=int(cfg.get("trials", 10)),
-        decoders=tuple(_as_list(cfg.get("decoders", ["ls"]))),
-        base_seed=args.seed,
-        output_path=args.out or "grid.csv",
-        ls_restarts=int(cfg.get("ls_restarts", 10)),
-        ls_steps=int(cfg.get("ls_steps", 1000)),
-        ls_lambda=float(cfg.get("ls_lambda", 1e-3)),
-        ls_step_size=float(cfg["ls_step_size"]) if "ls_step_size" in cfg else None,
-        biht_s=int(cfg.get("biht_s", 10)),
-        biht_iters=int(cfg.get("biht_iters", 100)),
-        pv_s=float(cfg.get("pv_s", 3.0)),
-        pv_iters=int(cfg.get("pv_iters", 100)),
-        workers=int(cfg["workers"]) if "workers" in cfg else None,
-        record_runtime=bool(cfg.get("record_runtime", False)),
-    )
+        generator=gen, base_seed=args.seed, output_path=args.out or "grid.csv",
+        **_passed(cfg, _SWEEP, {"trials": "trials_per_cell"}))
     results = harness.run_grid(grid, progress=_progress(args))
-    if not args.quiet:
-        print("", file=sys.stderr)
-    _note(args, f"wrote {len(results)} rows to {grid.output_path}")
+    _note(args, f"\nwrote {len(results)} rows to {grid.output_path}")
     return 0
 
 
 def _cmd_fit(args, cfg):
-    path = args.input or cfg.get("in")
-    if not path:
-        raise _UsageError("fit needs --in <csv> (or in=<csv> in the config)")
-    results = harness.read_csv(path)
-    rec = harness.fit_scaling(results, args.decoder or cfg.get("decoder", "ls"))
-    _emit(args, dumps17(rec))
+    _emit(args, dumps17(harness.fit_scaling(harness.read_csv(cfg["in"]), cfg["decoder"])))
     return 0
 
 
 def _cmd_validate(args, cfg):
-    check = args.check
-    seed = args.seed
-    k = int(args.k or cfg.get("k", 4))
-    n = int(cfg.get("n", 50))
-    runs = int(args.runs or cfg.get("runs", 20))
-    records = []
+    check, seed = args.check, args.seed
+    record = {"check": check, "seed": seed}
     if check == "srec":
-        net = synth_generator(k=k, n=n, hidden_dims=[4 * k], seed=0)
+        k, delta, pairs = cfg["k"], cfg["delta"], cfg["pairs"]
+        net = synth_generator(k=k, n=cfg["n"], hidden_dims=[4 * k], seed=0)
         lip = lipschitz_upper_bound(net)
-        delta = float(cfg.get("delta", 0.1))
-        m = int(args.m or cfg.get("m", round(5 * k * math.log(lip / delta))))
-        pairs = int(cfg.get("pairs", 10_000))
-        cov = CovarianceSpec.identity(n)
+        m = cfg["m"] if "m" in cfg else round(5 * k * math.log(lip / delta))
+        cov = CovarianceSpec.identity(cfg["n"])
         gamma = 0.5 * math.sqrt(cov.min_eigenvalue())
-        ok = 0
-        for run in range(runs):
-            ens = sample_ensemble(m, cov, 0.0, 1.0, derive_seed(seed, run))
-            rep = theory.check_srec(ens, net, gamma, delta, pairs, derive_seed(seed, run, 1))
-            ok += rep.violations == 0
-        records.append({"check": "srec", "seed": seed, "m": m, "k": k, "gamma": gamma,
-                        "delta": delta, "pairs": pairs, "runs": runs,
-                        "pass_rate": ok / runs, "pass": ok / runs >= 0.95})
+        ok = [theory.check_srec(sample_ensemble(m, cov, 0.0, 1.0, derive_seed(seed, run)), net,
+                                gamma, delta, pairs, derive_seed(seed, run, 1)).violations == 0
+              for run in range(cfg["runs"])]
+        record.update(m=m, k=k, gamma=gamma, delta=delta, pairs=pairs)
+        need = 0.95
     elif check == "jl":
-        size = int(cfg.get("points", 40))
-        epsilon = float(cfg.get("epsilon", 0.5))
-        m = int(args.m or cfg.get("m", math.ceil(8 * math.log(size) / epsilon ** 2)))
-        cov = CovarianceSpec.toeplitz(n, float(cfg.get("nu", 0.3)))
-        ok = 0
-        for run in range(runs):
-            rng = rng_for(seed, run)
-            T = rng.standard_normal((size, n))
-            ens = sample_ensemble(m, cov, 0.0, 1.0, derive_seed(seed, run, 1))
-            ok += theory.check_jl(ens, T, epsilon)["pass"]
-        records.append({"check": "jl", "seed": seed, "m": m, "points": size, "epsilon": epsilon,
-                        "runs": runs, "pass_rate": ok / runs,
-                        "pass": ok / runs >= 0.9})
+        size, epsilon, n = cfg["points"], cfg["epsilon"], cfg["n"]
+        m = cfg["m"] if "m" in cfg else math.ceil(8 * math.log(size) / epsilon ** 2)
+        cov = CovarianceSpec.toeplitz(n, cfg["nu"])
+        ok = [theory.check_jl(sample_ensemble(m, cov, 0.0, 1.0, derive_seed(seed, run, 1)),
+                              rng_for(seed, run).standard_normal((size, n)), epsilon)["pass"]
+              for run in range(cfg["runs"])]
+        record.update(m=m, points=size, epsilon=epsilon)
+        need = 0.9
     elif check == "meanwidth":
-        net = synth_generator(k=k, n=n, hidden_dims=[4 * k], seed=0)
-        z_bar = np.zeros(k)
-        gamma = float(cfg.get("gamma", 0.05))
-        est = theory.estimate_local_mean_width(
-            net, z_bar, gamma, int(cfg.get("num_gaussians", 2000)),
-            float(cfg.get("net_epsilon", 0.5)), seed)
-        records.append({"check": "meanwidth", "seed": seed, "omega_hat": est.omega_hat,
-                        "std_err": est.std_err, "net_size": est.net_size,
-                        "bound": est.theoretical_bound,
-                        "pass": est.omega_hat <= est.theoretical_bound})
+        k = cfg["k"]
+        net = synth_generator(k=k, n=cfg["n"], hidden_dims=[4 * k], seed=0)
+        est = theory.estimate_local_mean_width(net, np.zeros(k), cfg["gamma"],
+                                               cfg["num_gaussians"], cfg["net_epsilon"], seed)
+        record.update({"omega_hat": est.omega_hat, "std_err": est.std_err,
+                       "net_size": est.net_size, "bound": est.theoretical_bound,
+                       "pass": est.omega_hat <= est.theoretical_bound})
     elif check == "concentration":
-        n_c = int(cfg.get("n", 20))
-        m = int(args.m or cfg.get("m", 100_000))
-        cov = CovarianceSpec.identity(n_c)
-        bound = 4 * math.sqrt(math.log(n_c) / m)
-        ok = 0
-        for run in range(runs):
-            ens = sample_ensemble(m, cov, 0.1, 0.97, derive_seed(seed, run))
-            x = np.zeros(n_c)
-            x[0] = 1.0
-            obs = observe(ens, x, derive_seed(seed, run, 1))
-            diag = theory.concentration_diagnostics(ens, obs)
-            ok += diag["linf_cov"] <= bound
-        records.append({"check": "concentration", "seed": seed, "m": m, "n": n_c,
-                        "bound": bound, "runs": runs, "pass_rate": ok / runs,
-                        "pass": ok / runs >= 0.95})
-    elif check == "epsnet":
-        r = float(cfg.get("r", 1.0))
-        epsilon = float(cfg.get("epsilon", 0.5))
-        net = theory.build_eps_net(k, r, epsilon)
-        cover = net.covering_radius_sampled(seed=seed)
-        records.append({"check": "epsnet", "seed": seed, "k": k, "r": r, "epsilon": epsilon,
-                        "count": len(net), "sampled_covering_radius": cover,
-                        "pass": cover <= epsilon})
+        n, m = cfg["n"], cfg["m"]
+        bound = 4 * math.sqrt(math.log(n) / m)
+        ok = []
+        for run in range(cfg["runs"]):
+            ens = sample_ensemble(m, CovarianceSpec.identity(n), 0.1, 0.97, derive_seed(seed, run))
+            obs = observe(ens, np.eye(n)[0], derive_seed(seed, run, 1))
+            ok.append(theory.concentration_diagnostics(ens, obs)["linf_cov"] <= bound)
+        record.update(m=m, n=n, bound=bound)
+        need = 0.95
     else:
-        raise _UsageError(f"unknown validation check {check!r}")
-    text = "\n".join(dumps17(rec) for rec in records)
-    _emit(args, text)
-    return 0 if all(rec.get("pass", True) for rec in records) else 2
+        net = theory.build_eps_net(cfg["k"], cfg["r"], cfg["epsilon"])
+        cover = net.covering_radius_sampled(seed=seed)
+        record.update({"k": cfg["k"], "r": cfg["r"], "epsilon": cfg["epsilon"], "count": len(net),
+                       "sampled_covering_radius": cover, "pass": cover <= cfg["epsilon"]})
+    if "runs" in cfg:
+        rate = sum(ok) / cfg["runs"]
+        record.update({"runs": cfg["runs"], "pass_rate": rate, "pass": rate >= need})
+    _emit(args, dumps17(record))
+    return 0 if record["pass"] else 2
 
 
 def _cmd_memorize(args, cfg):
-    tau = float(cfg.get("tau", 0.25))
     if "targets" in cfg:
         with open(cfg["targets"], encoding="utf-8") as fh:
             targets = np.asarray(json.load(fh), dtype=np.float64)
     else:
-        rng = rng_for(args.seed, 7)
-        targets = rng.random((int(cfg.get("s", 5)), int(cfg.get("n", 8))))
-    mem = memorizer.build_theorem_generator(targets, tau,
-                                            latent_dim=int(cfg.get("k", 1)))
+        targets = rng_for(args.seed, 7).random((cfg["s"], cfg["n"]))
+    mem = memorizer.build_theorem_generator(targets, cfg["tau"],
+                                            **_passed(cfg, ("k",), {"k": "latent_dim"}))
     out = args.out or "memorizer.bin"
     save_generator(mem.net, out)
     worst = max(float(np.linalg.norm(mem.evaluate(a) - t))
                 for a, t in zip(mem.anchors, np.asarray(targets)))
-    print(dumps17({"path": out, "ell": mem.ell, "width": mem.width,
-                   "depth": mem.depth, "tau": tau,
-                   "max_anchor_l2_error": worst,
+    print(dumps17({"path": out, "ell": mem.ell, "width": mem.width, "depth": mem.depth,
+                   "tau": cfg["tau"], "max_anchor_l2_error": worst,
                    "targets": list(targets.shape)}))
     return 0
 
@@ -334,27 +331,22 @@ def _build_parser():
         p.add_argument("--out", default=None)
         p.add_argument("--quiet", action="store_true")
 
-    for name, fn, extra in (
+    for name, fn, flags in (
         ("synth-gen", _cmd_synth_gen, ()),
         ("measure", _cmd_measure, ()),
         ("decode", _cmd_decode, ()),
         ("grid", _cmd_grid, ()),
-        ("fit", _cmd_fit, ("fit",)),
-        ("validate", _cmd_validate, ("validate",)),
+        ("fit", _cmd_fit, (("in", str), ("decoder", str))),
+        ("validate", _cmd_validate, (("m", int), ("k", int), ("runs", int))),
         ("memorize", _cmd_memorize, ()),
     ):
         p = sub.add_parser(name)
         common(p)
-        if "fit" in extra:
-            p.add_argument("--in", dest="input", default=None)
-            p.add_argument("--decoder", default=None)
-        if "validate" in extra:
-            p.add_argument("check", choices=["srec", "jl", "meanwidth",
-                                             "concentration", "epsnet"])
-            p.add_argument("--m", type=int, default=None)
-            p.add_argument("--k", type=int, default=None)
-            p.add_argument("--runs", type=int, default=None)
-        p.set_defaults(func=fn)
+        if name == "validate":
+            p.add_argument("check", choices=[key[9:] for key in TABLES if key[:9] == "validate "])
+        for flag, kind in flags:
+            p.add_argument(f"--{flag}", dest=flag, type=kind, default=None)
+        p.set_defaults(func=fn, flags=[flag for flag, _ in flags])
     return parser
 
 
@@ -376,11 +368,8 @@ def main(argv=None):
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    cfg = {}
     try:
-        if args.config:
-            cfg = parse_config(args.config)
-        return args.func(args, cfg)
+        return args.func(args, _settings(args))
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

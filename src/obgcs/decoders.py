@@ -4,8 +4,8 @@ The main decoder searches latent space by gradient descent on the quadratic
 sign-fitting loss f(z) = ||y - A G(z)||^2 / (2m), either with an L2 ball
 constraint on z (enforced by radial projection) or with a ridge penalty
 lambda ||z||^2. Two sparse baselines are included: binary iterative hard
-thresholding and a convex program maximizing <y, Ax>/m over the intersection
-of an L1 ball and the unit L2 ball.
+thresholding, and the closed-form optimum of the convex program maximizing
+<y, Ax>/m over the intersection of an L1 ball and the unit L2 ball.
 """
 
 import math
@@ -218,36 +218,41 @@ def project_l1_ball(x, radius):
     return np.sign(x) * np.maximum(a - theta, 0.0)
 
 
-def pv_convex_decode(obs, ens, s_ell1, iters=100, step=1.0):
+def pv_convex_decode(obs, ens, s_ell1):
     """Convex baseline: maximize <y, Ax>/m over {||x||_1 <= s, ||x||_2 <= 1}.
 
-    Projected gradient ascent with alternating projections (at most 100
-    alternations per step, stopping once both constraints hold within 1e-9).
-    Ending each alternation with the radial step guarantees feasibility, and
-    the best feasible iterate by objective is returned, so the objective is
-    never worse than at the feasible start x = 0.
+    The objective g^T x, g = A^T y / m, is linear, so the optimum is
+    x = S_lam(g) / ||S_lam(g)||_2 with S_lam soft-thresholding and lam >= 0
+    the smallest value with ||S_lam(g)||_1 <= s ||S_lam(g)||_2 (Plan &
+    Vershynin 2013), found by a breakpoint search over the sorted |g|. If s^2
+    is below the number t of entries tied for the largest |g_i| (always when
+    s < 1), the optimum spreads L1 mass s evenly over those: the vertex
+    s sign(g_i) e_i when t = 1. Zeros when g = 0.
     """
-    A = ens.A
-    y = obs.y
-    m = A.shape[0]
-    g = (A.T @ y) / m  # the objective is linear, so the gradient is constant
-    x = np.zeros(A.shape[1])
-    best_x = x.copy()
-    best_val = 0.0
-    for _ in range(int(iters)):
-        x = x + step * g
-        for _ in range(100):
-            x = project_l1_ball(x, s_ell1)
-            nrm = np.linalg.norm(x)
-            if nrm > 1.0:
-                x = x / nrm
-            if np.abs(x).sum() <= s_ell1 + 1e-9 and np.linalg.norm(x) <= 1.0 + 1e-9:
-                break
-        val = float(g @ x)
-        if val > best_val:
-            best_val = val
-            best_x = x.copy()
-    return best_x
+    s = float(s_ell1)
+    if s <= 0:
+        raise ValueError("L1 radius must be positive")
+    g = (ens.A.T @ obs.y) / ens.m
+    a = np.sort(np.abs(g))[::-1]
+    if a[0] == 0.0:
+        return np.zeros_like(g)
+    t = int(np.count_nonzero(a == a[0]))
+    if s * s < t:
+        return s * np.sign(g) * (np.abs(g) == a[0]) / t
+    # on lam in [a[j], a[j-1]] S_lam keeps the j largest |g_i|; ||S||_1 / ||S||_2
+    # grows as lam falls: find the first j where it exceeds s at lam = a[j]
+    j = np.arange(1, a.size + 1)
+    A1, A2, b = np.cumsum(a), np.cumsum(a * a), np.append(a[1:], 0.0)
+    over = (A1 - j * b) ** 2 > s * s * (A2 - 2.0 * b * A1 + j * b * b)
+    over[:t] = False  # cannot hold there, as s^2 >= t
+    if not over.any():
+        return g / np.linalg.norm(g)
+    j = int(np.argmax(over)) + 1
+    # on that piece ||S_lam||_1 = s ||S_lam||_2 is a quadratic in lam
+    A1, A2 = A1[j - 1], A2[j - 1]
+    lam = (A1 - s * math.sqrt(max(j * A2 - A1 * A1, 0.0) / (j - s * s))) / j
+    x = np.sign(g) * np.maximum(np.abs(g) - lam, 0.0)
+    return x / np.linalg.norm(x)
 
 
 def estimation_error(x_hat, x_star, sigma, q):

@@ -18,8 +18,8 @@ import numpy as np
 from .decoders import (LsDecoderConfig, biht_decode, estimation_error, ls_decode,
                        pv_convex_decode)
 from .errors import DivergenceError
-from .generator import forward, lipschitz_upper_bound, synth_generator
-from .measurement import CovarianceSpec, observe, sample_ensemble, sigma_norm
+from .generator import lipschitz_upper_bound, synth_generator
+from .measurement import CovarianceSpec, observe, sample_ensemble, sample_truth
 from .serialization import load_generator
 from .util import derive_seed, fmt17, rng_for
 
@@ -29,7 +29,8 @@ KNOWN_DECODERS = ("ls", "biht", "pv")
 
 @dataclass
 class ExperimentGrid:
-    """Sweep specification: which decoders to run at which m, how often."""
+    """Sweep specification: which decoders to run at which m, how often.
+    ``generator`` is a generator file or the keyword arguments of synth_generator."""
 
     generator: dict | str
     m_values: list
@@ -48,8 +49,6 @@ class ExperimentGrid:
     biht_iters: int = 100
     biht_step: float = 1.0
     pv_s: float = 3.0
-    pv_iters: int = 100
-    pv_step: float = 1.0
     workers: int | None = None
     record_runtime: bool = False
 
@@ -66,12 +65,7 @@ class ExperimentGrid:
     def make_generator(self):
         if isinstance(self.generator, str):
             return load_generator(self.generator)
-        spec = dict(self.generator)
-        return synth_generator(
-            k=spec["k"], n=spec["n"], hidden_dims=spec.get("hidden_dims", ()),
-            seed=spec.get("seed", 0), scale=spec.get("scale", 1.0),
-            unit_sphere=spec.get("unit_sphere", False),
-            final_activation=spec.get("final_activation", "identity"))
+        return synth_generator(**self.generator)
 
 
 @dataclass
@@ -97,24 +91,19 @@ def _run_cell(grid, net, m, trial):
     gives a converged=False row with NaN errors.
     """
     cell_seed = derive_seed(grid.base_seed, m, trial)
-    cov = CovarianceSpec.identity(net.signal_dim) if grid.nu == 0.0 else \
-        CovarianceSpec.toeplitz(net.signal_dim, grid.nu)
+    cov = CovarianceSpec.from_nu(net.signal_dim, grid.nu)
     ens = sample_ensemble(m, cov, grid.sigma, grid.q, cell_seed)
-    rng = rng_for(grid.base_seed, m, trial, 1)
-    z_star = rng.standard_normal(net.latent_dim)
     try:
-        x_star = forward(net, z_star)
-        nrm = sigma_norm(cov, x_star)
-    except ZeroDivisionError:  # a unit-sphere generator cannot normalize a zero output
-        nrm = 0.0
-    if nrm > 0.0:
-        x_star = x_star / nrm
+        x_star = sample_truth(net, cov, rng_for(grid.base_seed, m, trial, 1))
+    except ZeroDivisionError:
+        x_star = None
+    else:
         obs = observe(ens, x_star, cell_seed)
 
     results = []
     for name in grid.decoders:
         start = time.perf_counter()
-        converged = nrm > 0.0
+        converged = x_star is not None
         if converged:
             try:
                 err = estimation_error(_decode(grid, name, obs, ens, net, m, trial),
@@ -143,7 +132,7 @@ def _decode(grid, name, obs, ens, net, m, trial):
         return ls_decode(obs, ens, net, cfg).x_hat
     if name == "biht":
         return biht_decode(obs, ens, s=grid.biht_s, iters=grid.biht_iters, step=grid.biht_step)
-    return pv_convex_decode(obs, ens, s_ell1=grid.pv_s, iters=grid.pv_iters, step=grid.pv_step)
+    return pv_convex_decode(obs, ens, s_ell1=grid.pv_s)
 
 
 def _run_cell_star(args):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSpdError, ShapeError
+from .generator import forward
 
 
 @dataclass
@@ -33,6 +34,11 @@ class CovarianceSpec:
         if not -1.0 < nu < 1.0:
             raise ValueError(f"toeplitz correlation must lie in (-1, 1), got {nu}")
         return cls(kind="toeplitz", n=int(n), nu=nu)
+
+    @classmethod
+    def from_nu(cls, n, nu):
+        """Identity when ``nu`` is 0, else toeplitz(``nu``)."""
+        return cls.identity(n) if nu == 0.0 else cls.toeplitz(n, nu)
 
     @classmethod
     def explicit(cls, matrix):
@@ -159,6 +165,16 @@ def observe(ens, x_star, seed):
     eta = np.where(rng_eta.random(ens.m) < ens.q, 1.0, -1.0)
     y = eta * sign_pm1(ens.A @ x_star + eps)
     return BinaryObservation(y=y, x_star=x_star, eta=eta, eps=eps)
+
+
+def sample_truth(net, cov, rng):
+    """Ground truth x* = G(z) / |G(z)|_Sigma with z ~ N(0, I_k) drawn from ``rng``;
+    ZeroDivisionError when G(z) is 0 or that norm is not positive."""
+    x = forward(net, rng.standard_normal(net.latent_dim))
+    nrm = sigma_norm(cov, x)
+    if not nrm > 0.0:
+        raise ZeroDivisionError(f"sampled ground truth has covariance norm {nrm}")
+    return x / nrm
 
 
 def scaling_constant(sigma, q):

@@ -1,9 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from obgcs.cli import main, parse_config
+from obgcs import ExperimentGrid, run_grid
+from obgcs.cli import TABLES, main, parse_config
 
 
 def write(path, text):
@@ -165,3 +168,80 @@ class TestMemorize:
                      "--out", str(out), "--quiet"]) == 0
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["targets"] == [2, 2]
+
+
+class TestKeyTables:
+    @pytest.mark.parametrize("command, text, key", [
+        (["grid"], "k = 3\nn = 16\ntrials = 2.5\n", "trials"),
+        (["grid"], "k = 3\nn = 16\nhidden_dim = 64\n", "hidden_dim"),
+        (["decode"], "gen = g.bin\nens = e.bin\nobs = o.bin\nrestart = 1\n", "restart"),
+        (["decode"], "gen = g.bin\nens = e.bin\nobs = o.bin\ndecoder = pv\ns = 5\n", "s"),
+        (["synth-gen"], "k = abc\n", "k"),
+        (["validate", "srec"], "runs = 0\n", "runs"),
+        (["measure"], "gen = g.bin\nsigma = nan\n", "sigma"),
+    ])
+    def test_bad_key_exits_1_naming_file_and_key(self, tmp_path, capsys, command, text, key):
+        cfg = write(tmp_path / "bad.cfg", text)
+        out = str(tmp_path / "out")
+        assert main(command + ["--config", cfg, "--out", out, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert cfg in err and repr(key) in err
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("flags", [["--runs", "0"], ["--k", "0"], ["--m", "0"]])
+    def test_flag_below_one_exits_1(self, capsys, flags):
+        assert main(["validate", "epsnet" if flags[0] == "--k" else "srec"] + flags) == 1
+        assert flags[0] in capsys.readouterr().err
+
+    def test_flag_not_used_by_check_rejected(self, capsys):
+        assert main(["validate", "epsnet", "--runs", "3"]) == 1
+        assert "--runs" in capsys.readouterr().err
+
+    def test_decoder_defaults_to_ls(self, tmp_path, gen_file):
+        prefix = str(tmp_path / "meas")
+        mcfg = write(tmp_path / "m.cfg", f"gen = {gen_file}\nm = 30\n")
+        assert main(["measure", "--config", mcfg, "--out", prefix, "--quiet"]) == 0
+        dcfg = write(tmp_path / "d.cfg", (f"gen = {gen_file}\nens = {prefix}.ens.bin\n"
+                                          f"obs = {prefix}.obs.bin\nrestarts = 1\nsteps = 5\n"))
+        out = tmp_path / "d.json"
+        assert main(["decode", "--config", dcfg, "--out", str(out), "--quiet"]) == 0
+        assert json.loads(out.read_text())["decoder"] == "ls"
+
+    def test_gen_file_with_inline_generator_keys_rejected(self, tmp_path, gen_file, capsys):
+        cfg = write(tmp_path / "g.cfg", f"gen = {gen_file}\nhidden_dims = 8\nm_values = 40\n")
+        assert main(["grid", "--config", cfg, "--out", str(tmp_path / "r.csv"), "--quiet"]) == 1
+        assert "'hidden_dims'" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_grid_passes_every_key_to_experiment_grid(self, tmp_path):
+        cfg = write(tmp_path / "g.cfg", (
+            "k = 3\nn = 16\nhidden_dims = 8\nunit_sphere = true\ngen_seed = 4\n"
+            "m_values = 40, 80\ntrials = 2\ndecoders = ls, biht\nls_steps = 50\n"
+            "ls_restarts = 2\nbiht_s = 4\nbiht_step = 0.5\n"))
+        cli_csv, api_csv = tmp_path / "cli.csv", tmp_path / "api.csv"
+        assert main(["grid", "--config", cfg, "--seed", "7", "--out", str(cli_csv),
+                     "--quiet"]) == 0
+        run_grid(ExperimentGrid(
+            generator={"k": 3, "n": 16, "hidden_dims": [8], "unit_sphere": True, "seed": 4},
+            m_values=[40, 80], trials_per_cell=2, decoders=("ls", "biht"), base_seed=7,
+            output_path=str(api_csv), ls_steps=50, ls_restarts=2, biht_s=4, biht_step=0.5))
+        assert cli_csv.read_bytes() == api_csv.read_bytes()
+
+    def test_measure_on_zero_generator_exits_2_and_writes_nothing(self, tmp_path):
+        gcfg = write(tmp_path / "gen.cfg", "k = 3\nn = 20\nhidden_dims = 8\nscale = 0\n")
+        gen = str(tmp_path / "zero.bin")
+        assert main(["synth-gen", "--config", gcfg, "--out", gen, "--quiet"]) == 0
+        mcfg = write(tmp_path / "m.cfg", f"gen = {gen}\nm = 50\n")
+        assert main(["measure", "--config", mcfg, "--out", str(tmp_path / "meas"),
+                     "--quiet"]) == 2
+        assert not list(tmp_path.glob("meas*"))
+
+    def test_readme_lists_every_key(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        rows = {}
+        for line in readme.split("\n## CLI", 1)[1].split("\n## ", 1)[0].splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if len(cells) == 3 and cells[0].startswith("`"):
+                label = " ".join(re.sub(r"[`()]", " ", cells[0]).split())
+                rows[label] = set(re.findall(r"`([^`]+)`", cells[2]))
+        assert rows == {label: set(table) for label, table in TABLES.items()}

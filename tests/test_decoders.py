@@ -9,6 +9,7 @@ from obgcs import (CovarianceSpec, DivergenceError,
                    pv_convex_decode, sample_ensemble, scaling_constant,
                    synth_generator)
 from obgcs import decoders
+from obgcs.measurement import BinaryObservation, MeasurementEnsemble
 from obgcs.generator import (forward, forward_batch, identity_generator,
                              latent_vjp_batch, lipschitz_upper_bound)
 
@@ -249,7 +250,7 @@ class TestPvConvex:
         n = 30
         ens = sample_ensemble(300, CovarianceSpec.identity(n), 0.1, 0.9, seed=18)
         obs = observe(ens, np.random.default_rng(19).standard_normal(n), seed=20)
-        x_hat = pv_convex_decode(obs, ens, s_ell1=2.0, iters=50)
+        x_hat = pv_convex_decode(obs, ens, s_ell1=2.0)
         assert np.abs(x_hat).sum() <= 2.0 + 1e-8
         assert np.linalg.norm(x_hat) <= 1.0 + 1e-8
 
@@ -257,7 +258,7 @@ class TestPvConvex:
         n = 25
         ens = sample_ensemble(150, CovarianceSpec.identity(n), 0.0, 0.97, seed=21)
         obs = observe(ens, np.random.default_rng(22).standard_normal(n), seed=23)
-        x_hat = pv_convex_decode(obs, ens, s_ell1=1.5, iters=50)
+        x_hat = pv_convex_decode(obs, ens, s_ell1=1.5)
         assert float(obs.y @ (ens.A @ x_hat)) / ens.m >= 0.0
 
     def test_single_spike_recovery(self):
@@ -266,8 +267,51 @@ class TestPvConvex:
         e1 = np.zeros(n)
         e1[0] = 1.0
         obs = observe(ens, e1, seed=25)
-        x_hat = pv_convex_decode(obs, ens, s_ell1=1.0, iters=100)
+        x_hat = pv_convex_decode(obs, ens, s_ell1=1.0)
         assert float(x_hat @ e1) / np.linalg.norm(x_hat) >= 0.9
+
+
+class TestPvOptimality:
+    @pytest.mark.parametrize("s", [3.0, 5.0])
+    def test_meets_the_dual_bound(self, s):
+        # weak duality: g^T x <= s lam + |S_lam(g)|_2 for feasible x and every
+        # lam >= 0; the optimum attains the minimum over lam
+        n, m = 100, 500
+        ens = sample_ensemble(m, CovarianceSpec.toeplitz(n, 0.3), 0.1, 0.97, seed=31)
+        obs = observe(ens, np.random.default_rng(32).standard_normal(n), seed=33)
+        x_hat = pv_convex_decode(obs, ens, s_ell1=s)
+        g = ens.A.T @ obs.y / m
+        assert np.abs(x_hat).sum() <= s * (1 + 1e-9)
+        assert np.linalg.norm(x_hat) <= 1 + 1e-9
+
+        def dual(lam):
+            return s * lam + np.linalg.norm(np.maximum(np.abs(g) - lam, 0.0))
+
+        value = float(g @ x_hat)
+        for lam in np.linspace(0.0, np.abs(g).max(), 1001):
+            assert value <= dual(lam) * (1 + 1e-12)
+        lo, hi = 0.0, float(np.abs(g).max())  # dual is convex in lam
+        for _ in range(200):
+            a, b = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+            lo, hi = (lo, b) if dual(a) <= dual(b) else (a, hi)
+        assert value >= dual(lo) * (1 - 1e-9)
+
+    @pytest.mark.parametrize("g, s, expected", [
+        ([0.5, -2.0, 1.0], 0.5, [0.0, -0.5, 0.0]),     # s < 1: the L1 vertex at argmax |g|
+        ([1.0, -1.0, 0.5], 1.2, [0.6, -0.6, 0.0]),     # s^2 < ties: mass s over the tie
+        ([0.0, 0.0, 0.0], 2.0, [0.0, 0.0, 0.0]),       # g = 0
+        ([3.0, 4.0, 0.0], 5.0, [0.6, 0.8, 0.0]),       # s large: g / |g|
+    ])
+    def test_edge_cases(self, g, s, expected):
+        # A = 3 diag(g) and y = 1 give A^T y / m = g
+        n = len(g)
+        ens = MeasurementEnsemble(A=3.0 * np.diag(g), cov=CovarianceSpec.identity(n),
+                                  sigma=0.0, q=1.0, seed=0)
+        obs = BinaryObservation(y=np.ones(n), x_star=np.zeros(n), eta=np.ones(n),
+                                eps=np.zeros(n))
+        np.testing.assert_allclose(pv_convex_decode(obs, ens, s_ell1=s), expected, atol=1e-15)
+        with pytest.raises(ValueError):
+            pv_convex_decode(obs, ens, s_ell1=0.0)
 
 
 class TestEstimationError:
