@@ -26,6 +26,12 @@ class GeneratorNetwork:
     ``final_activation``. With ``normalize_output`` the output is rescaled to
     unit Euclidean norm after the final activation, so the image lies on the
     unit sphere.
+
+    A weight may instead be 3-D, ``(blocks, rows, cols)`` with
+    ``blocks * rows == layer_dims[i+1]`` and ``blocks * cols == layer_dims[i]``:
+    the block-diagonal matrix whose b-th diagonal block is ``weights[i][b]``
+    (output units ``b*rows ...``, input units ``b*cols ...``). It is applied
+    block by block and never materialised densely.
     """
 
     layer_dims: list
@@ -47,10 +53,13 @@ class GeneratorNetwork:
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             w = np.asarray(w, dtype=np.float64)
             b = np.asarray(b, dtype=np.float64)
-            if w.shape != (dims[i + 1], dims[i]):
-                raise ShapeError(
-                    f"layer {i}: weight shape {w.shape} != {(dims[i + 1], dims[i])}"
-                )
+            want = (dims[i + 1], dims[i])
+            if w.ndim == 3:
+                if (w.shape[0] * w.shape[1], w.shape[0] * w.shape[2]) != want:
+                    raise ShapeError(
+                        f"layer {i}: weight blocks {w.shape} do not tile {want}")
+            elif w.shape != want:
+                raise ShapeError(f"layer {i}: weight shape {w.shape} != {want}")
             if b.shape != (dims[i + 1],):
                 raise ShapeError(f"layer {i}: bias shape {b.shape} != {(dims[i + 1],)}")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
@@ -96,6 +105,13 @@ def _as_latent_array(net, z):
     return z
 
 
+def _as_latent_batch(net, zs):
+    zs = np.asarray(zs, dtype=np.float64)
+    if zs.ndim != 2 or zs.shape[0] != net.latent_dim:
+        raise ShapeError(f"batch must be (k, batch) with k={net.latent_dim}")
+    return zs
+
+
 def _apply_final(net, h):
     if net.final_activation == "relu":
         h = np.maximum(h, 0.0)
@@ -116,18 +132,28 @@ def forward(net, z):
 
 def forward_batch(net, zs):
     """Evaluate the generator column-wise on a (k, batch) array."""
-    return forward_with_preacts(net, zs)[0]
+    return _apply_final(net, _preacts(net, _as_latent_batch(net, zs), keep=False)[-1])
 
 
-def _preacts(net, h):
+def _preacts(net, h, keep=True):
+    """Every layer's pre-activation; only the last one unless ``keep``."""
     preacts = []
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = w @ h + (b[:, None] if h.ndim == 2 else b)
-        preacts.append(h)
+        h = (w @ h if w.ndim == 2 else _block_apply(w, h)) + (b[:, None] if h.ndim == 2 else b)
         if i < last:
+            if keep:
+                preacts.append(h)
             h = np.maximum(h, 0.0)
+    preacts.append(h)
     return preacts
+
+
+def _block_apply(w, h):
+    """Block-diagonal product: ``w`` is (blocks, rows, cols) and ``h`` is
+    (blocks*cols,) or (blocks*cols, batch); one batched matmul."""
+    blocks, _, cols = w.shape
+    return np.matmul(w, h.reshape(blocks, cols, -1)).reshape(-1, *h.shape[1:])
 
 
 def forward_with_preacts(net, zs):
@@ -136,10 +162,7 @@ def forward_with_preacts(net, zs):
     The list is what ``vjp_from_preacts`` needs, so a caller that wants both
     G(Z) and J(Z)^T V runs the network forward once.
     """
-    zs = np.asarray(zs, dtype=np.float64)
-    if zs.ndim != 2 or zs.shape[0] != net.latent_dim:
-        raise ShapeError(f"batch must be (k, batch) with k={net.latent_dim}")
-    preacts = _preacts(net, zs)
+    preacts = _preacts(net, _as_latent_batch(net, zs))
     return _apply_final(net, preacts[-1]), preacts
 
 
@@ -183,7 +206,8 @@ def vjp_from_preacts(net, preacts, v):
         s = 1.0 / (1.0 + np.exp(-preacts[-1]))
         g = g * s * (1.0 - s)
     for i in range(len(net.weights) - 1, -1, -1):
-        g = net.weights[i].T @ g
+        w = net.weights[i]
+        g = w.T @ g if w.ndim == 2 else _block_apply(np.swapaxes(w, -1, -2), g)
         if i > 0:
             g = g * (preacts[i - 1] > 0)
     return g
@@ -207,8 +231,10 @@ def lipschitz_upper_bound(net):
 
 def _spectral_norm_product(weights):
     # exact largest singular values (SVD): an iterative estimate converges
-    # from below and would make the product fall short of the true bound
-    return float(np.prod([np.linalg.norm(w, 2) for w in weights]))
+    # from below and would make the product fall short of the true bound; a
+    # block-diagonal matrix's norm is its largest block's
+    return float(np.prod([np.linalg.norm(w, 2) if w.ndim == 2
+                          else np.linalg.norm(w, 2, axis=(1, 2)).max() for w in weights]))
 
 
 def synth_generator(k, n, hidden_dims=(), seed=0, scale=1.0, unit_sphere=False,

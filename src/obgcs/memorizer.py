@@ -29,9 +29,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ObgcsError, ShapeError
-from .generator import GeneratorNetwork, forward
+from .generator import GeneratorNetwork, forward, forward_batch
 
 MAX_BITS = 50  # int + 0.5 stays exactly representable up to 2^(MAX_BITS+1)
+# Up to this many bits every row of the bit pipelines sums to the same float
+# in any order: the threshold rows add terms up to 2^(2 ell + 1) on a grid of
+# 1/2 (the re-summing rows up to 2^(ell + 1) on a grid of 2^-(ell + 1)), and
+# both stay exact while 2 ell + 2 <= 53. Beyond it the batched (matrix-matrix)
+# and one-vector (matrix-vector) evaluations can disagree.
+ORDER_EXACT_BITS = 25
 
 
 @dataclass
@@ -97,6 +103,19 @@ class MemorizerNet:
     def evaluate(self, x):
         """Run the exported weights on an input vector."""
         return forward(self.net, np.atleast_1d(np.asarray(x, dtype=np.float64)))
+
+
+def _certification_outputs(net, queries, ell):
+    """The net's outputs at the (k, count) query columns, for certification.
+
+    Up to ORDER_EXACT_BITS one batched pass stands for every evaluation
+    order. Beyond it the columns go one at a time through ``forward``, the
+    path ``MemorizerNet.evaluate`` takes, so a net is only certified exact
+    where its users evaluate it.
+    """
+    if ell <= ORDER_EXACT_BITS:
+        return forward_batch(net, queries)
+    return np.column_stack([forward(net, q) for q in queries.T.copy()])
 
 
 # --------------------------------------------------------------- layer stack
@@ -396,17 +415,18 @@ def build_bit_extractor(ell):
 
 def _certify_extractor(mem):
     ell = mem.ell
-    patterns = range(1 << ell) if ell <= 10 else \
+    words = np.arange(1 << ell) if ell <= 10 else \
         np.random.default_rng(0xCE27).integers(0, 1 << ell, size=256)
-    for word in patterns:
-        word = int(word)
-        x = math.ldexp(word, -ell)
-        for j in range(1, ell + 1):
-            want = float((word >> (ell - j)) & 1)
-            got = float(mem.evaluate([x, float(j)])[0])
-            if got != want:
-                raise ObgcsError(
-                    f"extractor certification failed at x={x}, j={j}: {got} != {want}")
+    # one column (x, j) per word and bit position, word-major
+    xs = np.repeat(np.ldexp(words.astype(np.float64), -ell), ell)
+    js = np.tile(np.arange(1, ell + 1), len(words))
+    want = ((np.repeat(words, ell) >> (ell - js)) & 1).astype(np.float64)
+    got = _certification_outputs(mem.net, np.stack([xs, js.astype(np.float64)]), ell)[0]
+    bad = np.flatnonzero(got != want)
+    if bad.size:
+        i = bad[0]
+        raise ObgcsError(f"extractor certification failed at x={float(xs[i])}, "
+                         f"j={int(js[i])}: {float(got[i])} != {float(want[i])}")
 
 
 def extract_bit(mem, x, j):
@@ -512,13 +532,16 @@ def build_indexed_memorizer(samples, cap_w, ell):
     mem = MemorizerNet(net=net, width=width, depth=3 * ell + 1,
                        construction="composed", ell=ell, cap_w=cap_w,
                        anchors=anchors)
-    for z, bits in zip(anchors, bit_rows):
-        for j in range(1, ell + 1):
-            got = float(mem.evaluate(np.concatenate([z, [float(j)]]))[0])
-            if got != float(bits[j - 1]):
-                raise ObgcsError(
-                    f"composed recall certification failed at j={j}: "
-                    f"{got} != {bits[j - 1]}")
+    # one column (z_i, j) per table entry, in row-major order of bit_rows
+    queries = np.vstack([np.repeat(anchors.T, ell, axis=1),
+                         np.tile(np.arange(1.0, ell + 1), count)])
+    want = np.array(bit_rows, dtype=np.float64).ravel()
+    got = _certification_outputs(net, queries, ell)[0]
+    bad = np.flatnonzero(got != want)
+    if bad.size:
+        i = bad[0]
+        raise ObgcsError(f"composed recall certification failed at j={i % ell + 1}: "
+                         f"{float(got[i])} != {bit_rows[i // ell][i % ell]}")
     return mem
 
 
@@ -626,10 +649,8 @@ def build_theorem_generator(targets, tau, latent_dim=1):
     mem = MemorizerNet(net=net, width=block_width * n, depth=3 * ell + 2,
                        construction="generator", ell=ell, cap_w=cap_w,
                        anchors=anchors, targets_truncated=trunc_vals)
-    worst_inf = 0.0
-    for i in range(s):
-        out = mem.evaluate(anchors[i])
-        worst_inf = max(worst_inf, float(np.max(np.abs(out - trunc_vals[i]))))
+    outs = _certification_outputs(net, anchors.T, ell)
+    worst_inf = float(np.max(np.abs(outs - trunc_vals.T)))
     if worst_inf != 0.0:
         raise ObgcsError(f"anchor reproduction is not exact (max dev {worst_inf:.3e})")
     gap = max(float(np.linalg.norm(trunc_vals[i] - targets[i])) for i in range(s))
@@ -639,23 +660,17 @@ def build_theorem_generator(targets, tau, latent_dim=1):
 
 
 def _stack_parallel(blocks, input_dim):
-    """Combine equally-deep single-output blocks into one multi-output net."""
+    """Combine equally-deep single-output blocks into one multi-output net.
+
+    Every block reads the shared latent input, so layer 0 is their row
+    stack; each later layer is block-diagonal and kept as the
+    (blocks, rows, cols) stack of the block weights.
+    """
     depth = len(blocks[0].weights)
     if any(len(b.weights) != depth for b in blocks):
         raise ShapeError("blocks must share depth")
-    weights, biases = [], []
-    for layer in range(depth):
-        if layer == 0:
-            W = np.vstack([b.weights[0] for b in blocks])
-        else:
-            mats = [b.weights[layer] for b in blocks]
-            W = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)))
-            r = c = 0
-            for m in mats:
-                W[r:r + m.shape[0], c:c + m.shape[1]] = m
-                r += m.shape[0]
-                c += m.shape[1]
-        weights.append(W)
-        biases.append(np.concatenate([b.biases[layer] for b in blocks]))
-    dims = [input_dim] + [w.shape[0] for w in weights]
+    weights = [np.vstack([b.weights[0] for b in blocks])]
+    weights += [np.stack([b.weights[layer] for b in blocks]) for layer in range(1, depth)]
+    biases = [np.concatenate([b.biases[layer] for b in blocks]) for layer in range(depth)]
+    dims = [input_dim] + [b.shape[0] for b in biases]
     return GeneratorNetwork(dims, weights, biases)

@@ -66,34 +66,54 @@ def _write_header(fh, magic, meta):
 # ---------------------------------------------------------------- generators
 
 def save_generator(net, path, text=None):
-    """Write a generator; JSON text form if ``text`` or the path ends .json."""
+    """Write a generator; JSON text form if ``text`` or the path ends .json.
+
+    Block-diagonal (3-D) layers are written as their dense matrices, one
+    block row at a time, so the file is the same as for the dense net.
+    """
     if text is None:
         text = str(path).endswith(".json")
-    if text:
-        doc = {
-            "format": GEN_MAGIC.decode(),
-            "layer_dims": list(net.layer_dims),
-            "activation": net.final_activation,
-            "normalize_output": bool(net.normalize_output),
-            "layers": [
-                {"weights": w.tolist(), "bias": b.tolist()}
-                for w, b in zip(net.weights, net.biases)
-            ],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
-        return
     meta = {
         "layer_dims": list(net.layer_dims),
         "activation": net.final_activation,
         "normalize_output": bool(net.normalize_output),
     }
+    if text:
+        # json.dump's layout for {"format": ..., **meta, "layers": [...]},
+        # written row by row
+        head = json.dumps({"format": GEN_MAGIC.decode(), **meta})
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(head[:-1] + ', "layers": [')
+            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+                fh.write(', {"weights": ' if i else '{"weights": ')
+                sep = "["
+                for chunk in _dense_row_chunks(w):
+                    for row in chunk.tolist():
+                        fh.write(sep + json.dumps(row))
+                        sep = ", "
+                fh.write('], "bias": ' + json.dumps(b.tolist()) + "}")
+            fh.write("]}\n")
+        return
     with open(path, "wb") as fh:
         _write_header(fh, GEN_MAGIC, meta)
         for w, b in zip(net.weights, net.biases):
-            fh.write(np.ascontiguousarray(w, dtype=_F8).tobytes())
+            for chunk in _dense_row_chunks(w):
+                fh.write(np.ascontiguousarray(chunk, dtype=_F8).tobytes())
             fh.write(np.ascontiguousarray(b, dtype=_F8).tobytes())
+
+
+def _dense_row_chunks(w):
+    """The rows of a weight's dense matrix, one block row per chunk for a
+    (blocks, rows, cols) block-diagonal weight."""
+    if w.ndim == 2:
+        yield w
+        return
+    blocks, rows, cols = w.shape
+    chunk = np.zeros((rows, blocks * cols))
+    for i in range(blocks):
+        chunk[:, i * cols:(i + 1) * cols] = w[i]
+        yield chunk
+        chunk[:, i * cols:(i + 1) * cols] = 0.0
 
 
 def load_generator(path):

@@ -16,6 +16,7 @@ from .generator import forward, forward_batch, lipschitz_upper_bound
 from .util import compensated_mean
 
 _LATTICE_BUDGET = 2_000_000
+_CHUNK_ENTRIES = 1 << 18  # squared distances held at once by _min_dists
 
 
 @dataclass
@@ -41,7 +42,7 @@ class EpsNet:
         """Max distance from random ball points to the net (sampled)."""
         rng = np.random.default_rng(seed)
         test = _uniform_ball(rng, num_samples, self.points.shape[1], self.r)
-        return float(_max_min_dist(test, self.points))
+        return float(_min_dists(test, self.points).max(initial=0.0))
 
 
 def _uniform_ball(rng, count, dim, radius):
@@ -51,17 +52,17 @@ def _uniform_ball(rng, count, dim, radius):
     return g * (radius * u)[:, None]
 
 
-def _max_min_dist(points, net, block=2048):
-    worst = 0.0
-    for start in range(0, points.shape[0], block):
-        chunk = points[start:start + block]
-        d2 = (
-            np.sum(chunk * chunk, axis=1)[:, None]
-            - 2.0 * chunk @ net.T
-            + np.sum(net * net, axis=1)[None, :]
-        )
-        worst = max(worst, math.sqrt(max(float(np.min(d2, axis=1).max()), 0.0)))
-    return worst
+def _min_dists(points, net):
+    """Each point's distance to its nearest net point, over row chunks that
+    hold about _CHUNK_ENTRIES squared distances each."""
+    net_sq = np.sum(net * net, axis=1)[None, :]
+    rows = max(1, _CHUNK_ENTRIES // max(net.shape[0], 1))
+    out = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], rows):
+        chunk = points[start:start + rows]
+        d2 = np.sum(chunk * chunk, axis=1)[:, None] - 2.0 * chunk @ net.T + net_sq
+        out[start:start + rows] = np.min(d2, axis=1)
+    return np.sqrt(np.maximum(out, 0.0))
 
 
 def _lattice_points(k, pitch, radius):
@@ -146,13 +147,7 @@ def _random_net(k, r, epsilon, seed):
     kept = _greedy_prune(candidates, 0.5 * epsilon)
     for _ in range(50):
         test = _uniform_ball(rng, 10_000, k, r)
-        d2 = (
-            np.sum(test * test, axis=1)[:, None]
-            - 2.0 * test @ kept.T
-            + np.sum(kept * kept, axis=1)[None, :]
-        )
-        mind = np.sqrt(np.maximum(d2.min(axis=1), 0.0))
-        bad = mind > epsilon * 0.999
+        bad = _min_dists(test, kept) > epsilon * 0.999
         if not np.any(bad):
             return EpsNet(points=kept, epsilon=epsilon, r=r)
         kept = np.vstack([kept, test[bad]])

@@ -20,3 +20,14 @@ def preacts_away_from_kinks(net, z, margin=1e-3):
                 return False
             h = np.maximum(h, 0.0)
     return True
+
+
+def dense_weight(w):
+    """The dense matrix of a 2-D weight or a (blocks, rows, cols) block stack."""
+    if w.ndim == 2:
+        return w
+    blocks, rows, cols = w.shape
+    out = np.zeros((blocks * rows, blocks * cols))
+    for i, block in enumerate(w):
+        out[i * rows:(i + 1) * rows, i * cols:(i + 1) * cols] = block
+    return out

@@ -6,7 +6,7 @@ from obgcs import (DimensionMismatchError, GeneratorNetwork, LatentPoint,
                    architecture_summary, forward, forward_batch, latent_vjp,
                    latent_vjp_batch, lipschitz_upper_bound, load_generator,
                    save_generator, synth_generator)
-from conftest import preacts_away_from_kinks
+from conftest import dense_weight, preacts_away_from_kinks
 
 
 def identity_net(n, relu=False):
@@ -134,6 +134,50 @@ class TestLatentVjp:
             np.testing.assert_allclose(batch[:, i],
                                        latent_vjp(small_net, Z[:, i], V[:, i]),
                                        atol=1e-12)
+
+
+def block_net_and_dense_twin(seed, final_activation="identity", normalize_output=False):
+    """A net with block-diagonal (3-D) hidden and output layers, and the same
+    net with every weight dense."""
+    rng = np.random.default_rng(seed)
+    weights = [rng.standard_normal((12, 3)) / np.sqrt(3),
+               rng.standard_normal((4, 3, 3)) / np.sqrt(3),   # 12 -> 12
+               rng.standard_normal((4, 2, 3)) / np.sqrt(3)]   # 12 -> 8
+    biases = [0.1 * rng.standard_normal(d) for d in (12, 12, 8)]
+    kw = {"final_activation": final_activation, "normalize_output": normalize_output}
+    return (GeneratorNetwork([3, 12, 12, 8], weights, biases, **kw),
+            GeneratorNetwork([3, 12, 12, 8], [dense_weight(w) for w in weights], biases, **kw))
+
+
+class TestBlockDiagonalWeights:
+    @pytest.mark.parametrize("act,norm", [("identity", False), ("relu", False),
+                                          ("sigmoid", True)])
+    def test_matches_dense_twin(self, act, norm):
+        net, dense = block_net_and_dense_twin(4, act, norm)
+        rng = np.random.default_rng(5)
+        Z = rng.standard_normal((3, 6))
+        V = rng.standard_normal((8, 6))
+        np.testing.assert_allclose(forward_batch(net, Z), forward_batch(dense, Z),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(latent_vjp_batch(net, Z, V), latent_vjp_batch(dense, Z, V),
+                                   rtol=0, atol=1e-12)
+        for i in range(6):
+            np.testing.assert_allclose(forward(net, Z[:, i]), forward(dense, Z[:, i]),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(latent_vjp(net, Z[:, i], V[:, i]),
+                                       latent_vjp(dense, Z[:, i], V[:, i]), rtol=0, atol=1e-12)
+
+    def test_lipschitz_bound_equals_dense_product(self):
+        net, dense = block_net_and_dense_twin(6)
+        exact = np.prod([np.linalg.norm(w, 2) for w in dense.weights])
+        assert lipschitz_upper_bound(net) == pytest.approx(exact, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("shape", [(4, 3, 3), (3, 4, 4), (4, 3, 2)])
+    def test_blocks_must_tile_the_layer(self, shape):
+        # layer 1 maps 12 -> 10: no (blocks, rows, cols) above tiles (10, 12)
+        with pytest.raises(ShapeError):
+            GeneratorNetwork([3, 12, 10], [np.ones((12, 3)), np.ones(shape)],
+                             [np.zeros(12), np.zeros(10)])
 
 
 class TestLipschitzBound:

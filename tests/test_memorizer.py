@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from obgcs import (CapacityError, architecture_summary, bits_to_value,
-                   build_bit_extractor, build_fitter, build_indexed_memorizer,
-                   build_theorem_generator, extract_bit, forward, recall_bit,
+from obgcs import (CapacityError, GeneratorNetwork, ObgcsError, architecture_summary,
+                   bits_to_value, build_bit_extractor, build_fitter,
+                   build_indexed_memorizer, build_theorem_generator, extract_bit,
+                   forward, load_generator, recall_bit, save_generator,
                    truncate_to_bits, value_to_bits)
+from obgcs import memorizer
 from obgcs.memorizer import BitSample
+from conftest import dense_weight
 
 
 class TestBitCoding:
@@ -201,6 +205,77 @@ class TestTheoremGenerator:
         out_a = mem.evaluate(mem.anchors[0])
         out_b = forward(loaded, mem.anchors[0])
         np.testing.assert_array_equal(out_a, out_b)
+
+    def test_block_layers_export_as_dense_reference(self, tmp_path):
+        mem = build_theorem_generator(np.random.default_rng(17).random((3, 4)), 0.25)
+        assert any(w.ndim == 3 for w in mem.net.weights)
+        dense = GeneratorNetwork(mem.net.layer_dims,
+                                 [dense_weight(w) for w in mem.net.weights], mem.net.biases)
+        for name in ("net.bin", "net.json"):
+            save_generator(mem.net, tmp_path / f"block_{name}")
+            save_generator(dense, tmp_path / f"dense_{name}")
+            assert ((tmp_path / f"block_{name}").read_bytes()
+                    == (tmp_path / f"dense_{name}").read_bytes())
+            loaded = load_generator(tmp_path / f"block_{name}")
+            for anchor, trunc in zip(mem.anchors, mem.targets_truncated):
+                np.testing.assert_array_equal(forward(loaded, anchor), trunc)
+
+    def test_peak_memory_at_benchmark_size(self):
+        # dense block-diagonal layers took 387 MB here; the block stacks 25 MB
+        targets = np.random.default_rng(18).random((20, 32))
+        tracemalloc.start()
+        try:
+            build_theorem_generator(targets, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
+
+def _perturb_one_output(monkeypatch, index):
+    """Make the memorizer module's batched forward add 1 to one output entry."""
+    real = memorizer.forward_batch
+
+    def perturbed(net, zs):
+        out = real(net, zs).copy()
+        out.flat[index] += 1.0
+        return out
+
+    monkeypatch.setattr(memorizer, "forward_batch", perturbed)
+
+
+class TestCertificationCatchesAWrongOutput:
+    def test_extractor(self, monkeypatch):
+        # column 7 of the ell=3 check is word 2 (x = 0.25), j = 2, whose bit is 1
+        _perturb_one_output(monkeypatch, 7)
+        with pytest.raises(ObgcsError, match=r"x=0\.25, j=2: 2\.0 != 1\.0"):
+            build_bit_extractor(3)
+
+    def test_indexed_memorizer(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        anchors = rng.standard_normal((4, 2))
+        bits = rng.integers(0, 2, (4, 3))
+        _perturb_one_output(monkeypatch, 7)  # anchor 2, j = 2
+        want = int(bits[2, 1])
+        with pytest.raises(ObgcsError, match=rf"at j=2: {want + 1.0} != {want}$"):
+            build_indexed_memorizer(list(zip(anchors, bits)), 2, 3)
+
+    def test_theorem_generator(self, monkeypatch):
+        _perturb_one_output(monkeypatch, 5)
+        with pytest.raises(ObgcsError, match="not exact"):
+            build_theorem_generator(np.random.default_rng(20).random((2, 3)), 0.5)
+
+
+    def test_one_vector_path_certified_beyond_order_exact_bits(self, monkeypatch):
+        # past ORDER_EXACT_BITS the batched pass no longer stands for the
+        # matrix-vector evaluation that evaluate() takes, so that one is checked
+        real = memorizer.forward
+        monkeypatch.setattr(memorizer, "forward", lambda net, z: real(net, z) + 1.0)
+        targets = np.array([[0.3]])
+        mem = build_theorem_generator(targets, 2.0 ** -23)
+        assert mem.ell == memorizer.ORDER_EXACT_BITS
+        with pytest.raises(ObgcsError, match="not exact"):
+            build_theorem_generator(targets, 2.0 ** -24)
 
 
 class TestExhaustiveRecallBudget:

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+from obgcs import theory
 
 from obgcs import (CapacityError, CovarianceSpec, DegenerateConeError,
                    build_eps_net, check_jl, check_srec, concentration_diagnostics,
@@ -47,6 +50,26 @@ class TestEpsNet:
     def test_random_fallback_covers(self):
         net = build_eps_net(10, 1.0, 0.9, method="random")
         assert net.covering_radius_sampled(num_samples=10_000, seed=1) <= 0.9
+
+    def test_covering_radius_peak_memory(self):
+        # 2048-row distance chunks took about 180 MB here
+        net = build_eps_net(5, 1.0, 0.6)
+        tracemalloc.start()
+        try:
+            radius = net.covering_radius_sampled(seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert radius <= 0.6
+        assert peak < 32 * 2 ** 20
+
+    @pytest.mark.parametrize("entries", [1, 50, 1 << 30])
+    def test_min_dists_do_not_depend_on_chunking(self, monkeypatch, entries):
+        rng = np.random.default_rng(4)
+        points, net = rng.standard_normal((300, 3)), rng.standard_normal((40, 3))
+        direct = np.sqrt(np.min(np.sum((points[:, None, :] - net[None]) ** 2, axis=2), axis=1))
+        monkeypatch.setattr(theory, "_CHUNK_ENTRIES", entries)
+        np.testing.assert_allclose(theory._min_dists(points, net), direct, rtol=0, atol=1e-12)
 
 
 class TestSrec:
