@@ -17,7 +17,7 @@ import numpy as np
 
 from .decoders import (LsDecoderConfig, biht_decode, estimation_error, ls_decode,
                        pv_convex_decode)
-from .errors import DivergenceError
+from .errors import ObgcsError
 from .generator import lipschitz_upper_bound, synth_generator
 from .measurement import CovarianceSpec, observe, sample_ensemble, sample_truth
 from .serialization import load_generator
@@ -86,9 +86,10 @@ class CellResult:
 def _run_cell(grid, net, m, trial):
     """All requested decoders on one freshly sampled (ensemble, truth, y).
 
-    A decoder that diverges or returns a zero vector, and every decoder of a
-    cell whose sampled truth has zero covariance norm (nothing to recover),
-    gives a converged=False row with NaN errors.
+    A decoder that fails with an ObgcsError (it diverged, or a covariance
+    norm it needs is not defined) or returns a zero vector, and every decoder
+    of a cell whose sampled truth has zero covariance norm (nothing to
+    recover), gives a converged=False row with NaN errors.
     """
     cell_seed = derive_seed(grid.base_seed, m, trial)
     cov = CovarianceSpec.from_nu(net.signal_dim, grid.nu)
@@ -108,7 +109,7 @@ def _run_cell(grid, net, m, trial):
             try:
                 err = estimation_error(_decode(grid, name, obs, ens, net, m, trial),
                                        x_star, grid.sigma, grid.q)
-            except (DivergenceError, ZeroDivisionError):
+            except (ObgcsError, ZeroDivisionError):
                 converged = False
         if not converged:
             err = {"l2_err_vs_c_xstar": math.nan, "cosine": math.nan,
@@ -142,10 +143,10 @@ def _run_cell_star(args):
 def run_grid(grid, progress=None):
     """Run every (m, trial) cell; returns CellResults sorted by (m, decoder, trial).
 
-    Decoder divergence and degenerate sampled truths are recorded as
-    converged=False with NaN errors, never fatal. With ``workers`` > 1 cells
-    run in separate processes; ordering and values do not depend on the
-    worker count.
+    Decoder failures (any ObgcsError) and degenerate sampled truths are
+    recorded as converged=False with NaN errors, never fatal. With
+    ``workers`` > 1 cells run in separate processes; ordering and values do
+    not depend on the worker count.
     """
     net = grid.make_generator()
     lipschitz_upper_bound(net)  # cache once so workers do not redo it

@@ -31,7 +31,11 @@ import numpy as np
 from .errors import CapacityError, ObgcsError, ShapeError
 from .generator import GeneratorNetwork, forward, forward_batch
 
-MAX_BITS = 50  # int + 0.5 stays exactly representable up to 2^(MAX_BITS+1)
+# The most bits a build accepts: int + 0.5 stays representable up to
+# 2^(MAX_BITS+1). That does not make a build exact up to MAX_BITS (see
+# ORDER_EXACT_BITS): beyond 25 bits it is certified one query at a time and
+# may raise instead (with scipy-openblas 0.3.31 on x86-64, from ell = 28).
+MAX_BITS = 50
 # Up to this many bits every row of the bit pipelines sums to the same float
 # in any order: the threshold rows add terms up to 2^(2 ell + 1) on a grid of
 # 1/2 (the re-summing rows up to 2^(ell + 1) on a grid of 2^-(ell + 1)), and
@@ -619,7 +623,8 @@ def build_theorem_generator(targets, tau, latent_dim=1):
     ell = int(math.ceil(math.log2(2.0 * n / tau))) + 1
     if ell > MAX_BITS:
         raise CapacityError(f"tau={tau} needs {ell} bits per coordinate "
-                            f"(> {MAX_BITS} supported by float64 exactness)")
+                            f"(> {MAX_BITS} accepted; rows are order-exact only "
+                            f"up to {ORDER_EXACT_BITS})")
     cap_w = int(math.ceil(math.sqrt(s * n / ell)))
     if s > 4 * cap_w * ell:
         raise CapacityError(

@@ -17,6 +17,7 @@ from .util import compensated_mean
 
 _LATTICE_BUDGET = 2_000_000
 _CHUNK_ENTRIES = 1 << 18  # squared distances held at once by _min_dists
+_PRUNE_BLOCK = 32  # candidates _greedy_prune decides together
 
 
 @dataclass
@@ -66,29 +67,24 @@ def _min_dists(points, net):
 
 
 def _lattice_points(k, pitch, radius):
-    """All lattice points (multiples of pitch) with norm <= radius."""
-    out = []
-    coord = np.zeros(k)
-
-    def recurse(dim, norm2):
-        if len(out) > _LATTICE_BUDGET:
+    """All lattice points (multiples of pitch) with norm <= radius, in
+    lexicographic order: each pass extends every coordinate prefix by the
+    multiples of pitch its remaining squared-norm budget allows."""
+    pts, norm2 = np.zeros((1, 0)), np.zeros(1)
+    for _ in range(k):
+        budget = radius * radius - norm2
+        top = np.floor(np.sqrt(np.maximum(budget, 0.0)) / pitch).astype(np.int64)
+        counts = np.where(budget >= 0, 2 * top + 1, 0)
+        total = int(counts.sum())
+        if total > _LATTICE_BUDGET:
             raise CapacityError(
                 "lattice enumeration exceeds the point budget; "
                 "use method='random' instead")
-        if dim == k:
-            out.append(coord.copy())
-            return
-        budget = radius * radius - norm2
-        if budget < 0:
-            return
-        top = int(math.floor(math.sqrt(budget) / pitch))
-        for i in range(-top, top + 1):
-            coord[dim] = i * pitch
-            recurse(dim + 1, norm2 + coord[dim] ** 2)
-        coord[dim] = 0.0
-
-    recurse(0, 0.0)
-    return np.array(out) if out else np.zeros((0, k))
+        first = np.repeat(np.cumsum(counts) - counts + top, counts)
+        coord = (np.arange(total) - first) * pitch
+        pts = np.hstack([np.repeat(pts, counts, axis=0), coord[:, None]])
+        norm2 = np.repeat(norm2, counts) + coord ** 2
+    return pts
 
 
 def build_eps_net(k, r, epsilon, method="auto", seed=0):
@@ -133,11 +129,35 @@ def build_eps_net(k, r, epsilon, method="auto", seed=0):
 
 
 def _greedy_prune(points, min_sep):
-    kept = np.empty((0, points.shape[1]))
+    """Keep each point, in order, unless it lies within min_sep of a point
+    kept before it.
+
+    Blocks of _PRUNE_BLOCK candidates meet only the kept points inside their
+    bounding box widened by min_sep (rounded outward). A pair gets its squared
+    distance, the row sum a one-by-one loop takes, only if it is closer than
+    min_sep in every coordinate; the block's survivors then settle in order.
+    """
     sep2 = min_sep * min_sep
-    for p in points:
-        if kept.shape[0] == 0 or np.min(np.sum((kept - p) ** 2, axis=1)) >= sep2:
-            kept = np.vstack([kept, p[None, :]])
+    # kept as rows for the distances, and as columns for a fast box test
+    kept, cols = np.empty((0, points.shape[1])), np.empty((points.shape[1], 0))
+    for start in range(0, points.shape[0], _PRUNE_BLOCK):
+        block = points[start:start + _PRUNE_BLOCK]
+        lo = np.nextafter(block.min(axis=0) - min_sep, -np.inf)[:, None]
+        hi = np.nextafter(block.max(axis=0) + min_sep, np.inf)[:, None]
+        near = kept[np.all((cols >= lo) & (cols <= hi), axis=0)]
+        close = np.ones((block.shape[0], near.shape[0]), dtype=bool)
+        for c in range(points.shape[1]):
+            close &= np.abs(block[:, c, None] - near[:, c]) < min_sep
+        cand, other = np.nonzero(close)  # C-ordered row gathers fix numpy's summation order
+        hit = cand[np.sum((block[cand] - near[other]) ** 2, axis=-1) < sep2]
+        block = np.delete(block, hit, axis=0)
+        if block.shape[0]:
+            clear = np.sum((block[:, None] - block) ** 2, axis=-1) >= sep2
+            take = np.ones(block.shape[0], dtype=bool)
+            for i in range(block.shape[0]):
+                if take[i]:
+                    take[i + 1:] &= clear[i, i + 1:]
+            kept, cols = np.vstack([kept, block[take]]), np.hstack([cols, block[take].T])
     return kept
 
 

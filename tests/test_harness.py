@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from obgcs import (CellResult, ExperimentGrid, GeneratorNetwork, fit_scaling,
-                   flip_robustness_report, read_csv, run_grid, save_generator,
-                   write_csv)
+from obgcs import (CellResult, ExperimentGrid, GeneratorNetwork, NotSpdError,
+                   fit_scaling, flip_robustness_report, harness, read_csv,
+                   run_grid, save_generator, write_csv)
 from obgcs.harness import CSV_HEADER
 from obgcs.util import derive_seed
 
@@ -86,6 +86,35 @@ class TestRunGrid:
             assert r.l2_err >= 0
             assert -1.0 <= r.cosine <= 1.0
             assert r.per_pixel == pytest.approx(r.l2_err / math.sqrt(20))
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_one_failing_decoder_gives_one_unconverged_row(self, tmp_path, monkeypatch,
+                                                           workers):
+        ref_path, path = tmp_path / "ref.csv", tmp_path / "r.csv"
+        run_grid(tiny_grid(decoders=("ls", "biht"), output_path=str(ref_path)))
+        decode = harness._decode
+
+        def failing(grid, name, obs, ens, net, m, trial):
+            if (name, m, trial) == ("biht", 80, 1):
+                raise NotSpdError("covariance is not positive definite")
+            return decode(grid, name, obs, ens, net, m, trial)
+
+        monkeypatch.setattr(harness, "_decode", failing)  # forked pool workers inherit it
+        res = run_grid(tiny_grid(decoders=("ls", "biht"), output_path=str(path),
+                                 workers=workers))
+        want = ref_path.read_text().splitlines()
+        bad = want.index(next(line for line in want if line.startswith("80,biht,1,")))
+        want[bad] = f"80,biht,1,{derive_seed(5, 80, 1)},nan,nan,nan,0,false"
+        assert path.read_text().splitlines() == want
+        assert [(r.decoder, r.m, r.trial) for r in res if not r.converged] == [("biht", 80, 1)]
+
+    def test_plain_value_error_still_propagates(self, monkeypatch):
+        def bad_config(*args):
+            raise ValueError("bad config")
+
+        monkeypatch.setattr(harness, "_decode", bad_config)
+        with pytest.raises(ValueError, match="bad config"):
+            run_grid(tiny_grid())
 
 
 def synthetic_results(err_fn, m_values=(100, 200, 400, 800), trials=3, decoder="ls"):

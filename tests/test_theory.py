@@ -72,6 +72,100 @@ class TestEpsNet:
         np.testing.assert_allclose(theory._min_dists(points, net), direct, rtol=0, atol=1e-12)
 
 
+def _recursive_lattice(k, pitch, radius):
+    """The lattice enumeration as a recursion over coordinates (the reference)."""
+    out = []
+    coord = np.zeros(k)
+
+    def recurse(dim, norm2):
+        if dim == k:
+            out.append(coord.copy())
+            return
+        budget = radius * radius - norm2
+        if budget < 0:
+            return
+        top = int(math.floor(math.sqrt(budget) / pitch))
+        for i in range(-top, top + 1):
+            coord[dim] = i * pitch
+            recurse(dim + 1, norm2 + coord[dim] ** 2)
+        coord[dim] = 0.0
+
+    recurse(0, 0.0)
+    return np.array(out) if out else np.zeros((0, k))
+
+
+def _loop_prune(points, min_sep):
+    """The greedy prune as a one-candidate-at-a-time loop (the reference)."""
+    kept = np.empty((0, points.shape[1]))
+    sep2 = min_sep * min_sep
+    for p in points:
+        if kept.shape[0] == 0 or np.min(np.sum((kept - p) ** 2, axis=1)) >= sep2:
+            kept = np.vstack([kept, p[None, :]])
+    return kept
+
+
+def _reference_net(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as patch:
+        patch.setattr(theory, "_lattice_points", _recursive_lattice)
+        patch.setattr(theory, "_greedy_prune", _loop_prune)
+        return build_eps_net(*args, **kwargs).points
+
+
+class TestEpsNetParity:
+    # (4, 0.5) has pitch 0.25 = epsilon / 2, so lattice neighbours tie with
+    # the separation exactly
+    @pytest.mark.parametrize("k,eps", [(1, 0.5), (2, 0.5), (3, 0.6), (4, 0.5),
+                                       (4, 0.8), (5, 0.6), (5, 0.9)])
+    def test_lattice_net_bytes(self, monkeypatch, k, eps):
+        want = _reference_net(monkeypatch, k, 1.0, eps)
+        got = build_eps_net(k, 1.0, eps).points
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_net_bytes(self, monkeypatch, seed):
+        want = _reference_net(monkeypatch, 10, 1, 0.9, method="random", seed=seed)
+        got = build_eps_net(10, 1, 0.9, method="random", seed=seed).points
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 30])
+    def test_block_size_does_not_change_the_net(self, monkeypatch, block):
+        want = [_reference_net(monkeypatch, k, 1.0, eps) for k, eps in [(2, 0.5), (3, 0.6)]]
+        monkeypatch.setattr(theory, "_PRUNE_BLOCK", block)
+        got = [build_eps_net(k, 1.0, eps).points for k, eps in [(2, 0.5), (3, 0.6)]]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    @pytest.mark.parametrize("block", [1, 32])
+    def test_pair_at_exactly_min_sep_is_kept(self, monkeypatch, block):
+        # 0.375^2 + 0.5^2 == 0.625^2 exactly, and no coordinate gap reaches 0.625
+        points = np.array([[0.0, 0.0], [0.375, 0.5], [0.375, 0.25]])
+        monkeypatch.setattr(theory, "_PRUNE_BLOCK", block)
+        kept = theory._greedy_prune(points, 0.625)
+        assert kept.tobytes() == points[:2].tobytes() == _loop_prune(points, 0.625).tobytes()
+
+    def test_lattice_budget_raises_before_allocating(self, monkeypatch):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="method='random'"):
+                build_eps_net(8, 1.0, 0.2, method="lattice")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20  # the full lattice would hold billions of points
+        monkeypatch.setattr(theory, "_LATTICE_BUDGET", 100)  # (3, 0.6) has 251 candidates
+        with pytest.raises(CapacityError, match="method='random'"):
+            build_eps_net(3, 1.0, 0.6)
+
+    def test_build_peak_memory(self):
+        tracemalloc.start()
+        try:
+            net = build_eps_net(5, 1.0, 0.6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(net) == 3755
+        assert peak < 8 * 2 ** 20
+
+
 class TestSrec:
     def setup_method(self):
         self.k, self.n = 4, 50
