@@ -13,18 +13,18 @@ from .decoders import (DecoderResult, LsDecoderConfig, biht_decode,
 from .errors import (CapacityError, DegenerateConeError, DimensionMismatchError,
                      DivergenceError, MalformedFileError, NonFiniteError,
                      NotSpdError, ObgcsError, ShapeError)
-from .generator import (GeneratorNetwork, LatentPoint, architecture_summary,
-                        forward, forward_batch, identity_generator, latent_vjp,
-                        latent_vjp_batch, lipschitz_upper_bound, synth_generator)
+from .generator import (GeneratorNetwork, architecture_summary, forward,
+                        forward_batch, latent_vjp, latent_vjp_batch,
+                        lipschitz_upper_bound, synth_generator)
 from .harness import (CellResult, ExperimentGrid, fit_scaling,
                       flip_robustness_report, read_csv, run_grid, write_csv)
 from .measurement import (BinaryObservation, CovarianceSpec, MeasurementEnsemble,
                           observe, sample_ensemble, scaling_constant, sigma_norm,
                           sign_pm1)
-from .memorizer import (BitSample, MemorizerNet, bits_to_value, build_bit_extractor,
+from .memorizer import (MemorizerNet, bits_to_value, build_bit_extractor,
                         build_fitter, build_indexed_memorizer,
-                        build_theorem_generator, composed_capacity, extract_bit,
-                        fitter_capacity, recall_bit, truncate_to_bits, value_to_bits)
+                        build_theorem_generator, extract_bit, recall_bit,
+                        truncate_to_bits, value_to_bits)
 from .serialization import (load_ensemble, load_generator, load_observation,
                             save_ensemble, save_generator, save_observation)
 from .theory import (EpsNet, MeanWidthEstimate, SrecReport, build_eps_net,

@@ -222,7 +222,8 @@ def _cmd_decode(args, cfg):
         x_hat = res.x_hat
         extra = {"objective": res.objective, "restart_index": res.restart_index,
                  "iterations": res.iterations, "loss_trace": res.loss_trace,
-                 "z_hat": res.z_hat.tolist()}
+                 "grad_norm": res.grad_norm, "step": res.step,
+                 "restart_losses": res.restart_losses, "z_hat": res.z_hat.tolist()}
     elif which == "biht":
         x_hat = biht_decode(obs, ens, **_passed(cfg, _BIHT))
     else:

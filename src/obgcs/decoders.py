@@ -14,8 +14,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, ShapeError
-from .generator import forward, forward_with_preacts, lipschitz_upper_bound, vjp_from_preacts
+from .generator import forward, forward_with_preacts, vjp_from_preacts
 from .measurement import scaling_constant, sign_pm1
+
+
+# The LS step rule: each restart takes Barzilai-Borwein (BB1) steps s's/s'y
+# (Barzilai & Borwein 1988), every one checked by a monotone Armijo
+# backtracking search (Nocedal & Wright, ch. 3).
+_FIRST_STEP = 1.0        # first trial step when the config gives none
+_ARMIJO_C1 = 1e-4        # sufficient-decrease constant
+_MAX_GROWTH = 4.0        # a BB step is at most this multiple of the last accepted one
+_MAX_BACKTRACKS = 60     # halvings before a search gives up
+_STOP_RTOL = 1e-12       # stop once f_old - f_new <= _STOP_RTOL * (1 + |f_old|)
 
 
 @dataclass
@@ -24,8 +34,10 @@ class LsDecoderConfig:
 
     ``mode`` is "lagrangian" (penalty ``lam * ||z||^2``) or "constrained"
     (projection onto the ball of radius ``radius`` after every step).
-    ``step_size=None`` uses 0.1 / L^2 where L is the generator's cached
-    Lipschitz upper bound (falling back to 0.1 if L is 0).
+    ``steps_per_restart`` caps the steps of each restart; a restart stops
+    sooner once its loss no longer falls. ``step_size`` is only the first
+    trial step of each restart (1.0 when None): the line search shrinks it
+    as needed, and later steps come from the Barzilai-Borwein rule.
     """
 
     mode: str = "lagrangian"
@@ -54,7 +66,13 @@ class LsDecoderConfig:
 
 @dataclass
 class DecoderResult:
-    """Best latent point found, its signal, and the winning restart's trace."""
+    """Best latent point found, its signal, and the winning restart's diagnostics.
+
+    ``iterations`` counts the steps the winning restart took, ``loss_trace``
+    holds its loss at the start and after each of them, ``grad_norm`` is
+    ||grad f|| at its endpoint, ``step`` its last accepted step (0.0 if it
+    took none), and ``restart_losses`` the final loss of every restart.
+    """
 
     z_hat: np.ndarray
     x_hat: np.ndarray
@@ -62,29 +80,35 @@ class DecoderResult:
     loss_trace: list = field(repr=False)
     restart_index: int = 0
     iterations: int = 0
-
-
-def _default_step(net):
-    lip = lipschitz_upper_bound(net)
-    return 0.1 / (lip * lip) if lip > 0 else 0.1
+    grad_norm: float = 0.0
+    step: float = 0.0
+    restart_losses: list = field(default_factory=list, repr=False)
 
 
 def ls_decode(obs, ens, net, cfg):
-    """Best-of-restarts gradient descent on the latent sign-fitting loss.
+    """Best-of-restarts descent on the latent sign-fitting loss.
 
-    Each restart starts from z0 ~ N(0, init_scale^2 I) and runs a fixed
-    number of fixed-size gradient steps; the endpoint with the smallest final
-    objective wins, ties broken by lowest restart index. Deterministic in
-    ``cfg.seed``. Raises DivergenceError naming the restart and step if the
-    loss becomes non-finite.
+    Each restart starts from z0 ~ N(0, init_scale^2 I) (projected onto the
+    ball in constrained mode). Its steps are Barzilai-Borwein lengths
+    s's / s'y, at most 4x its last accepted step, each accepted only when a
+    backtracking search (halving) finds the Armijo decrease
+    f(z+) <= f(z) + c1 <grad f(z), z+ - z>, with z+ projected in constrained
+    mode. The loss never rises. A restart stops once a step lowers its loss
+    by at most 1e-12 (1 + |f|), when a search finds no such decrease, or at
+    ``steps_per_restart`` steps; a stopped restart stays where it is. The
+    endpoint with the smallest final loss wins, ties broken by lowest
+    restart index. Deterministic in ``cfg.seed``. Raises DivergenceError
+    naming the restart and step if a restart's loss is non-finite at its
+    start point, or every trial point of one of its searches is.
 
-    All restarts advance together, with one generator pass per step feeding
-    both the loss and the gradient. The loss is quadratic in x = G(z): when
-    m > n a one-off O(m n^2) build of H = A^T A / m, b = A^T y / m and
-    c = |y|^2 / m makes every step O(n^2 R) for R restarts, independent of
-    m; when m <= n the residual A x - y is the cheaper form and is used
-    directly. The returned ``objective`` is always recomputed from the
-    residual, so a near-zero loss is not lost to cancellation.
+    All restarts advance together as one (k, R) batch, with one generator
+    pass per trial point; the accepted trial's pass also gives the gradient.
+    The loss is quadratic in x = G(z): when m > n a one-off O(m n^2) build
+    of H = A^T A / m, b = A^T y / m and c = |y|^2 / m makes every trial
+    O(n^2 R) for R restarts, independent of m; when m <= n the residual
+    A x - y is the cheaper form and is used directly. The returned
+    ``objective`` is always recomputed from the residual, so a near-zero
+    loss is not lost to cancellation.
     """
     y = obs.y
     A = ens.A
@@ -94,48 +118,108 @@ def ls_decode(obs, ens, net, cfg):
         raise ShapeError("generator output dimension does not match signal size")
     m, n = A.shape
     k = net.latent_dim
-    steps = cfg.steps_per_restart
-    step = cfg.step_size if cfg.step_size is not None else _default_step(net)
     lam = cfg.lam if cfg.mode == "lagrangian" else 0.0
+    radius = cfg.radius if cfg.mode == "constrained" else None
     data_term = _gram_term(A, y) if m > n else _residual_term(A, y)
+
+    def evaluate(Z):
+        X, preacts = forward_with_preacts(net, Z)
+        data_loss, cotangent = data_term(X)
+        return data_loss + lam * np.sum(Z * Z, axis=0), preacts, cotangent
 
     rng = np.random.default_rng(cfg.seed)
     Z = cfg.init_scale * rng.standard_normal((k, cfg.restarts))
-    if cfg.mode == "constrained":
-        Z = _project_ball_cols(Z, cfg.radius)
+    if radius is not None:
+        Z = _project_ball_cols(Z, radius)
 
-    traces = np.empty((steps + 1, cfg.restarts))
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(steps + 1):
-            X, preacts = forward_with_preacts(net, Z)
-            data_loss, cotangent = data_term(X)
-            losses = data_loss + lam * np.sum(Z * Z, axis=0)
-            if not np.all(np.isfinite(losses)):
-                bad = int(np.flatnonzero(~np.isfinite(losses))[0])
-                raise DivergenceError(
-                    f"non-finite loss at restart {bad}, step {t}; reduce the step size",
-                    restart=bad, step=t)
-            traces[t] = losses
-            if t == steps:
+        f, preacts, cotangent = evaluate(Z)
+        if not np.all(np.isfinite(f)):
+            bad = int(np.flatnonzero(~np.isfinite(f))[0])
+            raise DivergenceError(f"non-finite loss at restart {bad}, step 0 (its start point)",
+                                  restart=bad, step=0)
+        G = vjp_from_preacts(net, preacts, cotangent) + 2.0 * lam * Z
+        trial = np.full(cfg.restarts, cfg.step_size or _FIRST_STEP)
+        last_step = np.zeros(cfg.restarts)
+        iterations = np.zeros(cfg.restarts, dtype=int)
+        running = np.ones(cfg.restarts, dtype=bool)
+        traces = [f]
+        for t in range(1, cfg.steps_per_restart + 1):
+            Z_new, f_new, preacts, cotangent, step, accepted, diverged = _line_search(
+                evaluate, Z, f, G, trial, running, radius)
+            if diverged.any():
+                bad = int(np.flatnonzero(diverged)[0])
+                raise DivergenceError(f"no finite trial loss at restart {bad}, step {t}",
+                                      restart=bad, step=t)
+            G_new = vjp_from_preacts(net, preacts, cotangent) + 2.0 * lam * Z_new
+            S = Z_new - Z
+            sy = np.sum(S * (G_new - G), axis=0)
+            bb = np.divide(np.sum(S * S, axis=0), sy, out=np.full_like(sy, np.inf), where=sy > 0)
+            converged = f - f_new <= _STOP_RTOL * (1.0 + np.abs(f))
+            Z = np.where(accepted, Z_new, Z)
+            G = np.where(accepted, G_new, G)
+            f = np.where(accepted, f_new, f)
+            trial = np.where(accepted, np.minimum(bb, _MAX_GROWTH * step), trial)
+            last_step = np.where(accepted, step, last_step)
+            iterations += accepted
+            running &= accepted & ~converged
+            traces.append(f)
+            if not running.any():
                 break
-            grad = vjp_from_preacts(net, preacts, cotangent) + 2.0 * lam * Z
-            Z = Z - step * grad
-            if cfg.mode == "constrained":
-                Z = _project_ball_cols(Z, cfg.radius)
 
-    best = int(np.argmin(losses))  # argmin returns the first (lowest) index on ties
+    best = int(np.argmin(f))  # argmin returns the first (lowest) index on ties
     z_hat = Z[:, best].copy()
     x_hat = forward(net, z_hat)
     r = A @ x_hat - y
     objective = float(0.5 * (r @ r) / m + lam * float(z_hat @ z_hat))
+    steps = int(iterations[best])
     return DecoderResult(
         z_hat=z_hat,
         x_hat=x_hat,
         objective=objective,
-        loss_trace=traces[:, best].tolist(),
+        loss_trace=[float(trace[best]) for trace in traces[:steps + 1]],
         restart_index=best,
         iterations=steps,
+        grad_norm=float(np.linalg.norm(G[:, best])),
+        step=float(last_step[best]),
+        restart_losses=f.tolist(),
     )
+
+
+def _line_search(evaluate, Z, f, G, trial, searching, radius):
+    """One monotone Armijo backtracking search for each restart in ``searching``.
+
+    Trial points Z - a G (projected when ``radius`` is set) are evaluated a
+    whole batch at a time, and a column's step a, starting from ``trial``,
+    is halved until its loss is finite and at most
+    f + c1 min(<G, Z_t - Z>, 0). Returns, per column, the accepted trial
+    point, its loss, pre-activations and cotangent, and its step, then the
+    mask of columns that accepted a step and the mask of those whose every
+    trial loss was non-finite. Other columns carry values to be ignored.
+    """
+    a = trial.copy()
+    pending = searching.copy()
+    finite = np.zeros_like(pending)
+    for i in range(_MAX_BACKTRACKS + 1):
+        Zt = Z - a * G
+        if radius is not None:
+            Zt = _project_ball_cols(Zt, radius)
+        ft, preacts, cotangent = evaluate(Zt)
+        ok = pending & np.isfinite(ft)
+        finite |= ok
+        ok &= ft <= f + _ARMIJO_C1 * np.minimum(np.sum(G * (Zt - Z), axis=0), 0.0)
+        if i == 0:
+            Z_acc, f_acc, pre_acc, cot_acc = Zt, ft, preacts, cotangent
+        else:
+            Z_acc = np.where(ok, Zt, Z_acc)
+            f_acc = np.where(ok, ft, f_acc)
+            pre_acc = [np.where(ok, new, old) for new, old in zip(preacts, pre_acc)]
+            cot_acc = np.where(ok, cotangent, cot_acc)
+        pending &= ~ok
+        if not pending.any():
+            break
+        a = np.where(pending, 0.5 * a, a)
+    return Z_acc, f_acc, pre_acc, cot_acc, a, searching & ~pending, searching & ~finite
 
 
 def _residual_term(A, y):

@@ -79,27 +79,8 @@ class GeneratorNetwork:
         return self.layer_dims[-1]
 
 
-@dataclass
-class LatentPoint:
-    """A latent vector, optionally certified to lie in a centered L2 ball."""
-
-    z: np.ndarray
-    radius_bound: float | None = None
-
-    def __post_init__(self):
-        self.z = np.atleast_1d(np.asarray(self.z, dtype=np.float64))
-        if self.radius_bound is not None:
-            r = float(self.radius_bound)
-            if r < 0:
-                raise ValueError("radius_bound must be nonnegative")
-            if np.linalg.norm(self.z) > r * (1 + 1e-12) + 1e-15:
-                raise ValueError("latent vector lies outside its declared ball")
-            self.radius_bound = r
-
-
 def _as_latent_array(net, z):
-    z = z.z if isinstance(z, LatentPoint) else np.asarray(z, dtype=np.float64)
-    z = np.atleast_1d(z)
+    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
     if z.shape[0] != net.latent_dim:
         raise ShapeError(f"latent length {z.shape[0]} != expected {net.latent_dim}")
     return z
@@ -271,11 +252,6 @@ def synth_generator(k, n, hidden_dims=(), seed=0, scale=1.0, unit_sphere=False,
             weights[-1] = weights[-1] / (np.sqrt(n) * lip)
     return GeneratorNetwork(dims, weights, biases, final_activation=final_activation,
                             normalize_output=bool(unit_sphere))
-
-
-def identity_generator(n):
-    """The trivial generator G(z) = z on R^n (useful as a no-prior baseline)."""
-    return GeneratorNetwork([n, n], [np.eye(n)], [np.zeros(n)])
 
 
 def architecture_summary(net):

@@ -18,7 +18,7 @@ import numpy as np
 from .decoders import (LsDecoderConfig, biht_decode, estimation_error, ls_decode,
                        pv_convex_decode)
 from .errors import ObgcsError
-from .generator import lipschitz_upper_bound, synth_generator
+from .generator import synth_generator
 from .measurement import CovarianceSpec, observe, sample_ensemble, sample_truth
 from .serialization import load_generator
 from .util import derive_seed, fmt17, rng_for
@@ -149,7 +149,6 @@ def run_grid(grid, progress=None):
     not depend on the worker count.
     """
     net = grid.make_generator()
-    lipschitz_upper_bound(net)  # cache once so workers do not redo it
     cells = [(grid, net, m, trial)
              for m in grid.m_values for trial in range(grid.trials_per_cell)]
     results = []

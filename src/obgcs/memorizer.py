@@ -24,7 +24,7 @@ product evaluation order.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,28 +42,6 @@ MAX_BITS = 50
 # both stay exact while 2 ell + 2 <= 53. Beyond it the batched (matrix-matrix)
 # and one-vector (matrix-vector) evaluations can disagree.
 ORDER_EXACT_BITS = 25
-
-
-@dataclass
-class BitSample:
-    """An anchor paired with an ell-bit value y = sum_j 2^-j bits[j-1]."""
-
-    z: np.ndarray
-    bits: list
-    y_value: float = field(default=None)
-
-    def __post_init__(self):
-        self.z = np.atleast_1d(np.asarray(self.z, dtype=np.float64))
-        self.bits = [int(b) for b in self.bits]
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
-        if not 1 <= len(self.bits) <= 52:
-            raise ValueError("need between 1 and 52 bits")
-        val = bits_to_value(self.bits)
-        if self.y_value is None:
-            self.y_value = val
-        elif self.y_value != val:
-            raise ValueError(f"y_value {self.y_value} != bits value {val}")
 
 
 def bits_to_value(bits):
@@ -297,11 +275,6 @@ def _check_anchors(anchors):
         seen.add(key)
 
 
-def fitter_capacity(cap_w, ell):
-    """Largest sample count the fitter construction supports for (W, ell)."""
-    return min(cap_w * cap_w * ell, 4 * cap_w * (ell + 1))
-
-
 def build_fitter(samples, cap_w, ell):
     """Network of width 4W+4 and depth ell+2 interpolating dyadic samples.
 
@@ -490,11 +463,6 @@ def _extractor_part(stack, ell, x_row, x_bias, j_idx):
         ({3: 1.0, 2: 1.0}, 0.0),    # accumulator + previous saturated bit
     ])
     return {0: 1.0, 1: 1.0}
-
-
-def composed_capacity(cap_w, ell):
-    """Largest anchor count the composed construction supports for (W, ell)."""
-    return min(cap_w * cap_w * ell, 4 * cap_w * (2 * ell - 2))
 
 
 def build_indexed_memorizer(samples, cap_w, ell):

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
-from obgcs import synth_generator
+from obgcs import GeneratorNetwork, synth_generator
 
 
 @pytest.fixture
 def small_net():
     """Deterministic 3-layer net used by several gradient/Lipschitz tests."""
     return synth_generator(k=4, n=12, hidden_dims=[10, 8], seed=11)
+
+
+def identity_generator(n):
+    """The trivial generator G(z) = z on R^n (a no-prior baseline)."""
+    return GeneratorNetwork([n, n], [np.eye(n)], [np.zeros(n)])
 
 
 def preacts_away_from_kinks(net, z, margin=1e-3):

@@ -88,6 +88,20 @@ class TestMeasureDecode:
         assert doc["objective"] >= 0
         assert -1 <= doc["cosine"] <= 1
 
+    def test_ls_record_holds_the_decoder_diagnostics(self, tmp_path, gen_file):
+        prefix = str(tmp_path / "meas")
+        mcfg = write(tmp_path / "m.cfg", f"gen = {gen_file}\nm = 60\n")
+        assert main(["measure", "--config", mcfg, "--out", prefix, "--quiet"]) == 0
+        dcfg = write(tmp_path / "d.cfg", (f"gen = {gen_file}\nens = {prefix}.ens.bin\n"
+                                          f"obs = {prefix}.obs.bin\nrestarts = 3\n"))
+        out = tmp_path / "d.json"
+        assert main(["decode", "--config", dcfg, "--out", str(out), "--quiet"]) == 0
+        doc = json.loads(out.read_text())
+        assert len(doc["loss_trace"]) == doc["iterations"] + 1
+        assert doc["restart_losses"][doc["restart_index"]] == doc["loss_trace"][-1]
+        assert len(doc["restart_losses"]) == 3
+        assert doc["grad_norm"] >= 0 and doc["step"] > 0
+
     def test_biht_and_pv_paths(self, tmp_path, gen_file):
         mcfg = write(tmp_path / "m.cfg", f"gen = {gen_file}\nm = 150\n")
         prefix = str(tmp_path / "meas")

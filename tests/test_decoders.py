@@ -9,30 +9,69 @@ from obgcs import (CovarianceSpec, DivergenceError,
                    pv_convex_decode, sample_ensemble, scaling_constant,
                    synth_generator)
 from obgcs import decoders
-from obgcs.measurement import BinaryObservation, MeasurementEnsemble
-from obgcs.generator import (forward, forward_batch, identity_generator,
+from obgcs.measurement import BinaryObservation, MeasurementEnsemble, sample_truth
+from obgcs.generator import (GeneratorNetwork, forward, forward_batch,
                              latent_vjp_batch, lipschitz_upper_bound)
+from obgcs.util import derive_seed, rng_for
+from conftest import identity_generator
 
 
 def reference_ls(obs, ens, net, cfg):
-    """Lagrangian LS in residual form, two generator passes per step.
+    """The LS step rule in residual form, two generator passes per step.
 
-    Returns (x_hat, restart_index, loss_trace) for comparison with ls_decode.
+    Lagrangian mode only. Returns (x_hat, restart_index, loss_trace,
+    searches, backtracks) for comparison with ls_decode: a search is one
+    batched line search, a backtrack one extra batch of trial points in it.
     """
     A, y = ens.A, obs.y
     m = A.shape[0]
-    step = cfg.step_size or 0.1 / lipschitz_upper_bound(net) ** 2
+    c1 = decoders._ARMIJO_C1
+
+    def loss(Z):
+        resid = A @ forward_batch(net, Z) - y[:, None]
+        return 0.5 * np.sum(resid * resid, axis=0) / m + cfg.lam * np.sum(Z * Z, axis=0)
+
+    def grad(Z):
+        resid = A @ forward_batch(net, Z) - y[:, None]
+        return latent_vjp_batch(net, Z, (A.T @ resid) / m) + 2.0 * cfg.lam * Z
+
     Z = cfg.init_scale * np.random.default_rng(cfg.seed).standard_normal(
         (net.latent_dim, cfg.restarts))
-    traces = []
-    for t in range(cfg.steps_per_restart + 1):
-        resid = A @ forward_batch(net, Z) - y[:, None]
-        losses = 0.5 * np.sum(resid * resid, axis=0) / m + cfg.lam * np.sum(Z * Z, axis=0)
-        traces.append(losses)
-        if t < cfg.steps_per_restart:
-            Z = Z - step * (latent_vjp_batch(net, Z, (A.T @ resid) / m) + 2.0 * cfg.lam * Z)
-    best = int(np.argmin(losses))
-    return forward(net, Z[:, best]), best, np.array(traces)[:, best]
+    f, G = loss(Z), grad(Z)
+    trial = np.full(cfg.restarts, cfg.step_size or decoders._FIRST_STEP)
+    running = np.ones(cfg.restarts, dtype=bool)
+    traces = [[v] for v in f]
+    searches = backtracks = 0
+    while running.any() and searches < cfg.steps_per_restart:
+        searches += 1
+        a, pending = trial.copy(), running.copy()
+        Z_new, f_new = Z.copy(), f.copy()
+        for i in range(decoders._MAX_BACKTRACKS + 1):
+            backtracks += i > 0
+            Zt = Z - a * G
+            ft = loss(Zt)
+            ok = pending & np.isfinite(ft)
+            ok &= ft <= f + c1 * np.minimum(np.sum(G * (Zt - Z), axis=0), 0.0)
+            Z_new[:, ok], f_new[ok] = Zt[:, ok], ft[ok]
+            pending &= ~ok
+            if not pending.any():
+                break
+            a = np.where(pending, 0.5 * a, a)
+        accepted = running & ~pending
+        G_new = grad(Z_new)
+        for j in np.flatnonzero(accepted):
+            s, g = Z_new[:, j] - Z[:, j], G_new[:, j] - G[:, j]
+            sy = np.sum(s * g)
+            bb = np.sum(s * s) / sy if sy > 0 else np.inf
+            trial[j] = min(bb, decoders._MAX_GROWTH * a[j])
+            if f[j] - f_new[j] <= decoders._STOP_RTOL * (1.0 + abs(f[j])):
+                running[j] = False
+            traces[j].append(f_new[j])
+        running &= accepted
+        Z[:, accepted], G[:, accepted], f[accepted] = (
+            Z_new[:, accepted], G_new[:, accepted], f_new[accepted])
+    best = int(np.argmin(f))
+    return forward(net, Z[:, best]), best, np.array(traces[best]), searches, backtracks
 
 
 def parity_problem(m, seed):
@@ -42,6 +81,17 @@ def parity_problem(m, seed):
     obs = observe(ens, x_star, seed=seed + 3)
     cfg = LsDecoderConfig(restarts=5, steps_per_restart=150, seed=seed + 4)
     return obs, ens, net, cfg
+
+
+def grid_cell(k, m, trial=0, base_seed=123):
+    """One cell of run_grid at n=100, hidden [64], with its LS config."""
+    net = synth_generator(k=k, n=100, hidden_dims=[64], seed=0)
+    cov = CovarianceSpec.from_nu(100, 0.3)
+    cell_seed = derive_seed(base_seed, m, trial)
+    ens = sample_ensemble(m, cov, 0.1, 0.97, cell_seed)
+    x_star = sample_truth(net, cov, rng_for(base_seed, m, trial, 1))
+    cfg = LsDecoderConfig(seed=derive_seed(base_seed, m, trial, 2))
+    return observe(ens, x_star, cell_seed), ens, net, cfg
 
 
 class TestLsDecode:
@@ -91,10 +141,19 @@ class TestLsDecode:
         recomputed = 0.5 * np.sum((ens.A @ res.x_hat - obs.y) ** 2) / ens.m \
             + cfg.lam * float(res.z_hat @ res.z_hat)
         assert abs(res.objective - recomputed) < 1e-10
-        assert len(res.loss_trace) == cfg.steps_per_restart + 1
-        assert res.loss_trace[-1] <= res.loss_trace[0]
         assert 0 <= res.restart_index < cfg.restarts
-        assert res.iterations == cfg.steps_per_restart
+        assert 1 <= res.iterations <= cfg.steps_per_restart
+        assert len(res.loss_trace) == res.iterations + 1
+        assert np.all(np.diff(res.loss_trace) <= 0)
+        assert len(res.restart_losses) == cfg.restarts
+        assert res.restart_losses[res.restart_index] == res.loss_trace[-1] \
+            == min(res.restart_losses)
+        assert abs(res.loss_trace[-1] - res.objective) < 1e-10
+        assert res.step > 0
+        z = res.z_hat
+        grad = latent_vjp_batch(net, z[:, None], (ens.A.T @ (ens.A @ res.x_hat - obs.y))[:, None]
+                                / ens.m)[:, 0] + 2.0 * cfg.lam * z
+        assert res.grad_norm == pytest.approx(np.linalg.norm(grad), rel=1e-8, abs=1e-14)
 
     def test_constrained_mode_stays_in_ball(self):
         net = synth_generator(k=4, n=20, hidden_dims=[10], seed=14)
@@ -127,15 +186,78 @@ class TestLsDecode:
         np.testing.assert_array_equal(a.x_hat, b.x_hat)
 
     def test_divergence_names_restart_and_step(self):
-        net = synth_generator(k=3, n=15, hidden_dims=[8], seed=27)
         ens = sample_ensemble(60, CovarianceSpec.identity(15), 0.0, 1.0, seed=28)
-        obs = observe(ens, forward(net, np.ones(3)), seed=29)
-        cfg = LsDecoderConfig(restarts=2, steps_per_restart=400, step_size=1e9,
-                              seed=30)
+        obs = observe(ens, np.ones(15), seed=29)
+        # weights of scale 1e100 over two layers: |A G(z)|^2 overflows at any start
+        huge = synth_generator(k=3, n=15, hidden_dims=[8], seed=27, scale=1e100)
         with pytest.raises(DivergenceError) as err:
-            ls_decode(obs, ens, net, cfg)
-        assert err.value.restart is not None
-        assert err.value.step is not None
+            ls_decode(obs, ens, huge, LsDecoderConfig(restarts=2, seed=30))
+        assert (err.value.restart, err.value.step) == (0, 0)
+        # a finite start whose every trial point of the first search overflows
+        net = synth_generator(k=3, n=15, hidden_dims=[8], seed=27)
+        with pytest.raises(DivergenceError) as err:
+            ls_decode(obs, ens, net, LsDecoderConfig(restarts=2, step_size=1e300, seed=30))
+        assert (err.value.restart, err.value.step) == (0, 1)
+        # a first step of 1e9 is only a first trial: the search shrinks it
+        res = ls_decode(obs, ens, net, LsDecoderConfig(restarts=2, step_size=1e9, seed=30))
+        assert np.isfinite(res.objective) and res.iterations >= 1
+
+    def test_failed_search_stops_where_it_is(self, monkeypatch):
+        # with no backtracks a first trial of 1e3 overshoots to a finite but
+        # higher loss: every restart stops at its start, never uphill
+        obs, ens, net, cfg = parity_problem(120, 9)
+        monkeypatch.setattr(decoders, "_MAX_BACKTRACKS", 0)
+        res = ls_decode(obs, ens, net, LsDecoderConfig(restarts=3, step_size=1e3, seed=cfg.seed))
+        Z0 = np.random.default_rng(cfg.seed).standard_normal((4, 3))
+        np.testing.assert_array_equal(res.z_hat, Z0[:, res.restart_index])
+        assert res.iterations == 0 and res.step == 0.0
+        assert res.loss_trace == [res.restart_losses[res.restart_index]]
+
+    def test_step_cap_bounds_iterations(self):
+        obs, ens, net, cfg = parity_problem(120, 9)
+        res = ls_decode(obs, ens, net, LsDecoderConfig(steps_per_restart=5, seed=cfg.seed))
+        assert 1 <= res.iterations <= 5
+        assert len(res.loss_trace) == res.iterations + 1
+
+    def test_constrained_trace_is_monotone_inside_ball(self):
+        net = synth_generator(k=4, n=20, hidden_dims=[10], seed=14)
+        ens = sample_ensemble(80, CovarianceSpec.identity(20), 0.0, 1.0, seed=15)
+        obs = observe(ens, forward(net, np.ones(4)), seed=16)
+        for radius in (0.05, 0.5, 5.0):
+            res = ls_decode(obs, ens, net, LsDecoderConfig(
+                mode="constrained", radius=radius, restarts=3, seed=17))
+            assert np.linalg.norm(res.z_hat) <= radius * (1 + 1e-12)
+            assert len(res.loss_trace) == res.iterations + 1
+            assert np.all(np.diff(res.loss_trace) <= 0)
+
+    def test_same_seed_bitwise_equal_and_ties_to_lowest_restart(self):
+        obs, ens, net, cfg = parity_problem(120, 10)
+        a = ls_decode(obs, ens, net, cfg)
+        b = ls_decode(obs, ens, net, cfg)
+        for name in ("z_hat", "x_hat", "objective", "loss_trace", "restart_index",
+                     "iterations", "grad_norm", "step", "restart_losses"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        # a generator with zero weights makes every restart's loss the same
+        flat = GeneratorNetwork([4, 40], [np.zeros((40, 4))], [np.full(40, 0.1)])
+        res = ls_decode(obs, ens, flat, LsDecoderConfig(lam=0.0, restarts=4, seed=11))
+        assert len(set(res.restart_losses)) == 1
+        assert res.restart_index == 0
+
+    def test_reaches_the_converged_objective_at_k16(self):
+        # one run_grid cell at default settings against 1000 fixed steps of
+        # 10x the old default step 0.1 / L^2, from the same starting points
+        obs, ens, net, cfg = grid_cell(k=16, m=2000)
+        res = ls_decode(obs, ens, net, cfg)
+        A, y, m = ens.A, obs.y, ens.m
+        H, b = A.T @ A / m, A.T @ y / m
+        step = 1.0 / lipschitz_upper_bound(net) ** 2
+        Z = np.random.default_rng(cfg.seed).standard_normal((16, cfg.restarts))
+        for _ in range(1000):
+            X = forward_batch(net, Z)
+            Z = Z - step * (latent_vjp_batch(net, Z, H @ X - b[:, None]) + 2.0 * cfg.lam * Z)
+        resid = A @ forward_batch(net, Z) - y[:, None]
+        fixed = 0.5 * np.sum(resid * resid, axis=0) / m + cfg.lam * np.sum(Z * Z, axis=0)
+        assert res.objective <= float(fixed.min())
 
 
 class TestLsParity:
@@ -143,7 +265,7 @@ class TestLsParity:
     def test_bitwise_equal_to_residual_form_when_m_le_n(self, m, seed):
         obs, ens, net, cfg = parity_problem(m, seed)
         res = ls_decode(obs, ens, net, cfg)
-        x_ref, best_ref, trace_ref = reference_ls(obs, ens, net, cfg)
+        x_ref, best_ref, trace_ref, _, _ = reference_ls(obs, ens, net, cfg)
         np.testing.assert_array_equal(res.x_hat, x_ref)
         assert res.restart_index == best_ref
         np.testing.assert_array_equal(res.loss_trace, trace_ref)
@@ -152,13 +274,15 @@ class TestLsParity:
     def test_gram_form_matches_residual_form_when_m_gt_n(self, m, seed):
         obs, ens, net, cfg = parity_problem(m, seed)
         res = ls_decode(obs, ens, net, cfg)
-        x_ref, best_ref, trace_ref = reference_ls(obs, ens, net, cfg)
-        np.testing.assert_allclose(res.x_hat, x_ref, rtol=0, atol=1e-12)
+        x_ref, best_ref, trace_ref, _, _ = reference_ls(obs, ens, net, cfg)
         assert res.restart_index == best_ref
-        np.testing.assert_allclose(res.loss_trace, trace_ref, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(res.x_hat, x_ref, rtol=0, atol=1e-8)
+        assert res.loss_trace[-1] == pytest.approx(trace_ref[-1], rel=0, abs=1e-10)
 
     @pytest.mark.parametrize("m", [25, 120])
     def test_one_generator_pass_per_step(self, m, monkeypatch):
+        # one batched pass per trial point: the start, each search's first
+        # trial and each backtrack
         obs, ens, net, cfg = parity_problem(m, 8)
         calls = []
         real = decoders.forward_with_preacts
@@ -169,7 +293,9 @@ class TestLsParity:
 
         monkeypatch.setattr(decoders, "forward_with_preacts", counting)
         ls_decode(obs, ens, net, cfg)
-        assert calls == [(net.latent_dim, cfg.restarts)] * (cfg.steps_per_restart + 1)
+        _, _, _, searches, backtracks = reference_ls(obs, ens, net, cfg)
+        assert backtracks > 0
+        assert calls == [(net.latent_dim, cfg.restarts)] * (1 + searches + backtracks)
 
 
 class TestHardThreshold:

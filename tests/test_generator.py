@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from obgcs import (DimensionMismatchError, GeneratorNetwork, LatentPoint,
+from obgcs import (DimensionMismatchError, GeneratorNetwork,
                    MalformedFileError, NonFiniteError, ShapeError,
                    architecture_summary, forward, forward_batch, latent_vjp,
                    latent_vjp_batch, lipschitz_upper_bound, load_generator,
@@ -43,11 +43,6 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward(small_net, np.zeros(small_net.latent_dim + 1))
 
-    def test_accepts_latent_point(self, small_net):
-        z = np.zeros(small_net.latent_dim)
-        np.testing.assert_array_equal(forward(small_net, LatentPoint(z, 1.0)),
-                                      forward(small_net, z))
-
     def test_batch_matches_single(self, small_net):
         rng = np.random.default_rng(0)
         Z = rng.standard_normal((small_net.latent_dim, 6))
@@ -59,16 +54,6 @@ class TestForward:
     def test_deterministic(self, small_net):
         z = np.random.default_rng(1).standard_normal(small_net.latent_dim)
         np.testing.assert_array_equal(forward(small_net, z), forward(small_net, z))
-
-
-class TestLatentPoint:
-    def test_ball_membership_enforced(self):
-        with pytest.raises(ValueError):
-            LatentPoint(np.array([1.0, 1.0]), radius_bound=1.0)
-
-    def test_valid(self):
-        lp = LatentPoint(np.array([0.5, 0.5]), radius_bound=1.0)
-        assert lp.radius_bound == 1.0
 
 
 class TestLatentVjp:

@@ -10,7 +10,6 @@ from obgcs import (CapacityError, GeneratorNetwork, ObgcsError, architecture_sum
                    forward, load_generator, recall_bit, save_generator,
                    truncate_to_bits, value_to_bits)
 from obgcs import memorizer
-from obgcs.memorizer import BitSample
 from conftest import dense_weight
 
 
@@ -23,12 +22,6 @@ class TestBitCoding:
 
     def test_known_value(self):
         assert bits_to_value([1, 0, 1, 1]) == 0.6875  # 0.1011 in binary
-
-    def test_bit_sample_consistency(self):
-        s = BitSample(z=[0.5], bits=[1, 1])
-        assert s.y_value == 0.75
-        with pytest.raises(ValueError):
-            BitSample(z=[0.5], bits=[1, 1], y_value=0.5)
 
     def test_truncation(self):
         assert bits_to_value(truncate_to_bits(1.0, 4)) == 1.0 - 2.0 ** -4
