@@ -134,17 +134,20 @@ def sign_pm1(v):
 def sample_ensemble(m, cov, sigma, q, seed):
     """Draw A = Z C^T with Z iid standard normal and C the Cholesky factor.
 
-    Rows of A are then i.i.d. N(0, Sigma). Deterministic in ``seed``; the
-    matrix uses sub-stream 0 of the seed so observation noise (sub-stream 1)
-    and flips (sub-stream 2) can be varied independently.
+    Rows of A are then i.i.d. N(0, Sigma). For an identity covariance C is I,
+    so A is the draw Z itself (bitwise what Z @ I gives), with no product and
+    no second m x n array. Deterministic in ``seed``; the matrix uses
+    sub-stream 0 of the seed so observation noise (sub-stream 1) and flips
+    (sub-stream 2) can be varied independently.
     """
     m = int(m)
     if m < 1:
         raise ValueError("need m >= 1 measurements")
     chol = cov.cholesky()
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0]))
-    Z = rng.standard_normal((m, cov.n))
-    A = Z @ chol.T
+    A = rng.standard_normal((m, cov.n))
+    if cov.kind != "identity":
+        A = A @ chol.T
     return MeasurementEnsemble(A=A, cov=cov, sigma=float(sigma), q=float(q), seed=int(seed))
 
 

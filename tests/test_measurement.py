@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,35 @@ class TestSampleEnsemble:
     def test_m_at_least_one(self):
         with pytest.raises(ValueError):
             sample_ensemble(0, CovarianceSpec.identity(3), 0.0, 1.0, seed=0)
+
+    @staticmethod
+    def _draw(m, n, seed):
+        rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, 0]))
+        return rng.standard_normal((m, n))
+
+    @pytest.mark.parametrize("m,n,seed", [(1, 1, 0), (7, 3, 1), (1000, 20, 2), (5, 257, 3)])
+    def test_identity_matrix_is_the_draw_times_eye(self, m, n, seed):
+        # the bytes of Z @ chol.T with chol = I, which nu = 0 grid CSVs depend on
+        ens = sample_ensemble(m, CovarianceSpec.identity(n), 0.0, 1.0, seed=seed)
+        assert ens.A.tobytes() == (self._draw(m, n, seed) @ np.eye(n)).tobytes()
+
+    @pytest.mark.parametrize("cov", [CovarianceSpec.toeplitz(6, 0.3),
+                                     CovarianceSpec.explicit([[2.0, 0.5], [0.5, 1.0]])])
+    def test_correlated_matrix_is_the_draw_times_cholesky(self, cov):
+        ens = sample_ensemble(40, cov, 0.0, 1.0, seed=9)
+        want = self._draw(40, cov.n, 9) @ cov.cholesky().T
+        assert ens.A.tobytes() == want.tobytes()
+
+    def test_identity_ensemble_holds_one_matrix(self):
+        m, n = 100_000, 20
+        tracemalloc.start()
+        try:
+            ens = sample_ensemble(m, CovarianceSpec.identity(n), 0.1, 0.97, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.A.shape == (m, n)
+        assert peak < 1.25 * m * n * 8  # one 16 MB matrix; a draw and its product are two
 
 
 class TestObserve:

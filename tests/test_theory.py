@@ -63,6 +63,26 @@ class TestEpsNet:
         assert radius <= 0.6
         assert peak < 32 * 2 ** 20
 
+    def test_empty_net_has_infinite_covering_radius(self):
+        net = theory.EpsNet(points=np.zeros((0, 3)), epsilon=0.5, r=1.0)
+        assert net.covering_radius_sampled(num_samples=100) == math.inf
+        assert np.all(theory._min_dists(np.ones((4, 3)), net.points) == math.inf)
+
+    # at shift 3, |x|^2 near 45 cancels against 2 x.p: errors reached
+    # 3.5e-13 over four seeds, the same as the broadcast-add form gave
+    @pytest.mark.parametrize("shift", [0.0, 3.0])
+    def test_min_dists_match_brute_force(self, shift):
+        net = build_eps_net(5, 1.0, 0.6).points + shift
+        points = theory._uniform_ball(np.random.default_rng(6), 10_000, 5, 1.0) + shift
+        want = np.empty(points.shape[0])
+        for start in range(0, points.shape[0], 500):
+            x = points[start:start + 500]
+            d2 = np.zeros((x.shape[0], net.shape[0]))
+            for c in range(net.shape[1]):
+                d2 += (x[:, c, None] - net[None, :, c]) ** 2
+            want[start:start + 500] = np.sqrt(d2.min(axis=1))
+        np.testing.assert_allclose(theory._min_dists(points, net), want, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("entries", [1, 50, 1 << 30])
     def test_min_dists_do_not_depend_on_chunking(self, monkeypatch, entries):
         rng = np.random.default_rng(4)
