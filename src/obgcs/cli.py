@@ -37,12 +37,12 @@ _FILES = {"gen": ("str", _REQUIRED), "ens": ("str", _REQUIRED), "obs": ("str", _
           "decoder": ("str",)}
 _LS = {"mode": ("str",), "lambda": ("float",), "radius": ("float",), "restarts": ("count",),
        "steps": ("count",), "step_size": ("float",)}
-_BIHT = {"s": ("count", 10), "iters": ("int",), "step": ("float",)}
+_BIHT = {"s": ("count", 10), "iters": ("count",), "step": ("float",)}
 _PV = {"s_ell1": ("float", 3.0)}
 _SWEEP = {"m_values": ("counts", [100, 200, 300]), "trials": ("count",), "decoders": ("strs",),
           "sigma": ("float",), "q": ("float",), "nu": ("float",), "ls_restarts": ("count",),
           "ls_steps": ("count",), "ls_lambda": ("float",), "ls_step_size": ("float",),
-          "biht_s": ("count",), "biht_iters": ("int",), "biht_step": ("float",),
+          "biht_s": ("count",), "biht_iters": ("count",), "biht_step": ("float",),
           "pv_s": ("float",), "workers": ("int",), "record_runtime": ("bool",)}
 TABLES = {
     "synth-gen": _GEN,
@@ -305,7 +305,7 @@ def _cmd_validate(args, cfg):
 def _cmd_memorize(args, cfg):
     if "targets" in cfg:
         with open(cfg["targets"], encoding="utf-8") as fh:
-            targets = np.asarray(json.load(fh), dtype=np.float64)
+            targets = np.atleast_2d(np.asarray(json.load(fh), dtype=np.float64))
     else:
         targets = rng_for(args.seed, 7).random((cfg["s"], cfg["n"]))
     mem = memorizer.build_theorem_generator(targets, cfg["tau"],
@@ -313,7 +313,7 @@ def _cmd_memorize(args, cfg):
     out = args.out or "memorizer.bin"
     save_generator(mem.net, out)
     worst = max(float(np.linalg.norm(mem.evaluate(a) - t))
-                for a, t in zip(mem.anchors, np.asarray(targets)))
+                for a, t in zip(mem.anchors, targets))
     print(dumps17({"path": out, "ell": mem.ell, "width": mem.width, "depth": mem.depth,
                    "tau": cfg["tau"], "max_anchor_l2_error": worst,
                    "targets": list(targets.shape)}))

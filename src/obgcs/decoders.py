@@ -47,7 +47,6 @@ class LsDecoderConfig:
     steps_per_restart: int = 1000
     step_size: float | None = None
     seed: int = 0
-    init_scale: float = 1.0
 
     def __post_init__(self):
         if self.mode not in ("lagrangian", "constrained"):
@@ -60,8 +59,6 @@ class LsDecoderConfig:
             raise ValueError("need at least one restart and one step")
         if self.step_size is not None and self.step_size <= 0:
             raise ValueError("step size must be positive")
-        if self.init_scale <= 0:
-            raise ValueError("init scale must be positive")
 
 
 @dataclass
@@ -88,9 +85,9 @@ class DecoderResult:
 def ls_decode(obs, ens, net, cfg):
     """Best-of-restarts descent on the latent sign-fitting loss.
 
-    Each restart starts from z0 ~ N(0, init_scale^2 I) (projected onto the
-    ball in constrained mode). Its steps are Barzilai-Borwein lengths
-    s's / s'y, at most 4x its last accepted step, each accepted only when a
+    Each restart starts from z0 ~ N(0, I) (projected onto the ball in
+    constrained mode). Its steps are Barzilai-Borwein lengths s's / s'y, at
+    most 4x its last accepted step, each accepted only when a
     backtracking search (halving) finds the Armijo decrease
     f(z+) <= f(z) + c1 <grad f(z), z+ - z>, with z+ projected in constrained
     mode. The loss never rises. A restart stops once a step lowers its loss
@@ -128,7 +125,7 @@ def ls_decode(obs, ens, net, cfg):
         return data_loss + lam * np.sum(Z * Z, axis=0), preacts, cotangent
 
     rng = np.random.default_rng(cfg.seed)
-    Z = cfg.init_scale * rng.standard_normal((k, cfg.restarts))
+    Z = rng.standard_normal((k, cfg.restarts))
     if radius is not None:
         Z = _project_ball_cols(Z, radius)
 
@@ -272,7 +269,10 @@ def biht_decode(obs, ens, s, iters=100, step=1.0):
 
     Iterates x <- H_s(x + (step/m) A^T (y - sign(Ax))) from zero and returns
     the final iterate rescaled to unit norm; the output is exactly s-sparse.
+    Raises ValueError unless ``iters`` >= 1.
     """
+    if iters < 1:
+        raise ValueError(f"BIHT needs iters >= 1, got {iters}")
     A = ens.A
     y = obs.y
     m = A.shape[0]

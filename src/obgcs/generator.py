@@ -79,11 +79,12 @@ class GeneratorNetwork:
         return self.layer_dims[-1]
 
 
-def _as_latent_array(net, z):
-    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    if z.shape[0] != net.latent_dim:
-        raise ShapeError(f"latent length {z.shape[0]} != expected {net.latent_dim}")
-    return z
+def _as_column(net, z):
+    """A single latent vector as a one-column (k, 1) batch."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != (net.latent_dim,):
+        raise ShapeError(f"latent shape {z.shape} != expected {(net.latent_dim,)}")
+    return z[:, None]
 
 
 def _as_latent_batch(net, zs):
@@ -107,8 +108,8 @@ def _apply_final(net, h):
 
 
 def forward(net, z):
-    """Evaluate the generator at a single latent vector."""
-    return _apply_final(net, _preacts(net, _as_latent_array(net, z))[-1])
+    """Evaluate the generator at a single latent vector, as a one-column batch."""
+    return _apply_final(net, _preacts(net, _as_column(net, z), keep=False)[-1])[:, 0]
 
 
 def forward_batch(net, zs):
@@ -121,7 +122,7 @@ def _preacts(net, h, keep=True):
     preacts = []
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = (w @ h if w.ndim == 2 else _block_apply(w, h)) + (b[:, None] if h.ndim == 2 else b)
+        h = (w @ h if w.ndim == 2 else _block_apply(w, h)) + b[:, None]
         if i < last:
             if keep:
                 preacts.append(h)
@@ -132,9 +133,9 @@ def _preacts(net, h, keep=True):
 
 def _block_apply(w, h):
     """Block-diagonal product: ``w`` is (blocks, rows, cols) and ``h`` is
-    (blocks*cols,) or (blocks*cols, batch); one batched matmul."""
+    (blocks*cols, batch); one batched matmul."""
     blocks, _, cols = w.shape
-    return np.matmul(w, h.reshape(blocks, cols, -1)).reshape(-1, *h.shape[1:])
+    return np.matmul(w, h.reshape(blocks, cols, -1)).reshape(-1, h.shape[1])
 
 
 def forward_with_preacts(net, zs):
@@ -148,12 +149,13 @@ def forward_with_preacts(net, zs):
 
 
 def latent_vjp(net, z, cotangent):
-    """Transpose-Jacobian product J(z)^T v with the convention relu'(0) = 0."""
-    z = _as_latent_array(net, z)
+    """Transpose-Jacobian product J(z)^T v with the convention relu'(0) = 0,
+    run as a one-column batch."""
+    z = _as_column(net, z)
     v = np.asarray(cotangent, dtype=np.float64)
     if v.shape != (net.signal_dim,):
         raise ShapeError(f"cotangent shape {v.shape} != {(net.signal_dim,)}")
-    return vjp_from_preacts(net, _preacts(net, z), v)
+    return vjp_from_preacts(net, _preacts(net, z), v[:, None])[:, 0]
 
 
 def latent_vjp_batch(net, zs, cotangents):
@@ -168,8 +170,8 @@ def latent_vjp_batch(net, zs, cotangents):
 
 
 def vjp_from_preacts(net, preacts, v):
-    """J^T v at the point whose pre-activations ``preacts`` came from a forward
-    pass (``forward_with_preacts``); ``v`` is (n,) or (n, batch) to match."""
+    """Column-wise J^T v at the points whose pre-activations ``preacts`` came
+    from a forward pass (``forward_with_preacts``); ``v`` is (n, batch)."""
     g = v.copy()
     if net.normalize_output:
         # d(x/|x|)^T v = (v - u <u, v>) / |x| with u = x/|x|
@@ -203,38 +205,30 @@ def lipschitz_upper_bound(net):
     """
     if net.lipschitz_bound is not None:
         return net.lipschitz_bound
-    bound = _spectral_norm_product(net.weights)
+    # exact largest singular values (SVD): an iterative estimate converges
+    # from below and would make the product fall short of the true bound; a
+    # block-diagonal matrix's norm is its largest block's
+    bound = float(np.prod([np.linalg.norm(w, 2) if w.ndim == 2
+                           else np.linalg.norm(w, 2, axis=(1, 2)).max() for w in net.weights]))
     if net.final_activation == "sigmoid":
         bound *= 0.25
     net.lipschitz_bound = float(bound)
     return net.lipschitz_bound
 
 
-def _spectral_norm_product(weights):
-    # exact largest singular values (SVD): an iterative estimate converges
-    # from below and would make the product fall short of the true bound; a
-    # block-diagonal matrix's norm is its largest block's
-    return float(np.prod([np.linalg.norm(w, 2) if w.ndim == 2
-                          else np.linalg.norm(w, 2, axis=(1, 2)).max() for w in weights]))
-
-
 def synth_generator(k, n, hidden_dims=(), seed=0, scale=1.0, unit_sphere=False,
-                    unit_l1_image=False, final_activation="identity"):
+                    final_activation="identity"):
     """Random dense generator with Gaussian weights of std scale/sqrt(fan_in).
 
     Biases are zero, which makes the map positively homogeneous: scaling the
     latent by a > 0 scales the output by a, so the image is a cone that is
     closed under positive rescaling. ``unit_sphere`` adds output
-    normalization so every output lies on the unit sphere; ``unit_l1_image``
-    instead rescales the final layer by 1/(sqrt(n) L) so the image of the
-    unit latent ball is guaranteed inside the unit L1 ball (the two options
-    are mutually exclusive). Deterministic in ``seed``.
+    normalization so every output lies on the unit sphere. Deterministic in
+    ``seed``.
     """
     k, n = int(k), int(n)
     if k < 1 or n < 1:
         raise ShapeError("latent and signal dimensions must be >= 1")
-    if unit_sphere and unit_l1_image:
-        raise ValueError("unit_sphere and unit_l1_image are mutually exclusive")
     dims = [k] + [int(d) for d in hidden_dims] + [n]
     if any(d < 1 for d in dims):
         raise ShapeError(f"invalid hidden dims in {dims}")
@@ -244,12 +238,6 @@ def synth_generator(k, n, hidden_dims=(), seed=0, scale=1.0, unit_sphere=False,
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         weights.append(rng.standard_normal((fan_out, fan_in)) * (scale / np.sqrt(fan_in)))
         biases.append(np.zeros(fan_out))
-    if unit_l1_image:
-        # |G(z)|_1 <= sqrt(n) |G(z)|_2 <= sqrt(n) L |z|, so this rescaling
-        # pins the image of the unit ball inside the unit L1 ball
-        lip = _spectral_norm_product(weights)
-        if lip > 0:
-            weights[-1] = weights[-1] / (np.sqrt(n) * lip)
     return GeneratorNetwork(dims, weights, biases, final_activation=final_activation,
                             normalize_output=bool(unit_sphere))
 

@@ -31,17 +31,12 @@ import numpy as np
 from .errors import CapacityError, ObgcsError, ShapeError
 from .generator import GeneratorNetwork, forward, forward_batch
 
-# The most bits a build accepts: int + 0.5 stays representable up to
-# 2^(MAX_BITS+1). That does not make a build exact up to MAX_BITS (see
-# ORDER_EXACT_BITS): beyond 25 bits it is certified one query at a time and
-# may raise instead (with scipy-openblas 0.3.31 on x86-64, from ell = 28).
-MAX_BITS = 50
-# Up to this many bits every row of the bit pipelines sums to the same float
-# in any order: the threshold rows add terms up to 2^(2 ell + 1) on a grid of
-# 1/2 (the re-summing rows up to 2^(ell + 1) on a grid of 2^-(ell + 1)), and
-# both stay exact while 2 ell + 2 <= 53. Beyond it the batched (matrix-matrix)
-# and one-vector (matrix-vector) evaluations can disagree.
-ORDER_EXACT_BITS = 25
+# The most bits a build accepts. Up to it every row of the bit pipelines sums
+# to the same float in any order: the threshold rows add terms up to
+# 2^(2 ell + 1) on a grid of 1/2 (the re-summing rows up to 2^(ell + 1) on a
+# grid of 2^-(ell + 1)), and both stay exact while 2 ell + 2 <= 53. So one
+# batched pass over the query columns certifies every evaluation order.
+MAX_BITS = 25
 
 
 def bits_to_value(bits):
@@ -85,19 +80,6 @@ class MemorizerNet:
     def evaluate(self, x):
         """Run the exported weights on an input vector."""
         return forward(self.net, np.atleast_1d(np.asarray(x, dtype=np.float64)))
-
-
-def _certification_outputs(net, queries, ell):
-    """The net's outputs at the (k, count) query columns, for certification.
-
-    Up to ORDER_EXACT_BITS one batched pass stands for every evaluation
-    order. Beyond it the columns go one at a time through ``forward``, the
-    path ``MemorizerNet.evaluate`` takes, so a net is only certified exact
-    where its users evaluate it.
-    """
-    if ell <= ORDER_EXACT_BITS:
-        return forward_batch(net, queries)
-    return np.column_stack([forward(net, q) for q in queries.T.copy()])
 
 
 # --------------------------------------------------------------- layer stack
@@ -306,7 +288,7 @@ def build_fitter(samples, cap_w, ell):
     net = stack.finish(_row_vec(readout, stack.top_width), [0.0], width)
     mem = MemorizerNet(net=net, width=width, depth=ell + 2, construction="fitter",
                        ell=ell, cap_w=cap_w, anchors=anchors)
-    worst = max(abs(float(mem.evaluate(z)[0]) - v) for z, v in zip(anchors, values))
+    worst = float(np.max(np.abs(forward_batch(net, anchors.T)[0] - values)))
     if worst > 1e-12:
         raise ObgcsError(f"interpolation residual {worst:.2e} exceeds 1e-12; "
                          "anchor projections are too ill-conditioned")
@@ -398,7 +380,7 @@ def _certify_extractor(mem):
     xs = np.repeat(np.ldexp(words.astype(np.float64), -ell), ell)
     js = np.tile(np.arange(1, ell + 1), len(words))
     want = ((np.repeat(words, ell) >> (ell - js)) & 1).astype(np.float64)
-    got = _certification_outputs(mem.net, np.stack([xs, js.astype(np.float64)]), ell)[0]
+    got = forward_batch(mem.net, np.stack([xs, js.astype(np.float64)]))[0]
     bad = np.flatnonzero(got != want)
     if bad.size:
         i = bad[0]
@@ -508,7 +490,7 @@ def build_indexed_memorizer(samples, cap_w, ell):
     queries = np.vstack([np.repeat(anchors.T, ell, axis=1),
                          np.tile(np.arange(1.0, ell + 1), count)])
     want = np.array(bit_rows, dtype=np.float64).ravel()
-    got = _certification_outputs(net, queries, ell)[0]
+    got = forward_batch(net, queries)[0]
     bad = np.flatnonzero(got != want)
     if bad.size:
         i = bad[0]
@@ -582,7 +564,7 @@ def build_theorem_generator(targets, tau, latent_dim=1):
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if targets.ndim != 2:
         raise ShapeError("targets must form an (s, n) array")
-    if np.any(targets < 0.0) or np.any(targets > 1.0):
+    if not np.all((targets >= 0.0) & (targets <= 1.0)):
         raise ValueError("targets must lie in the unit cube")
     tau = float(tau)
     if not 0.0 < tau < 1.0:
@@ -591,8 +573,7 @@ def build_theorem_generator(targets, tau, latent_dim=1):
     ell = int(math.ceil(math.log2(2.0 * n / tau))) + 1
     if ell > MAX_BITS:
         raise CapacityError(f"tau={tau} needs {ell} bits per coordinate "
-                            f"(> {MAX_BITS} accepted; rows are order-exact only "
-                            f"up to {ORDER_EXACT_BITS})")
+                            f"(> {MAX_BITS} accepted)")
     cap_w = int(math.ceil(math.sqrt(s * n / ell)))
     if s > 4 * cap_w * ell:
         raise CapacityError(
@@ -622,7 +603,7 @@ def build_theorem_generator(targets, tau, latent_dim=1):
     mem = MemorizerNet(net=net, width=block_width * n, depth=3 * ell + 2,
                        construction="generator", ell=ell, cap_w=cap_w,
                        anchors=anchors, targets_truncated=trunc_vals)
-    outs = _certification_outputs(net, anchors.T, ell)
+    outs = forward_batch(net, anchors.T)
     worst_inf = float(np.max(np.abs(outs - trunc_vals.T)))
     if worst_inf != 0.0:
         raise ObgcsError(f"anchor reproduction is not exact (max dev {worst_inf:.3e})")

@@ -65,20 +65,18 @@ def _write_header(fh, magic, meta):
 
 # ---------------------------------------------------------------- generators
 
-def save_generator(net, path, text=None):
-    """Write a generator; JSON text form if ``text`` or the path ends .json.
+def save_generator(net, path):
+    """Write a generator; JSON text form if the path ends .json, else binary.
 
     Block-diagonal (3-D) layers are written as their dense matrices, one
     block row at a time, so the file is the same as for the dense net.
     """
-    if text is None:
-        text = str(path).endswith(".json")
     meta = {
         "layer_dims": list(net.layer_dims),
         "activation": net.final_activation,
         "normalize_output": bool(net.normalize_output),
     }
-    if text:
+    if str(path).endswith(".json"):
         # json.dump's layout for {"format": ..., **meta, "layers": [...]},
         # written row by row
         head = json.dumps({"format": GEN_MAGIC.decode(), **meta})

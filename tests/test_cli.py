@@ -183,6 +183,20 @@ class TestMemorize:
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["targets"] == [2, 2]
 
+    def test_flat_targets_file_is_one_target(self, tmp_path, capsys):
+        # [0.1, 0.5, 0.9] is one target of length 3, the same as [[0.1, 0.5, 0.9]]
+        recs = []
+        for name, data in (("flat", [0.1, 0.5, 0.9]), ("nested", [[0.1, 0.5, 0.9]])):
+            tfile = tmp_path / f"{name}.json"
+            tfile.write_text(json.dumps(data))
+            cfg = write(tmp_path / f"{name}.cfg", f"targets = {tfile}\ntau = 0.25\n")
+            out = tmp_path / f"{name}.bin"
+            assert main(["memorize", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+            recs.append(json.loads(capsys.readouterr().out.strip()))
+        flat, nested = recs
+        assert flat["targets"] == nested["targets"] == [1, 3]
+        assert flat["max_anchor_l2_error"] == nested["max_anchor_l2_error"] <= 0.25
+
 
 class TestKeyTables:
     @pytest.mark.parametrize("command, text, key", [
@@ -193,6 +207,9 @@ class TestKeyTables:
         (["synth-gen"], "k = abc\n", "k"),
         (["validate", "srec"], "runs = 0\n", "runs"),
         (["measure"], "gen = g.bin\nsigma = nan\n", "sigma"),
+        (["decode"], "gen = g.bin\nens = e.bin\nobs = o.bin\ndecoder = biht\niters = -5\n",
+         "iters"),
+        (["grid"], "k = 3\nn = 16\ndecoders = biht\nbiht_iters = 0\n", "biht_iters"),
     ])
     def test_bad_key_exits_1_naming_file_and_key(self, tmp_path, capsys, command, text, key):
         cfg = write(tmp_path / "bad.cfg", text)

@@ -35,7 +35,7 @@ def reference_ls(obs, ens, net, cfg):
         resid = A @ forward_batch(net, Z) - y[:, None]
         return latent_vjp_batch(net, Z, (A.T @ resid) / m) + 2.0 * cfg.lam * Z
 
-    Z = cfg.init_scale * np.random.default_rng(cfg.seed).standard_normal(
+    Z = np.random.default_rng(cfg.seed).standard_normal(
         (net.latent_dim, cfg.restarts))
     f, G = loss(Z), grad(Z)
     trial = np.full(cfg.restarts, cfg.step_size or decoders._FIRST_STEP)
@@ -331,6 +331,13 @@ class TestBiht:
             x_hat = biht_decode(obs, ens, s=s, iters=40)
             assert int(np.sum(x_hat != 0)) <= s
             assert np.linalg.norm(x_hat) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("iters", [0, -5])
+    def test_iterations_below_one_rejected(self, iters):
+        ens = sample_ensemble(20, CovarianceSpec.identity(4), 0.0, 1.0, seed=17)
+        obs = observe(ens, np.ones(4), seed=18)
+        with pytest.raises(ValueError, match="iters"):
+            biht_decode(obs, ens, s=2, iters=iters)
 
     def test_s_equals_n_reduces_to_sign_matching_iteration(self):
         n = 12

@@ -43,6 +43,15 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward(small_net, np.zeros(small_net.latent_dim + 1))
 
+    def test_single_vector_only(self, small_net):
+        # a single latent is (k,); a batch goes through forward_batch
+        k = small_net.latent_dim
+        for z in (np.zeros((k, 1)), np.zeros((1, k)), np.float64(0.5)):
+            with pytest.raises(ShapeError):
+                forward(small_net, z)
+            with pytest.raises(ShapeError):
+                latent_vjp(small_net, z, np.zeros(small_net.signal_dim))
+
     def test_batch_matches_single(self, small_net):
         rng = np.random.default_rng(0)
         Z = rng.standard_normal((small_net.latent_dim, 6))
@@ -295,18 +304,6 @@ class TestSynthGenerator:
         z = np.random.default_rng(5).standard_normal(3)
         np.testing.assert_allclose(forward(net, 2.5 * z), 2.5 * forward(net, z),
                                    rtol=1e-12)
-
-    def test_unit_l1_image_option(self):
-        net = synth_generator(k=4, n=20, hidden_dims=[8], seed=2, unit_l1_image=True)
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            z = rng.standard_normal(4)
-            z /= max(np.linalg.norm(z), 1.0)  # unit-ball latent
-            assert np.abs(forward(net, z)).sum() <= 1.0 + 1e-12
-
-    def test_normalization_options_mutually_exclusive(self):
-        with pytest.raises(ValueError):
-            synth_generator(k=2, n=4, seed=0, unit_sphere=True, unit_l1_image=True)
 
     def test_invalid_dims(self):
         with pytest.raises(ShapeError):

@@ -188,6 +188,10 @@ class TestTheoremGenerator:
         with pytest.raises(ValueError):
             build_theorem_generator(np.array([[0.5, 1.5]]), 0.25)
 
+    def test_nan_target_is_outside_the_unit_cube(self):
+        with pytest.raises(ValueError, match="targets must lie in the unit cube"):
+            build_theorem_generator(np.array([[0.5, np.nan]]), 0.25)
+
     def test_exports_through_generator_format(self, tmp_path):
         from obgcs import load_generator, save_generator
         targets = np.random.default_rng(15).random((2, 3))
@@ -258,17 +262,43 @@ class TestCertificationCatchesAWrongOutput:
         with pytest.raises(ObgcsError, match="not exact"):
             build_theorem_generator(np.random.default_rng(20).random((2, 3)), 0.5)
 
+    def test_fitter(self, monkeypatch):
+        _perturb_one_output(monkeypatch, 1)
+        samples = [(np.array([0.1 * i]), i / 8) for i in range(3)]
+        with pytest.raises(ObgcsError, match="interpolation residual 1.00e"):
+            build_fitter(samples, 1, 3)
 
-    def test_one_vector_path_certified_beyond_order_exact_bits(self, monkeypatch):
-        # past ORDER_EXACT_BITS the batched pass no longer stands for the
-        # matrix-vector evaluation that evaluate() takes, so that one is checked
-        real = memorizer.forward
-        monkeypatch.setattr(memorizer, "forward", lambda net, z: real(net, z) + 1.0)
-        targets = np.array([[0.3]])
+
+class TestMaxBits:
+    """Builds accept up to MAX_BITS = 25 bits, which one batched pass certifies."""
+
+    def test_theorem_generator_at_max_bits_is_exact(self):
+        targets = np.array([[0.3], [0.7]])
         mem = build_theorem_generator(targets, 2.0 ** -23)
-        assert mem.ell == memorizer.ORDER_EXACT_BITS
-        with pytest.raises(ObgcsError, match="not exact"):
-            build_theorem_generator(targets, 2.0 ** -24)
+        assert mem.ell == memorizer.MAX_BITS == 25
+        for anchor, trunc in zip(mem.anchors, mem.targets_truncated):
+            np.testing.assert_array_equal(mem.evaluate(anchor), trunc)
+
+    def test_theorem_generator_beyond_max_bits_raises(self):
+        with pytest.raises(CapacityError, match="26 bits"):
+            build_theorem_generator(np.array([[0.3]]), 2.0 ** -24)
+
+    def test_builders_taking_ell_reject_26(self):
+        with pytest.raises(ValueError):
+            build_bit_extractor(26)
+        with pytest.raises(ValueError):
+            build_fitter([(np.array([0.1]), 0.5)], 1, 26)
+        with pytest.raises(ValueError):
+            build_indexed_memorizer([(np.array([0.1]), [1] * 26)], 1, 26)
+
+    def test_extractor_at_max_bits(self):
+        mem = build_bit_extractor(memorizer.MAX_BITS)
+        ell = mem.ell
+        rng = np.random.default_rng(21)
+        for word in rng.integers(0, 1 << ell, size=200):
+            j = int(rng.integers(1, ell + 1))
+            assert extract_bit(mem, math.ldexp(int(word), -ell), j) == \
+                float((int(word) >> (ell - j)) & 1)
 
 
 class TestExhaustiveRecallBudget:
