@@ -36,14 +36,14 @@ _GEN = {"k": ("count", 5), "n": ("count", 100), "hidden_dims": ("counts",),
 _FILES = {"gen": ("str", _REQUIRED), "ens": ("str", _REQUIRED), "obs": ("str", _REQUIRED),
           "decoder": ("str",)}
 _LS = {"mode": ("str",), "lambda": ("float",), "radius": ("float",), "restarts": ("count",),
-       "steps": ("count",), "step_size": ("float",)}
+       "steps": ("count",)}
 _BIHT = {"s": ("count", 10), "iters": ("count",), "step": ("float",)}
 _PV = {"s_ell1": ("float", 3.0)}
 _SWEEP = {"m_values": ("counts", [100, 200, 300]), "trials": ("count",), "decoders": ("strs",),
           "sigma": ("float",), "q": ("float",), "nu": ("float",), "ls_restarts": ("count",),
-          "ls_steps": ("count",), "ls_lambda": ("float",), "ls_step_size": ("float",),
-          "biht_s": ("count",), "biht_iters": ("count",), "biht_step": ("float",),
-          "pv_s": ("float",), "workers": ("int",), "record_runtime": ("bool",)}
+          "ls_steps": ("count",), "ls_lambda": ("float",), "biht_s": ("count",),
+          "biht_iters": ("count",), "biht_step": ("float",), "pv_s": ("float",),
+          "workers": ("int",), "record_runtime": ("bool",)}
 TABLES = {
     "synth-gen": _GEN,
     "measure": {"gen": ("str", _REQUIRED), "m": ("count", 100), "nu": ("float", 0.3),
@@ -94,6 +94,8 @@ def parse_config(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, val = (part.strip() for part in line.split("=", 1))
+            if key in cfg:
+                raise ValueError(f"{path}:{lineno}: key {key!r} is given twice")
             cfg[key] = _auto_type(val)
     return cfg
 

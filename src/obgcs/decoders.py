@@ -21,7 +21,7 @@ from .measurement import scaling_constant, sign_pm1
 # The LS step rule: each restart takes Barzilai-Borwein (BB1) steps s's/s'y
 # (Barzilai & Borwein 1988), every one checked by a monotone Armijo
 # backtracking search (Nocedal & Wright, ch. 3).
-_FIRST_STEP = 1.0        # first trial step when the config gives none
+_FIRST_STEP = 1.0        # first trial step of every restart
 _ARMIJO_C1 = 1e-4        # sufficient-decrease constant
 _MAX_GROWTH = 4.0        # a BB step is at most this multiple of the last accepted one
 _MAX_BACKTRACKS = 60     # halvings before a search gives up
@@ -35,9 +35,9 @@ class LsDecoderConfig:
     ``mode`` is "lagrangian" (penalty ``lam * ||z||^2``) or "constrained"
     (projection onto the ball of radius ``radius`` after every step).
     ``steps_per_restart`` caps the steps of each restart; a restart stops
-    sooner once its loss no longer falls. ``step_size`` is only the first
-    trial step of each restart (1.0 when None): the line search shrinks it
-    as needed, and later steps come from the Barzilai-Borwein rule.
+    sooner once its loss no longer falls. Each restart's first trial step
+    is 1.0: the line search shrinks it as needed, and later steps come from
+    the Barzilai-Borwein rule.
     """
 
     mode: str = "lagrangian"
@@ -45,7 +45,6 @@ class LsDecoderConfig:
     radius: float = 1.0
     restarts: int = 10
     steps_per_restart: int = 1000
-    step_size: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -57,8 +56,6 @@ class LsDecoderConfig:
             raise ValueError("constraint radius must be > 0")
         if self.restarts < 1 or self.steps_per_restart < 1:
             raise ValueError("need at least one restart and one step")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValueError("step size must be positive")
 
 
 @dataclass
@@ -136,7 +133,7 @@ def ls_decode(obs, ens, net, cfg):
             raise DivergenceError(f"non-finite loss at restart {bad}, step 0 (its start point)",
                                   restart=bad, step=0)
         G = vjp_from_preacts(net, preacts, cotangent) + 2.0 * lam * Z
-        trial = np.full(cfg.restarts, cfg.step_size or _FIRST_STEP)
+        trial = np.full(cfg.restarts, _FIRST_STEP)
         last_step = np.zeros(cfg.restarts)
         iterations = np.zeros(cfg.restarts, dtype=int)
         running = np.ones(cfg.restarts, dtype=bool)

@@ -44,7 +44,6 @@ class ExperimentGrid:
     ls_restarts: int = 10
     ls_steps: int = 1000
     ls_lambda: float = 1e-3
-    ls_step_size: float | None = None
     biht_s: int = 10
     biht_iters: int = 100
     biht_step: float = 1.0
@@ -127,7 +126,6 @@ def _decode(grid, name, obs, ens, net, m, trial):
         cfg = LsDecoderConfig(
             mode="lagrangian", lam=grid.ls_lambda,
             restarts=grid.ls_restarts, steps_per_restart=grid.ls_steps,
-            step_size=grid.ls_step_size,
             seed=derive_seed(grid.base_seed, m, trial, 2),
         )
         return ls_decode(obs, ens, net, cfg).x_hat

@@ -121,10 +121,6 @@ class BinaryObservation:
         if self.eta.shape != self.y.shape or self.eps.shape != self.y.shape:
             raise ShapeError("eta and eps must match the observation length")
 
-    @property
-    def truth(self):
-        return {"x_star": self.x_star, "eta": self.eta, "eps": self.eps}
-
 
 def sign_pm1(v):
     """Componentwise sign with sign(0) = +1, valued in {-1.0, +1.0}."""

@@ -13,8 +13,9 @@ the exported weights, never through side tables:
   vectors at scaled spike anchors, within a prescribed L2 tolerance.
 
 Depth is counted in affine transformations (weight matrices); width is the
-largest hidden layer, and every hidden layer is padded with dead units to
-the declared width so the exported architecture equals the declared one.
+largest hidden layer, and every hidden layer is allocated at the declared
+width, its unused units dead, so the exported architecture equals the
+declared one.
 
 Bit decisions are made by clipped ramps with half-grid separation margins,
 then re-saturated through a second clipped pair where upstream float dust
@@ -85,47 +86,52 @@ class MemorizerNet:
 # --------------------------------------------------------------- layer stack
 
 class _Stack:
-    """Accumulates hidden layers; rows are (weight_row, bias) pairs."""
+    """Hidden layers of ``blocks`` parallel single-output nets, ``width`` units each.
 
-    def __init__(self, input_dim):
+    Rows are (coeffs dict {prev_unit_index: weight}, bias) pairs. A weight is
+    a number, the same in every block, or a (blocks,) vector, one per block.
+    Every layer is allocated at ``width``; the rows a layer leaves unused are
+    the dead units that pad it to the declared width.
+    """
+
+    def __init__(self, input_dim, width, blocks=1):
         self.input_dim = input_dim
-        self.layers = []  # list of (W, b)
-
-    @property
-    def top_width(self):
-        return self.layers[-1][0].shape[0] if self.layers else self.input_dim
+        self.width = width
+        self.blocks = blocks
+        self.layers = []  # list of (W (blocks, width, in_dim), b (blocks, width))
+        self.top_width = input_dim  # rows the top layer uses
 
     def add_layer(self, rows):
         """rows: list of (coeffs dict {prev_unit_index: weight}, bias)."""
-        in_dim = self.top_width
-        W = np.zeros((len(rows), in_dim))
-        b = np.zeros(len(rows))
+        if len(rows) > self.width:
+            raise CapacityError(f"layer {len(self.layers)} needs {len(rows)} units "
+                                f"> width {self.width}")
+        in_dim = self.width if self.layers else self.input_dim
+        W = np.zeros((self.blocks, self.width, in_dim))
+        b = np.zeros((self.blocks, self.width))
         for r, (coeffs, bias) in enumerate(rows):
             for idx, val in coeffs.items():
-                W[r, idx] = val
-            b[r] = bias
+                W[:, r, idx] = val
+            b[:, r] = bias
         self.layers.append((W, b))
-        return len(self.layers) - 1
+        self.top_width = len(rows)
 
-    def finish(self, readout_rows, readout_bias, width):
-        """Pad hidden layers to ``width`` and return a GeneratorNetwork."""
-        weights = [W.copy() for W, _ in self.layers]
-        biases = [b.copy() for _, b in self.layers]
-        readout = np.atleast_2d(np.asarray(readout_rows, dtype=np.float64))
-        rbias = np.atleast_1d(np.asarray(readout_bias, dtype=np.float64))
-        weights.append(readout)
-        biases.append(rbias)
-        for i in range(len(weights) - 1):
-            rows = weights[i].shape[0]
-            if rows > width:
-                raise CapacityError(f"layer {i} needs {rows} units > width {width}")
-            if rows < width:
-                pad = width - rows
-                weights[i] = np.vstack([weights[i], np.zeros((pad, weights[i].shape[1]))])
-                biases[i] = np.concatenate([biases[i], np.zeros(pad)])
-                weights[i + 1] = np.hstack(
-                    [weights[i + 1], np.zeros((weights[i + 1].shape[0], pad))])
-        dims = [self.input_dim] + [w.shape[0] for w in weights]
+    def finish(self, readout):
+        """The GeneratorNetwork with one output per block read by ``readout``.
+
+        Layer 0 is the row stack of the blocks, since they all read the same
+        input; every later layer is block-diagonal, held as its (blocks, rows,
+        cols) stack, or as a plain matrix when there is one block.
+        """
+        R = np.zeros((self.blocks, 1, self.width))
+        for idx, val in readout.items():
+            R[:, 0, idx] = val
+        W0 = self.layers[0][0]
+        weights = [W0.reshape(-1, W0.shape[2])] + [W for W, _ in self.layers[1:]] + [R]
+        if self.blocks == 1:
+            weights[1:] = [W[0] for W in weights[1:]]
+        biases = [b.ravel() for _, b in self.layers] + [np.zeros(self.blocks)]
+        dims = [self.input_dim] + [b.size for b in biases]
         return GeneratorNetwork(dims, weights, biases)
 
 
@@ -161,18 +167,20 @@ def _interpolant_knots(ts_sorted, vals_sorted, lo, hi):
     The piecewise-linear bump passes through (t_i, v_i) for chunk members,
     is zero at the neighboring sample positions (or one unit beyond the
     extremes), and is identically zero outside that support, so it never
-    disturbs any other sample.
+    disturbs any other sample. ``vals_sorted`` holds one column of values
+    per block, and the gammas one column per block.
     """
     u = ts_sorted[lo:hi]
     v = vals_sorted[lo:hi]
     left = ts_sorted[lo - 1] if lo > 0 else u[0] - 1.0
     right = ts_sorted[hi] if hi < len(ts_sorted) else u[-1] + 1.0
     knots = np.concatenate([[left], u, [right]])
-    nodal = np.concatenate([[0.0], v, [0.0]])
-    slopes = np.diff(nodal) / np.diff(knots)
-    gammas = np.empty(len(knots))
+    zero = np.zeros((1, v.shape[1]))
+    nodal = np.concatenate([zero, v, zero])
+    slopes = np.diff(nodal, axis=0) / np.diff(knots)[:, None]
+    gammas = np.empty((len(knots), v.shape[1]))
     gammas[0] = slopes[0]
-    gammas[1:-1] = np.diff(slopes)
+    gammas[1:-1] = np.diff(slopes, axis=0)
     gammas[-1] = -slopes[-1]
     return knots, gammas
 
@@ -180,10 +188,12 @@ def _interpolant_knots(ts_sorted, vals_sorted, lo, hi):
 def _fitter_part(stack, anchors, values, max_chunk, num_layers, carry_j=False):
     """Append interpolation stages to ``stack``; returns the readout row dict.
 
-    Each stage hosts one chunk of consecutive (in projected order) anchors as
-    a nodal-hat bump; an accumulator channel folds finished bumps forward.
-    Stages beyond the last chunk pass state through. With ``carry_j`` the
-    final input coordinate rides along through every layer.
+    ``values`` is a (count, blocks) array, one column of anchor values per
+    block of the stack. Each stage hosts one chunk of consecutive (in
+    projected order) anchors as a nodal-hat bump; an accumulator channel
+    folds finished bumps forward. Stages beyond the last chunk pass state
+    through. With ``carry_j`` the final input coordinate rides along through
+    every layer.
     """
     count = anchors.shape[0]
     w, t = _separating_projection(anchors)
@@ -191,7 +201,7 @@ def _fitter_part(stack, anchors, values, max_chunk, num_layers, carry_j=False):
     ts = t + shift
     order = np.argsort(ts, kind="stable")
     ts_sorted = ts[order]
-    vals_sorted = np.asarray(values, dtype=np.float64)[order]
+    vals_sorted = values[order]
     chunks = [(i, min(i + max_chunk, count)) for i in range(0, count, max_chunk)]
     if len(chunks) > num_layers:
         raise CapacityError(
@@ -249,12 +259,10 @@ def _check_dyadic_values(values, ell):
 def _check_anchors(anchors):
     if anchors.ndim != 2:
         raise ShapeError("anchors must form a (count, k) array")
-    seen = set()
-    for row in anchors:
-        key = row.tobytes()
-        if key in seen:
-            raise ValueError("duplicate anchors are not allowed")
-        seen.add(key)
+    if not np.all(np.isfinite(anchors)):
+        raise ValueError("anchors must be finite")
+    if len(np.unique(anchors, axis=0)) < len(anchors):
+        raise ValueError("duplicate anchors are not allowed")
 
 
 def build_fitter(samples, cap_w, ell):
@@ -282,10 +290,10 @@ def build_fitter(samples, cap_w, ell):
             f"of this construction (W={cap_w}, ell={ell})")
 
     width = 4 * cap_w + 4
-    stack = _Stack(anchors.shape[1])
-    readout = _fitter_part(stack, anchors, values, max_chunk=4 * cap_w,
+    stack = _Stack(anchors.shape[1], width)
+    readout = _fitter_part(stack, anchors, values[:, None], max_chunk=4 * cap_w,
                            num_layers=ell + 1)
-    net = stack.finish(_row_vec(readout, stack.top_width), [0.0], width)
+    net = stack.finish(readout)
     mem = MemorizerNet(net=net, width=width, depth=ell + 2, construction="fitter",
                        ell=ell, cap_w=cap_w, anchors=anchors)
     worst = float(np.max(np.abs(forward_batch(net, anchors.T)[0] - values)))
@@ -293,13 +301,6 @@ def build_fitter(samples, cap_w, ell):
         raise ObgcsError(f"interpolation residual {worst:.2e} exceeds 1e-12; "
                          "anchor projections are too ill-conditioned")
     return mem
-
-
-def _row_vec(coeffs, width):
-    row = np.zeros(width)
-    for idx, val in coeffs.items():
-        row[idx] = val
-    return row
 
 
 # ------------------------------------------------------- bit extractor (G2)
@@ -321,12 +322,12 @@ def build_bit_extractor(ell):
     ell = int(ell)
     if not 1 <= ell <= MAX_BITS:
         raise ValueError(f"need 1 <= ell <= {MAX_BITS}")
-    stack = _Stack(2)
+    stack = _Stack(2, 8)
     scale = math.ldexp(1.0, ell + 1)
     if ell == 1:
         stack.add_layer([({0: scale}, _ramp_bias(ell, 1, 1.5)),
                          ({0: scale}, _ramp_bias(ell, 1, 0.5))])
-        net = stack.finish(_row_vec({0: 1.0, 1: -1.0}, stack.top_width), [0.0], 8)
+        net = stack.finish({0: 1.0, 1: -1.0})
     else:
         # unit slots per bit layer: 0 p1, 1 p2, 2 e1, 3 e2, 4 e3, 5 xp, 6 ap, 7 and
         P1, P2, E1, E2, E3, XP, AP, AND = range(8)
@@ -360,12 +361,12 @@ def build_bit_extractor(ell):
             ({AP: 1.0, AND: 1.0}, 0.0),
         ])
         if ell == 2:
-            net = stack.finish(_row_vec({0: 1.0, 1: 1.0}, stack.top_width), [0.0], 8)
+            net = stack.finish({0: 1.0, 1: 1.0})
         else:
             stack.add_layer([({0: 1.0, 1: 1.0}, 0.0)])
             for _ in range(ell - 3):
                 stack.add_layer([({0: 1.0}, 0.0)])
-            net = stack.finish(_row_vec({0: 1.0}, stack.top_width), [0.0], 8)
+            net = stack.finish({0: 1.0})
     mem = MemorizerNet(net=net, width=8, depth=2 * ell, construction="extractor",
                        ell=ell)
     _certify_extractor(mem)
@@ -477,12 +478,11 @@ def build_indexed_memorizer(samples, cap_w, ell):
 
     width = 4 * cap_w + 6
     k = anchors.shape[1]
-    stack = _Stack(k + 1)
-    x_row = _fitter_part(stack, anchors, values, max_chunk=4 * cap_w,
+    stack = _Stack(k + 1, width)
+    x_row = _fitter_part(stack, anchors, values[:, None], max_chunk=4 * cap_w,
                          num_layers=2 * ell - 2, carry_j=True)
     j_idx = stack.top_width - 1
-    readout = _extractor_part(stack, ell, x_row, 0.0, j_idx)
-    net = stack.finish(_row_vec(readout, stack.top_width), [0.0], width)
+    net = stack.finish(_extractor_part(stack, ell, x_row, 0.0, j_idx))
     mem = MemorizerNet(net=net, width=width, depth=3 * ell + 1,
                        construction="composed", ell=ell, cap_w=cap_w,
                        anchors=anchors)
@@ -556,7 +556,9 @@ def build_theorem_generator(targets, tau, latent_dim=1):
     Given s target vectors in [0, 1]^n and a tolerance tau in (0, 1), sets
     ell = ceil(log2(2n/tau)) + 1, anchors z_i = e1 / (i * n), and builds one
     block per output coordinate: an interpolating fitter followed by the
-    bit re-extraction pipeline. The assembled network has depth 3*ell+2 and
+    bit re-extraction pipeline. All blocks share the anchors, so they are
+    built in one pass and differ only in the fitter's value-dependent fold
+    weights, held per block. The assembled network has depth 3*ell+2 and
     width (4*ceil(sqrt(s*n/ell)) + 6) * n; at every anchor the output equals
     the truncated target exactly (coordinatewise), hence lies within tau in
     L2. Certified at build time.
@@ -590,16 +592,9 @@ def build_theorem_generator(targets, tau, latent_dim=1):
                            for i in range(s)])
 
     block_width = 4 * cap_w + 6
-    blocks = []
-    for c in range(n):
-        stack = _Stack(k)
-        x_row = _fitter_part(stack, anchors, trunc_vals[:, c],
-                             max_chunk=4 * cap_w, num_layers=ell)
-        readout = _reassembly_part(stack, ell, x_row, 0.0)
-        blocks.append(stack.finish(_row_vec(readout, stack.top_width), [0.0],
-                                   block_width))
-
-    net = _stack_parallel(blocks, k)
+    stack = _Stack(k, block_width, blocks=n)
+    x_row = _fitter_part(stack, anchors, trunc_vals, max_chunk=4 * cap_w, num_layers=ell)
+    net = stack.finish(_reassembly_part(stack, ell, x_row, 0.0))
     mem = MemorizerNet(net=net, width=block_width * n, depth=3 * ell + 2,
                        construction="generator", ell=ell, cap_w=cap_w,
                        anchors=anchors, targets_truncated=trunc_vals)
@@ -611,20 +606,3 @@ def build_theorem_generator(targets, tau, latent_dim=1):
     if gap > tau:
         raise ObgcsError(f"truncation distance {gap:.3e} exceeds tau={tau}")
     return mem
-
-
-def _stack_parallel(blocks, input_dim):
-    """Combine equally-deep single-output blocks into one multi-output net.
-
-    Every block reads the shared latent input, so layer 0 is their row
-    stack; each later layer is block-diagonal and kept as the
-    (blocks, rows, cols) stack of the block weights.
-    """
-    depth = len(blocks[0].weights)
-    if any(len(b.weights) != depth for b in blocks):
-        raise ShapeError("blocks must share depth")
-    weights = [np.vstack([b.weights[0] for b in blocks])]
-    weights += [np.stack([b.weights[layer] for b in blocks]) for layer in range(1, depth)]
-    biases = [np.concatenate([b.biases[layer] for b in blocks]) for layer in range(depth)]
-    dims = [input_dim] + [b.shape[0] for b in biases]
-    return GeneratorNetwork(dims, weights, biases)

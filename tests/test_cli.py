@@ -35,6 +35,15 @@ class TestConfigParser:
         with pytest.raises(ValueError):
             parse_config(write(tmp_path / "c.cfg", "no equals sign here\n"))
 
+    def test_key_given_twice_is_an_error(self, tmp_path, capsys):
+        cfg = write(tmp_path / "c.cfg", "k = 3\n# comment\nk = 4\n")
+        with pytest.raises(ValueError, match=r"c\.cfg:3: key 'k' is given twice"):
+            parse_config(cfg)
+        out = tmp_path / "g.bin"
+        assert main(["synth-gen", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        assert "given twice" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):

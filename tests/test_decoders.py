@@ -38,7 +38,7 @@ def reference_ls(obs, ens, net, cfg):
     Z = np.random.default_rng(cfg.seed).standard_normal(
         (net.latent_dim, cfg.restarts))
     f, G = loss(Z), grad(Z)
-    trial = np.full(cfg.restarts, cfg.step_size or decoders._FIRST_STEP)
+    trial = np.full(cfg.restarts, decoders._FIRST_STEP)
     running = np.ones(cfg.restarts, dtype=bool)
     traces = [[v] for v in f]
     searches = backtracks = 0
@@ -185,7 +185,7 @@ class TestLsDecode:
         b = ls_decode(observe(ens, 2.0 * x_star, seed=26), ens, net, cfg)
         np.testing.assert_array_equal(a.x_hat, b.x_hat)
 
-    def test_divergence_names_restart_and_step(self):
+    def test_divergence_names_restart_and_step(self, monkeypatch):
         ens = sample_ensemble(60, CovarianceSpec.identity(15), 0.0, 1.0, seed=28)
         obs = observe(ens, np.ones(15), seed=29)
         # weights of scale 1e100 over two layers: |A G(z)|^2 overflows at any start
@@ -195,11 +195,13 @@ class TestLsDecode:
         assert (err.value.restart, err.value.step) == (0, 0)
         # a finite start whose every trial point of the first search overflows
         net = synth_generator(k=3, n=15, hidden_dims=[8], seed=27)
+        monkeypatch.setattr(decoders, "_FIRST_STEP", 1e300)
         with pytest.raises(DivergenceError) as err:
-            ls_decode(obs, ens, net, LsDecoderConfig(restarts=2, step_size=1e300, seed=30))
+            ls_decode(obs, ens, net, LsDecoderConfig(restarts=2, seed=30))
         assert (err.value.restart, err.value.step) == (0, 1)
         # a first step of 1e9 is only a first trial: the search shrinks it
-        res = ls_decode(obs, ens, net, LsDecoderConfig(restarts=2, step_size=1e9, seed=30))
+        monkeypatch.setattr(decoders, "_FIRST_STEP", 1e9)
+        res = ls_decode(obs, ens, net, LsDecoderConfig(restarts=2, seed=30))
         assert np.isfinite(res.objective) and res.iterations >= 1
 
     def test_failed_search_stops_where_it_is(self, monkeypatch):
@@ -207,7 +209,8 @@ class TestLsDecode:
         # higher loss: every restart stops at its start, never uphill
         obs, ens, net, cfg = parity_problem(120, 9)
         monkeypatch.setattr(decoders, "_MAX_BACKTRACKS", 0)
-        res = ls_decode(obs, ens, net, LsDecoderConfig(restarts=3, step_size=1e3, seed=cfg.seed))
+        monkeypatch.setattr(decoders, "_FIRST_STEP", 1e3)
+        res = ls_decode(obs, ens, net, LsDecoderConfig(restarts=3, seed=cfg.seed))
         Z0 = np.random.default_rng(cfg.seed).standard_normal((4, 3))
         np.testing.assert_array_equal(res.z_hat, Z0[:, res.restart_index])
         assert res.iterations == 0 and res.step == 0.0

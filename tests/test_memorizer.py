@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,18 @@ class TestFitter:
         z = np.array([1.0, 2.0])
         with pytest.raises(ValueError):
             build_fitter([(z, 0.5), (z, 0.25)], 2, 2)
+
+    def test_anchors_equal_in_value_are_duplicates(self):
+        # -0.0 == 0.0 although their bytes differ
+        with pytest.raises(ValueError, match="duplicate anchors"):
+            build_fitter([([0.0, 1.0], 0.5), ([-0.0, 1.0], 0.25)], 2, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_anchor_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="anchors must be finite"):
+                build_fitter([([bad], 0.5), ([1.0], 0.25)], 2, 2)
 
     def test_capacity_limit(self):
         rng = np.random.default_rng(2)
@@ -144,6 +157,17 @@ class TestIndexedMemorizer:
         with pytest.raises(CapacityError):
             build_indexed_memorizer(samples, 1, 2)  # capacity W^2*ell = 2
 
+    def test_anchors_equal_in_value_are_duplicates(self):
+        with pytest.raises(ValueError, match="duplicate anchors"):
+            build_indexed_memorizer([([0.0], [0, 1]), ([-0.0], [1, 1])], 1, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_anchor_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="anchors must be finite"):
+                build_indexed_memorizer([([bad], [0, 1]), ([1.0], [1, 1])], 1, 2)
+
 
 class TestTheoremGenerator:
     def test_bit_depth_formula(self):
@@ -218,7 +242,7 @@ class TestTheoremGenerator:
                 np.testing.assert_array_equal(forward(loaded, anchor), trunc)
 
     def test_peak_memory_at_benchmark_size(self):
-        # dense block-diagonal layers took 387 MB here; the block stacks 25 MB
+        # dense block-diagonal layers took 387 MB here; the block stacks 13 MB
         targets = np.random.default_rng(18).random((20, 32))
         tracemalloc.start()
         try:
@@ -227,6 +251,42 @@ class TestTheoremGenerator:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+    def test_peak_memory_at_n64(self):
+        # one pass over the blocks holds each layer once: 49 MB, where n
+        # separate block builds copied into one stack peaked at 97 MB
+        targets = np.random.default_rng(19).random((20, 64))
+        tracemalloc.start()
+        try:
+            build_theorem_generator(targets, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
+    @pytest.mark.parametrize("s,n,tau", [(200, 16, 0.1), (3, 4, 0.25)])
+    def test_each_block_is_the_single_coordinate_build(self, s, n, tau):
+        mem = build_theorem_generator(np.random.default_rng(s + n).random((s, n)), tau)
+        block = mem.width // n
+        depth = len(mem.net.weights)
+        for c in range(n):
+            stack = memorizer._Stack(1, block)
+            x_row = memorizer._fitter_part(stack, mem.anchors, mem.targets_truncated[:, c:c + 1],
+                                           max_chunk=4 * mem.cap_w, num_layers=mem.ell)
+            single = stack.finish(memorizer._reassembly_part(stack, mem.ell, x_row, 0.0))
+            rows = slice(c * block, (c + 1) * block)
+            assert mem.net.weights[0][rows].tobytes() == single.weights[0].tobytes()
+            for i in range(1, depth):
+                assert mem.net.weights[i][c].tobytes() == single.weights[i].tobytes()
+            for i in range(depth - 1):
+                assert mem.net.biases[i][rows].tobytes() == single.biases[i].tobytes()
+            assert mem.net.biases[-1][c] == single.biases[-1][0]
+
+    def test_single_coordinate_has_plain_matrices(self):
+        mem = build_theorem_generator(np.random.default_rng(20).random((4, 1)), 0.25)
+        assert all(w.ndim == 2 for w in mem.net.weights)
+        for anchor, trunc in zip(mem.anchors, mem.targets_truncated):
+            np.testing.assert_array_equal(mem.evaluate(anchor), trunc)
 
 
 def _perturb_one_output(monkeypatch, index):
