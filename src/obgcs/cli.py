@@ -18,9 +18,8 @@ import numpy as np
 
 from . import harness, memorizer, theory
 from .decoders import LsDecoderConfig, biht_decode, estimation_error, ls_decode, pv_convex_decode
-from .errors import (CapacityError, DegenerateConeError, DimensionMismatchError,
-                     DivergenceError, MalformedFileError, NonFiniteError,
-                     NotSpdError, ObgcsError, ShapeError)
+from .errors import (CapacityError, DimensionMismatchError, MalformedFileError,
+                     ObgcsError, ShapeError)
 from .generator import lipschitz_upper_bound, synth_generator
 from .measurement import CovarianceSpec, observe, sample_ensemble, sample_truth
 from .serialization import (load_ensemble, load_generator, load_observation,
@@ -43,7 +42,7 @@ _SWEEP = {"m_values": ("counts", [100, 200, 300]), "trials": ("count",), "decode
           "sigma": ("float",), "q": ("float",), "nu": ("float",), "ls_restarts": ("count",),
           "ls_steps": ("count",), "ls_lambda": ("float",), "biht_s": ("count",),
           "biht_iters": ("count",), "biht_step": ("float",), "pv_s": ("float",),
-          "workers": ("int",), "record_runtime": ("bool",)}
+          "workers": ("count",), "record_runtime": ("bool",)}
 TABLES = {
     "synth-gen": _GEN,
     "measure": {"gen": ("str", _REQUIRED), "m": ("count", 100), "nu": ("float", 0.3),
@@ -356,9 +355,8 @@ def _build_parser():
 _USAGE_ERRORS = (_UsageError, ValueError, KeyError, FileNotFoundError,
                  MalformedFileError, DimensionMismatchError, ShapeError,
                  CapacityError)
-_NUMERIC_ERRORS = (DivergenceError, NotSpdError, DegenerateConeError,
-                   NonFiniteError, ZeroDivisionError, np.linalg.LinAlgError,
-                   ObgcsError)
+# every ValueError (NotSpdError, NonFiniteError, LinAlgError) is caught above
+_NUMERIC_ERRORS = (ZeroDivisionError, ObgcsError)
 
 
 def main(argv=None):

@@ -93,16 +93,21 @@ def ls_decode(obs, ens, net, cfg):
     endpoint with the smallest final loss wins, ties broken by lowest
     restart index. Deterministic in ``cfg.seed``. Raises DivergenceError
     naming the restart and step if a restart's loss is non-finite at its
-    start point, or every trial point of one of its searches is.
+    start point, or every trial point of one of its searches is; when
+    several restarts fail, it names the one whose search runs out first
+    (the lowest index among those that run out in the same pass).
 
-    All restarts advance together as one (k, R) batch, with one generator
-    pass per trial point; the accepted trial's pass also gives the gradient.
-    The loss is quadratic in x = G(z): when m > n a one-off O(m n^2) build
-    of H = A^T A / m, b = A^T y / m and c = |y|^2 / m makes every trial
-    O(n^2 R) for R restarts, independent of m; when m <= n the residual
-    A x - y is the cheaper form and is used directly. The returned
-    ``objective`` is always recomputed from the residual, so a near-zero
-    loss is not lost to cancellation.
+    Each pass of the loop evaluates one trial point per restart as one
+    (k, R) batch, so every restart runs its own search and none waits for
+    another's halvings; stopped restarts stay in the batch. One generator
+    pass per trial point gives both its loss and its gradient, so an
+    accepted trial needs no second pass. The loss is quadratic in
+    x = G(z): when m > n a one-off O(m n^2) build of H = A^T A / m,
+    b = A^T y / m and c = |y|^2 / m makes every trial O(n^2 R) for R
+    restarts, independent of m; when m <= n the residual A x - y is the
+    cheaper form and is used directly. The returned ``objective`` is always
+    recomputed from the residual, so a near-zero loss is not lost to
+    cancellation.
     """
     y = obs.y
     A = ens.A
@@ -119,7 +124,8 @@ def ls_decode(obs, ens, net, cfg):
     def evaluate(Z):
         X, preacts = forward_with_preacts(net, Z)
         data_loss, cotangent = data_term(X)
-        return data_loss + lam * np.sum(Z * Z, axis=0), preacts, cotangent
+        return (data_loss + lam * np.sum(Z * Z, axis=0),
+                vjp_from_preacts(net, preacts, cotangent) + 2.0 * lam * Z)
 
     rng = np.random.default_rng(cfg.seed)
     Z = rng.standard_normal((k, cfg.restarts))
@@ -127,93 +133,64 @@ def ls_decode(obs, ens, net, cfg):
         Z = _project_ball_cols(Z, radius)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        f, preacts, cotangent = evaluate(Z)
+        f, G = evaluate(Z)
         if not np.all(np.isfinite(f)):
             bad = int(np.flatnonzero(~np.isfinite(f))[0])
             raise DivergenceError(f"non-finite loss at restart {bad}, step 0 (its start point)",
                                   restart=bad, step=0)
-        G = vjp_from_preacts(net, preacts, cotangent) + 2.0 * lam * Z
-        trial = np.full(cfg.restarts, _FIRST_STEP)
+        f0 = f
+        a = np.full(cfg.restarts, _FIRST_STEP)  # each restart's current trial step
+        halvings = np.zeros(cfg.restarts, dtype=int)  # in its current search
+        finite = np.zeros(cfg.restarts, dtype=bool)  # its current search met a finite loss
         last_step = np.zeros(cfg.restarts)
         iterations = np.zeros(cfg.restarts, dtype=int)
         running = np.ones(cfg.restarts, dtype=bool)
-        traces = [f]
-        for t in range(1, cfg.steps_per_restart + 1):
-            Z_new, f_new, preacts, cotangent, step, accepted, diverged = _line_search(
-                evaluate, Z, f, G, trial, running, radius)
-            if diverged.any():
-                bad = int(np.flatnonzero(diverged)[0])
-                raise DivergenceError(f"no finite trial loss at restart {bad}, step {t}",
-                                      restart=bad, step=t)
-            G_new = vjp_from_preacts(net, preacts, cotangent) + 2.0 * lam * Z_new
-            S = Z_new - Z
-            sy = np.sum(S * (G_new - G), axis=0)
+        passes = []  # (accepted, trial loss) of every pass
+        while running.any():
+            Zt = Z - a * G
+            if radius is not None:
+                Zt = _project_ball_cols(Zt, radius)
+            ft, Gt = evaluate(Zt)
+            S = Zt - Z
+            ok = running & np.isfinite(ft)
+            finite |= ok
+            ok &= ft <= f + _ARMIJO_C1 * np.minimum(np.sum(G * S, axis=0), 0.0)
+            failed = running & ~ok & (halvings == _MAX_BACKTRACKS)
+            if (failed & ~finite).any():
+                bad = int(np.flatnonzero(failed & ~finite)[0])
+                step = int(iterations[bad]) + 1
+                raise DivergenceError(f"no finite trial loss at restart {bad}, step {step}",
+                                      restart=bad, step=step)
+            sy = np.sum(S * (Gt - G), axis=0)
             bb = np.divide(np.sum(S * S, axis=0), sy, out=np.full_like(sy, np.inf), where=sy > 0)
-            converged = f - f_new <= _STOP_RTOL * (1.0 + np.abs(f))
-            Z = np.where(accepted, Z_new, Z)
-            G = np.where(accepted, G_new, G)
-            f = np.where(accepted, f_new, f)
-            trial = np.where(accepted, np.minimum(bb, _MAX_GROWTH * step), trial)
-            last_step = np.where(accepted, step, last_step)
-            iterations += accepted
-            running &= accepted & ~converged
-            traces.append(f)
-            if not running.any():
-                break
+            converged = f - ft <= _STOP_RTOL * (1.0 + np.abs(f))
+            Z = np.where(ok, Zt, Z)
+            G = np.where(ok, Gt, G)
+            f = np.where(ok, ft, f)
+            last_step = np.where(ok, a, last_step)
+            a = np.where(ok, np.minimum(bb, _MAX_GROWTH * a), 0.5 * a)
+            halvings = np.where(ok, 0, halvings + 1)
+            finite &= ~ok
+            iterations += ok
+            running &= ~failed & ~(ok & (converged | (iterations == cfg.steps_per_restart)))
+            passes.append((ok, ft))
 
     best = int(np.argmin(f))  # argmin returns the first (lowest) index on ties
     z_hat = Z[:, best].copy()
     x_hat = forward(net, z_hat)
     r = A @ x_hat - y
     objective = float(0.5 * (r @ r) / m + lam * float(z_hat @ z_hat))
-    steps = int(iterations[best])
     return DecoderResult(
         z_hat=z_hat,
         x_hat=x_hat,
         objective=objective,
-        loss_trace=[float(trace[best]) for trace in traces[:steps + 1]],
+        loss_trace=[float(f0[best])] + [float(ft[best]) for ok, ft in passes if ok[best]],
         restart_index=best,
-        iterations=steps,
+        iterations=int(iterations[best]),
         grad_norm=float(np.linalg.norm(G[:, best])),
         step=float(last_step[best]),
         restart_losses=f.tolist(),
     )
-
-
-def _line_search(evaluate, Z, f, G, trial, searching, radius):
-    """One monotone Armijo backtracking search for each restart in ``searching``.
-
-    Trial points Z - a G (projected when ``radius`` is set) are evaluated a
-    whole batch at a time, and a column's step a, starting from ``trial``,
-    is halved until its loss is finite and at most
-    f + c1 min(<G, Z_t - Z>, 0). Returns, per column, the accepted trial
-    point, its loss, pre-activations and cotangent, and its step, then the
-    mask of columns that accepted a step and the mask of those whose every
-    trial loss was non-finite. Other columns carry values to be ignored.
-    """
-    a = trial.copy()
-    pending = searching.copy()
-    finite = np.zeros_like(pending)
-    for i in range(_MAX_BACKTRACKS + 1):
-        Zt = Z - a * G
-        if radius is not None:
-            Zt = _project_ball_cols(Zt, radius)
-        ft, preacts, cotangent = evaluate(Zt)
-        ok = pending & np.isfinite(ft)
-        finite |= ok
-        ok &= ft <= f + _ARMIJO_C1 * np.minimum(np.sum(G * (Zt - Z), axis=0), 0.0)
-        if i == 0:
-            Z_acc, f_acc, pre_acc, cot_acc = Zt, ft, preacts, cotangent
-        else:
-            Z_acc = np.where(ok, Zt, Z_acc)
-            f_acc = np.where(ok, ft, f_acc)
-            pre_acc = [np.where(ok, new, old) for new, old in zip(preacts, pre_acc)]
-            cot_acc = np.where(ok, cotangent, cot_acc)
-        pending &= ~ok
-        if not pending.any():
-            break
-        a = np.where(pending, 0.5 * a, a)
-    return Z_acc, f_acc, pre_acc, cot_acc, a, searching & ~pending, searching & ~finite
 
 
 def _residual_term(A, y):

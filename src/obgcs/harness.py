@@ -60,6 +60,8 @@ class ExperimentGrid:
         self.decoders = tuple(self.decoders)
         if not self.decoders or any(d not in KNOWN_DECODERS for d in self.decoders):
             raise ValueError(f"decoders must be a nonempty subset of {KNOWN_DECODERS}")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be None or >= 1, got {self.workers}")
 
     def make_generator(self):
         if isinstance(self.generator, str):

@@ -162,8 +162,14 @@ def _load_generator_text(fh):
             f"{len(dims) - 1} layers declared, {0 if not isinstance(layers, list) else len(layers)} provided")
     weights, biases = [], []
     for i, layer in enumerate(layers):
-        w = np.asarray(layer.get("weights"), dtype=np.float64)
-        b = np.asarray(layer.get("bias"), dtype=np.float64)
+        if not isinstance(layer, dict):
+            raise MalformedFileError(f"layer {i} is not a JSON object")
+        try:
+            w = np.asarray(layer.get("weights"), dtype=np.float64)
+            b = np.asarray(layer.get("bias"), dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise MalformedFileError(
+                f"layer {i}: weights and bias must be numeric arrays") from exc
         if w.ndim != 2 or w.shape != (dims[i + 1], dims[i]):
             raise DimensionMismatchError(
                 f"layer {i}: weights shape {w.shape} != {(dims[i + 1], dims[i])}")

@@ -219,6 +219,7 @@ class TestKeyTables:
         (["decode"], "gen = g.bin\nens = e.bin\nobs = o.bin\ndecoder = biht\niters = -5\n",
          "iters"),
         (["grid"], "k = 3\nn = 16\ndecoders = biht\nbiht_iters = 0\n", "biht_iters"),
+        (["grid"], "k = 3\nn = 16\nworkers = -3\n", "workers"),
     ])
     def test_bad_key_exits_1_naming_file_and_key(self, tmp_path, capsys, command, text, key):
         cfg = write(tmp_path / "bad.cfg", text)
@@ -275,6 +276,30 @@ class TestKeyTables:
         assert main(["measure", "--config", mcfg, "--out", str(tmp_path / "meas"),
                      "--quiet"]) == 2
         assert not list(tmp_path.glob("meas*"))
+
+    @pytest.mark.parametrize("layers", [
+        '[7]', '[{"weights": [[1.0], [1.0, 2.0]], "bias": [0, 0]}]'], ids=["non-object", "ragged"])
+    def test_measure_on_malformed_json_generator_exits_1(self, tmp_path, capsys, layers):
+        gen = write(tmp_path / "bad.json", '{"format": "OBGCS-GEN v1", "layer_dims": [1, 2], '
+                                           f'"layers": {layers}}}')
+        mcfg = write(tmp_path / "m.cfg", f"gen = {gen}\nm = 10\n")
+        assert main(["measure", "--config", mcfg, "--out", str(tmp_path / "meas"),
+                     "--quiet"]) == 1
+        assert "error: layer 0" in capsys.readouterr().err
+
+    def test_decode_with_overflowing_generator_exits_2(self, tmp_path, gen_file, capsys):
+        prefix = str(tmp_path / "meas")
+        mcfg = write(tmp_path / "m.cfg", f"gen = {gen_file}\nm = 30\n")
+        assert main(["measure", "--config", mcfg, "--out", prefix, "--quiet"]) == 0
+        huge = str(tmp_path / "huge.bin")
+        gcfg = write(tmp_path / "huge.cfg", "k = 3\nn = 20\nhidden_dims = 8\nscale = 1e100\n")
+        assert main(["synth-gen", "--config", gcfg, "--out", huge, "--quiet"]) == 0
+        capsys.readouterr()
+        dcfg = write(tmp_path / "d.cfg", (f"gen = {huge}\nens = {prefix}.ens.bin\n"
+                                          f"obs = {prefix}.obs.bin\n"))
+        assert main(["decode", "--config", dcfg, "--out", str(tmp_path / "d.json"),
+                     "--quiet"]) == 2
+        assert "numerical failure: non-finite loss at restart 0" in capsys.readouterr().err
 
     def test_readme_lists_every_key(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

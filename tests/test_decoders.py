@@ -19,36 +19,45 @@ from conftest import identity_generator
 def reference_ls(obs, ens, net, cfg):
     """The LS step rule in residual form, two generator passes per step.
 
-    Lagrangian mode only. Returns (x_hat, restart_index, loss_trace,
-    searches, backtracks) for comparison with ls_decode: a search is one
-    batched line search, a backtrack one extra batch of trial points in it.
+    Returns (x_hat, restart_index, loss_trace, searches, backtracks, trials)
+    for comparison with ls_decode: a search is one batched line search, a
+    backtrack one extra batch of trial points in it, and ``trials`` holds
+    each restart's own count of trial points.
     """
     A, y = ens.A, obs.y
     m = A.shape[0]
     c1 = decoders._ARMIJO_C1
+    lam = cfg.lam if cfg.mode == "lagrangian" else 0.0
+
+    def project(Z):
+        if cfg.mode == "constrained":
+            return decoders._project_ball_cols(Z, cfg.radius)
+        return Z
 
     def loss(Z):
         resid = A @ forward_batch(net, Z) - y[:, None]
-        return 0.5 * np.sum(resid * resid, axis=0) / m + cfg.lam * np.sum(Z * Z, axis=0)
+        return 0.5 * np.sum(resid * resid, axis=0) / m + lam * np.sum(Z * Z, axis=0)
 
     def grad(Z):
         resid = A @ forward_batch(net, Z) - y[:, None]
-        return latent_vjp_batch(net, Z, (A.T @ resid) / m) + 2.0 * cfg.lam * Z
+        return latent_vjp_batch(net, Z, (A.T @ resid) / m) + 2.0 * lam * Z
 
-    Z = np.random.default_rng(cfg.seed).standard_normal(
-        (net.latent_dim, cfg.restarts))
+    Z = project(np.random.default_rng(cfg.seed).standard_normal(
+        (net.latent_dim, cfg.restarts)))
     f, G = loss(Z), grad(Z)
     trial = np.full(cfg.restarts, decoders._FIRST_STEP)
     running = np.ones(cfg.restarts, dtype=bool)
     traces = [[v] for v in f]
     searches = backtracks = 0
+    trials = np.zeros(cfg.restarts, dtype=int)
     while running.any() and searches < cfg.steps_per_restart:
         searches += 1
         a, pending = trial.copy(), running.copy()
         Z_new, f_new = Z.copy(), f.copy()
         for i in range(decoders._MAX_BACKTRACKS + 1):
             backtracks += i > 0
-            Zt = Z - a * G
+            trials += pending
+            Zt = project(Z - a * G)
             ft = loss(Zt)
             ok = pending & np.isfinite(ft)
             ok &= ft <= f + c1 * np.minimum(np.sum(G * (Zt - Z), axis=0), 0.0)
@@ -71,15 +80,16 @@ def reference_ls(obs, ens, net, cfg):
         Z[:, accepted], G[:, accepted], f[accepted] = (
             Z_new[:, accepted], G_new[:, accepted], f_new[accepted])
     best = int(np.argmin(f))
-    return forward(net, Z[:, best]), best, np.array(traces[best]), searches, backtracks
+    return (forward(net, Z[:, best]), best, np.array(traces[best]), searches, backtracks,
+            trials)
 
 
-def parity_problem(m, seed):
+def parity_problem(m, seed, **cfg):
     net = synth_generator(k=4, n=40, hidden_dims=[24], seed=seed)
     ens = sample_ensemble(m, CovarianceSpec.toeplitz(40, 0.3), 0.1, 0.97, seed=seed + 1)
     x_star = forward(net, np.random.default_rng(seed + 2).standard_normal(4))
     obs = observe(ens, x_star, seed=seed + 3)
-    cfg = LsDecoderConfig(restarts=5, steps_per_restart=150, seed=seed + 4)
+    cfg = LsDecoderConfig(restarts=5, steps_per_restart=150, seed=seed + 4, **cfg)
     return obs, ens, net, cfg
 
 
@@ -204,6 +214,24 @@ class TestLsDecode:
         res = ls_decode(obs, ens, net, LsDecoderConfig(restarts=2, seed=30))
         assert np.isfinite(res.objective) and res.iterations >= 1
 
+    def test_divergence_in_a_later_search_names_its_step(self, monkeypatch):
+        # tiny first steps are accepted; from the third pass every output is
+        # infinite, so each restart's second search meets no finite loss
+        obs, ens, net, cfg = parity_problem(120, 9)
+        real, calls = decoders.forward_with_preacts, []
+
+        def blowing_up(net, Z):
+            calls.append(1)
+            X, preacts = real(net, Z)
+            return (X if len(calls) < 3 else X * np.inf), preacts
+
+        monkeypatch.setattr(decoders, "forward_with_preacts", blowing_up)
+        monkeypatch.setattr(decoders, "_FIRST_STEP", 1e-6)
+        monkeypatch.setattr(decoders, "_MAX_BACKTRACKS", 0)
+        with pytest.raises(DivergenceError) as err:
+            ls_decode(obs, ens, net, LsDecoderConfig(restarts=2, seed=cfg.seed))
+        assert (err.value.restart, err.value.step) == (0, 2)
+
     def test_failed_search_stops_where_it_is(self, monkeypatch):
         # with no backtracks a first trial of 1e3 overshoots to a finite but
         # higher loss: every restart stops at its start, never uphill
@@ -268,7 +296,7 @@ class TestLsParity:
     def test_bitwise_equal_to_residual_form_when_m_le_n(self, m, seed):
         obs, ens, net, cfg = parity_problem(m, seed)
         res = ls_decode(obs, ens, net, cfg)
-        x_ref, best_ref, trace_ref, _, _ = reference_ls(obs, ens, net, cfg)
+        x_ref, best_ref, trace_ref, *_ = reference_ls(obs, ens, net, cfg)
         np.testing.assert_array_equal(res.x_hat, x_ref)
         assert res.restart_index == best_ref
         np.testing.assert_array_equal(res.loss_trace, trace_ref)
@@ -277,15 +305,35 @@ class TestLsParity:
     def test_gram_form_matches_residual_form_when_m_gt_n(self, m, seed):
         obs, ens, net, cfg = parity_problem(m, seed)
         res = ls_decode(obs, ens, net, cfg)
-        x_ref, best_ref, trace_ref, _, _ = reference_ls(obs, ens, net, cfg)
+        x_ref, best_ref, trace_ref, *_ = reference_ls(obs, ens, net, cfg)
         assert res.restart_index == best_ref
         np.testing.assert_allclose(res.x_hat, x_ref, rtol=0, atol=1e-8)
         assert res.loss_trace[-1] == pytest.approx(trace_ref[-1], rel=0, abs=1e-10)
 
+    @pytest.mark.parametrize("radius", [0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("m,seed", [(10, 1), (25, 2), (40, 3)])
+    def test_constrained_bitwise_equal_to_residual_form_when_m_le_n(self, m, seed, radius):
+        obs, ens, net, cfg = parity_problem(m, seed, mode="constrained", radius=radius)
+        res = ls_decode(obs, ens, net, cfg)
+        x_ref, best_ref, trace_ref, *_ = reference_ls(obs, ens, net, cfg)
+        np.testing.assert_array_equal(res.x_hat, x_ref)
+        assert res.restart_index == best_ref
+        np.testing.assert_array_equal(res.loss_trace, trace_ref)
+
+    @pytest.mark.parametrize("radius", [0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("m,seed", [(41, 4), (120, 5), (600, 6)])
+    def test_constrained_gram_form_matches_residual_form_when_m_gt_n(self, m, seed, radius):
+        obs, ens, net, cfg = parity_problem(m, seed, mode="constrained", radius=radius)
+        res = ls_decode(obs, ens, net, cfg)
+        x_ref, best_ref, *_ = reference_ls(obs, ens, net, cfg)
+        assert res.restart_index == best_ref
+        np.testing.assert_allclose(res.x_hat, x_ref, rtol=0, atol=1e-8)
+
     @pytest.mark.parametrize("m", [25, 120])
     def test_one_generator_pass_per_step(self, m, monkeypatch):
-        # one batched pass per trial point: the start, each search's first
-        # trial and each backtrack
+        # one batched pass per trial point of the restart that tries most:
+        # the start, then every restart's own searches side by side, which
+        # takes fewer passes than searching the whole batch step by step
         obs, ens, net, cfg = parity_problem(m, 8)
         calls = []
         real = decoders.forward_with_preacts
@@ -296,9 +344,10 @@ class TestLsParity:
 
         monkeypatch.setattr(decoders, "forward_with_preacts", counting)
         ls_decode(obs, ens, net, cfg)
-        _, _, _, searches, backtracks = reference_ls(obs, ens, net, cfg)
+        *_, searches, backtracks, trials = reference_ls(obs, ens, net, cfg)
         assert backtracks > 0
-        assert calls == [(net.latent_dim, cfg.restarts)] * (1 + searches + backtracks)
+        assert calls == [(net.latent_dim, cfg.restarts)] * (1 + trials.max())
+        assert 1 + trials.max() < 1 + searches + backtracks
 
 
 class TestHardThreshold:

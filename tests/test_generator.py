@@ -270,6 +270,20 @@ class TestSaveLoad:
         with pytest.raises(NonFiniteError):
             load_generator(path)
 
+    @pytest.mark.parametrize("layer, what", [
+        (7, "layer 1 is not a JSON object"),
+        ({"weights": [[1.0, 0.0], [0.0]], "bias": [0.0, 0.0]}, "layer 1: weights"),
+    ])
+    def test_malformed_text_layer_is_named(self, tmp_path, layer, what):
+        import json
+        good = {"weights": [[1.0, 0.0], [0.0, 1.0]], "bias": [0.0, 0.0]}
+        doc = {"format": "OBGCS-GEN v1", "layer_dims": [2, 2, 2], "activation": "identity",
+               "layers": [good, layer]}
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedFileError, match=what):
+            load_generator(path)
+
     def test_preserves_activation_and_normalization(self, tmp_path):
         net = synth_generator(k=3, n=8, hidden_dims=[6], seed=0, unit_sphere=True,
                               final_activation="relu")

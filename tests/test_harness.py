@@ -53,6 +53,11 @@ class TestRunGrid:
         run_grid(tiny_grid(output_path=str(p2), workers=2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            tiny_grid(workers=workers)
+
     def test_csv_header_and_round_trip(self, tmp_path):
         path = tmp_path / "r.csv"
         res = run_grid(tiny_grid(output_path=str(path)))
