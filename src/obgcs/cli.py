@@ -18,8 +18,7 @@ import numpy as np
 
 from . import harness, memorizer, theory
 from .decoders import LsDecoderConfig, biht_decode, estimation_error, ls_decode, pv_convex_decode
-from .errors import (CapacityError, DimensionMismatchError, MalformedFileError,
-                     ObgcsError, ShapeError)
+from .errors import ObgcsError
 from .generator import lipschitz_upper_bound, synth_generator
 from .measurement import CovarianceSpec, observe, sample_ensemble, sample_truth
 from .serialization import (load_ensemble, load_generator, load_observation,
@@ -352,9 +351,7 @@ def _build_parser():
     return parser
 
 
-_USAGE_ERRORS = (_UsageError, ValueError, KeyError, FileNotFoundError,
-                 MalformedFileError, DimensionMismatchError, ShapeError,
-                 CapacityError)
+_USAGE_ERRORS = (_UsageError, ValueError, KeyError, FileNotFoundError)
 # every ValueError (NotSpdError, NonFiniteError, LinAlgError) is caught above
 _NUMERIC_ERRORS = (ZeroDivisionError, ObgcsError)
 

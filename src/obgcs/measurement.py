@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import NotSpdError, ShapeError
 from .generator import forward
+from .util import rng_for
 
 
 @dataclass
@@ -140,7 +141,7 @@ def sample_ensemble(m, cov, sigma, q, seed):
     if m < 1:
         raise ValueError("need m >= 1 measurements")
     chol = cov.cholesky()
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0]))
+    rng = rng_for(seed, 0)
     A = rng.standard_normal((m, cov.n))
     if cov.kind != "identity":
         A = A @ chol.T
@@ -158,8 +159,8 @@ def observe(ens, x_star, seed):
     x_star = np.asarray(x_star, dtype=np.float64)
     if x_star.shape != (ens.n,):
         raise ShapeError(f"signal shape {x_star.shape} != {(ens.n,)}")
-    rng_eps = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 1]))
-    rng_eta = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 2]))
+    rng_eps = rng_for(seed, 1)
+    rng_eta = rng_for(seed, 2)
     eps = ens.sigma * rng_eps.standard_normal(ens.m)
     eta = np.where(rng_eta.random(ens.m) < ens.q, 1.0, -1.0)
     y = eta * sign_pm1(ens.A @ x_star + eps)

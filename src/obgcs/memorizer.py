@@ -50,11 +50,10 @@ def bits_to_value(bits):
 
 def value_to_bits(value, ell):
     """Inverse of bits_to_value; the value must be an exact ell-bit dyadic."""
-    ell = int(ell)
-    scaled = math.ldexp(float(value), ell)
-    i = round(scaled)
-    if scaled != i or not 0 <= i < (1 << ell):
+    ell, v = int(ell), float(value)
+    if not (0.0 <= v < 1.0 and math.ldexp(v, ell) % 1 == 0):
         raise ValueError(f"{value} is not an exact {ell}-bit dyadic in [0, 1)")
+    i = int(math.ldexp(v, ell))
     return [(i >> (ell - 1 - j)) & 1 for j in range(ell)]
 
 
@@ -196,17 +195,17 @@ def _fitter_part(stack, anchors, values, max_chunk, num_layers, carry_j=False):
     every layer.
     """
     count = anchors.shape[0]
+    chunks = [(i, min(i + max_chunk, count)) for i in range(0, count, max_chunk)]
+    if len(chunks) > num_layers:
+        raise CapacityError(
+            f"{count} anchors need {len(chunks)} interpolation stages, "
+            f"budget is {num_layers}")
     w, t = _separating_projection(anchors)
     shift = 1.0 - t.min()
     ts = t + shift
     order = np.argsort(ts, kind="stable")
     ts_sorted = ts[order]
     vals_sorted = values[order]
-    chunks = [(i, min(i + max_chunk, count)) for i in range(0, count, max_chunk)]
-    if len(chunks) > num_layers:
-        raise CapacityError(
-            f"{count} anchors need {len(chunks)} interpolation stages, "
-            f"budget is {num_layers}")
 
     k = stack.input_dim - (1 if carry_j else 0)
     pend_ramps = None  # (indices, gammas) awaiting fold into the accumulator
@@ -249,20 +248,16 @@ def _fitter_part(stack, anchors, values, max_chunk, num_layers, carry_j=False):
     return readout
 
 
-def _check_dyadic_values(values, ell):
-    for v in values:
-        scaled = math.ldexp(float(v), ell)
-        if scaled != round(scaled) or not 0 <= round(scaled) < (1 << ell):
-            raise ValueError(f"target {v} is not an exact {ell}-bit dyadic in [0, 1)")
-
-
-def _check_anchors(anchors):
+def _anchors(samples):
+    """The checked (count, k) anchor array of (anchor, payload) samples."""
+    anchors = np.array([np.atleast_1d(np.asarray(z, dtype=np.float64)) for z, _ in samples])
     if anchors.ndim != 2:
         raise ShapeError("anchors must form a (count, k) array")
     if not np.all(np.isfinite(anchors)):
         raise ValueError("anchors must be finite")
     if len(np.unique(anchors, axis=0)) < len(anchors):
         raise ValueError("duplicate anchors are not allowed")
+    return anchors
 
 
 def build_fitter(samples, cap_w, ell):
@@ -277,17 +272,13 @@ def build_fitter(samples, cap_w, ell):
     cap_w, ell = int(cap_w), int(ell)
     if cap_w < 1 or not 1 <= ell <= MAX_BITS:
         raise ValueError(f"need cap_w >= 1 and 1 <= ell <= {MAX_BITS}")
-    anchors = np.array([np.atleast_1d(np.asarray(z, dtype=np.float64)) for z, _ in samples])
+    anchors = _anchors(samples)
     values = np.array([float(y) for _, y in samples])
-    _check_anchors(anchors)
-    _check_dyadic_values(values, ell)
+    for v in values:
+        value_to_bits(v, ell)
     count = anchors.shape[0]
     if count > cap_w * cap_w * ell:
         raise CapacityError(f"{count} samples exceed capacity W^2*ell = {cap_w * cap_w * ell}")
-    if count > 4 * cap_w * (ell + 1):
-        raise CapacityError(
-            f"{count} samples exceed the stage budget {4 * cap_w * (ell + 1)} "
-            f"of this construction (W={cap_w}, ell={ell})")
 
     width = 4 * cap_w + 4
     stack = _Stack(anchors.shape[1], width)
@@ -305,9 +296,33 @@ def build_fitter(samples, cap_w, ell):
 
 # ------------------------------------------------------- bit extractor (G2)
 
-def _ramp_bias(ell, t, offset):
-    # threshold ramp for bit t: s = 2^(ell+1) x - 2^(ell+1-t) + offset
-    return -math.ldexp(1.0, ell + 1 - t) + offset
+# unit slots that open every bit-selection layer
+P1, P2, E1, E2, E3, XP = range(6)
+
+
+def _threshold_pair(ell, t, x_row):
+    """The two clipped ramps deciding bit t of the affine row ``x_row``.
+
+    Ramp s = 2^(ell+1) x - 2^(ell+1-t) + offset, at offsets 1.5 and 0.5.
+    """
+    scale = math.ldexp(1.0, ell + 1)
+    row = {i: scale * c for i, c in x_row.items()}
+    return [(row, -math.ldexp(1.0, ell + 1 - t) + offset) for offset in (1.5, 0.5)]
+
+
+def _selection_rows(ell, t, x_row=None, j_idx=None):
+    """The rows P1..XP of bit t: threshold pair, ramps relu(j - 0, 1, 2), residual x.
+
+    The first layer reads x from ``x_row`` and j from unit ``j_idx``; later
+    layers (the defaults) read the residual x minus the bit just decided,
+    and the j ramp E2 = relu(j - 1) of the layer below.
+    """
+    if x_row is None:
+        step = math.ldexp(1.0, -(t - 1))
+        x_row = {XP: 1.0, P1: -step, P2: step}
+    j = E2 if j_idx is None else j_idx
+    return (_threshold_pair(ell, t, x_row)
+            + [({j: 1.0}, 0.0), ({j: 1.0}, -1.0), ({j: 1.0}, -2.0), (dict(x_row), 0.0)])
 
 
 def build_bit_extractor(ell):
@@ -323,43 +338,18 @@ def build_bit_extractor(ell):
     if not 1 <= ell <= MAX_BITS:
         raise ValueError(f"need 1 <= ell <= {MAX_BITS}")
     stack = _Stack(2, 8)
-    scale = math.ldexp(1.0, ell + 1)
     if ell == 1:
-        stack.add_layer([({0: scale}, _ramp_bias(ell, 1, 1.5)),
-                         ({0: scale}, _ramp_bias(ell, 1, 0.5))])
+        stack.add_layer(_threshold_pair(ell, 1, {0: 1.0}))
         net = stack.finish({0: 1.0, 1: -1.0})
     else:
-        # unit slots per bit layer: 0 p1, 1 p2, 2 e1, 3 e2, 4 e3, 5 xp, 6 ap, 7 and
-        P1, P2, E1, E2, E3, XP, AP, AND = range(8)
-        stack.add_layer([
-            ({0: scale}, _ramp_bias(ell, 1, 1.5)),
-            ({0: scale}, _ramp_bias(ell, 1, 0.5)),
-            ({1: 1.0}, 0.0),          # e1 = relu(j)
-            ({1: 1.0}, -1.0),
-            ({1: 1.0}, -2.0),
-            ({0: 1.0}, 0.0),          # xp = relu(x)
-            ({}, 0.0),                # accumulator starts at zero
-            ({}, 0.0),                # selection slot unused this layer
-        ])
+        # slots 6 and 7: the accumulator and the selected bit of the layer below,
+        # both dead (zero) in the first layer
+        AP, AND = 6, 7
+        and_row = ({P1: 1.0, P2: -1.0, E1: 1.0, E2: -2.0, E3: 1.0}, -1.0)
+        stack.add_layer(_selection_rows(ell, 1, {0: 1.0}, 1))
         for t in range(2, ell + 1):
-            step = math.ldexp(1.0, -(t - 1))
-            x_coeffs = {XP: 1.0, P1: -step, P2: step}
-            stack.add_layer([
-                ({XP: scale, P1: -scale * step, P2: scale * step},
-                 _ramp_bias(ell, t, 1.5)),
-                ({XP: scale, P1: -scale * step, P2: scale * step},
-                 _ramp_bias(ell, t, 0.5)),
-                ({E2: 1.0}, 0.0),
-                ({E2: 1.0}, -1.0),
-                ({E2: 1.0}, -2.0),
-                (x_coeffs, 0.0),
-                ({AP: 1.0, AND: 1.0}, 0.0),
-                ({P1: 1.0, P2: -1.0, E1: 1.0, E2: -2.0, E3: 1.0}, -1.0),
-            ])
-        stack.add_layer([
-            ({P1: 1.0, P2: -1.0, E1: 1.0, E2: -2.0, E3: 1.0}, -1.0),  # and_ell
-            ({AP: 1.0, AND: 1.0}, 0.0),
-        ])
+            stack.add_layer(_selection_rows(ell, t) + [({AP: 1.0, AND: 1.0}, 0.0), and_row])
+        stack.add_layer([and_row, ({AP: 1.0, AND: 1.0}, 0.0)])
         if ell == 2:
             net = stack.finish({0: 1.0, 1: 1.0})
         else:
@@ -396,7 +386,7 @@ def extract_bit(mem, x, j):
 
 # -------------------------------------------------- composed memorizer (G3)
 
-def _extractor_part(stack, ell, x_row, x_bias, j_idx):
+def _extractor_part(stack, ell, x_row, j_idx):
     """Append an exactified bit-selection pipeline reading x from an affine
     row over the current top layer and j from unit ``j_idx``.
 
@@ -405,42 +395,15 @@ def _extractor_part(stack, ell, x_row, x_bias, j_idx):
     margin; accumulator rows touch two units only, keeping them order-exact.
     Returns the readout row dict. Appends ell+2 layers.
     """
-    scale = math.ldexp(1.0, ell + 1)
-    # slots: 0 p1, 1 p2, 2 e1, 3 e2, 4 e3, 5 xp, 6 ap, 7 a1, 8 a2, 9 as
-    P1, P2, E1, E2, E3, XP, AP, A1, A2, AS = range(10)
-    first = [
-        ({i: scale * c for i, c in x_row.items()}, scale * x_bias + _ramp_bias(ell, 1, 1.5)),
-        ({i: scale * c for i, c in x_row.items()}, scale * x_bias + _ramp_bias(ell, 1, 0.5)),
-        ({j_idx: 1.0}, 0.0),
-        ({j_idx: 1.0}, -1.0),
-        ({j_idx: 1.0}, -2.0),
-        (dict(x_row), x_bias),
-        ({}, 0.0),
-        ({}, 0.0),
-        ({}, 0.0),
-        ({}, 0.0),
-    ]
-    stack.add_layer(first)
+    # slots after the selection rows, dead (zero) in the first layer: 6 ap, 7 a1, 8 a2, 9 as
+    AP, A1, A2, AS = range(6, 10)
+    and_pair = [({P1: 2.0, P2: -2.0, E1: 2.0, E2: -4.0, E3: 2.0}, bias) for bias in (-2.5, -3.5)]
+    saturated_and = ({A1: 1.0, A2: -1.0}, 0.0)
+    accumulate = ({AP: 1.0, AS: 1.0}, 0.0)  # two-term, exact
+    stack.add_layer(_selection_rows(ell, 1, x_row, j_idx))
     for t in range(2, ell + 1):
-        step = math.ldexp(1.0, -(t - 1))
-        stack.add_layer([
-            ({XP: scale, P1: -scale * step, P2: scale * step}, _ramp_bias(ell, t, 1.5)),
-            ({XP: scale, P1: -scale * step, P2: scale * step}, _ramp_bias(ell, t, 0.5)),
-            ({E2: 1.0}, 0.0),
-            ({E2: 1.0}, -1.0),
-            ({E2: 1.0}, -2.0),
-            ({XP: 1.0, P1: -step, P2: step}, 0.0),
-            ({AP: 1.0, AS: 1.0}, 0.0),                      # two-term, exact
-            ({P1: 2.0, P2: -2.0, E1: 2.0, E2: -4.0, E3: 2.0}, -2.5),
-            ({P1: 2.0, P2: -2.0, E1: 2.0, E2: -4.0, E3: 2.0}, -3.5),
-            ({A1: 1.0, A2: -1.0}, 0.0),                     # saturated and
-        ])
-    stack.add_layer([
-        ({P1: 2.0, P2: -2.0, E1: 2.0, E2: -4.0, E3: 2.0}, -2.5),  # a1 for bit ell
-        ({P1: 2.0, P2: -2.0, E1: 2.0, E2: -4.0, E3: 2.0}, -3.5),
-        ({A1: 1.0, A2: -1.0}, 0.0),                                # as for bit ell-1
-        ({AP: 1.0, AS: 1.0}, 0.0),
-    ])
+        stack.add_layer(_selection_rows(ell, t) + [accumulate] + and_pair + [saturated_and])
+    stack.add_layer(and_pair + [saturated_and, accumulate])  # a1, a2 of bit ell; as of ell-1
     stack.add_layer([
         ({0: 1.0, 1: -1.0}, 0.0),   # saturated last bit
         ({3: 1.0, 2: 1.0}, 0.0),    # accumulator + previous saturated bit
@@ -454,27 +417,21 @@ def build_indexed_memorizer(samples, cap_w, ell):
     ``samples`` is a list of (anchor, bits) pairs, one bit row of length ell
     per anchor. The network composes an interpolating fitter with the bit
     selection pipeline; outputs are exactly 0.0 or 1.0. Needs ell >= 2 (a
-    one-bit table has no depth budget for the composition).
+    one-bit table has no depth budget for the composition). Capacity is
+    W^2 ell, additionally bounded by the 4W(2 ell - 2) ramp units of its stages.
     """
     cap_w, ell = int(cap_w), int(ell)
     if cap_w < 1 or not 2 <= ell <= MAX_BITS:
         raise ValueError(f"need cap_w >= 1 and 2 <= ell <= {MAX_BITS}")
-    anchors = np.array([np.atleast_1d(np.asarray(z, dtype=np.float64)) for z, _ in samples])
-    bit_rows = []
-    for _, bits in samples:
-        bits = [int(b) for b in bits]
-        if len(bits) != ell or any(b not in (0, 1) for b in bits):
-            raise ValueError(f"each sample needs {ell} bits valued 0/1")
-        bit_rows.append(bits)
-    _check_anchors(anchors)
+    anchors = _anchors(samples)
+    rows = [np.asarray(bits, dtype=np.float64) for _, bits in samples]
+    if any(r.shape != (ell,) or not np.all((r == 0.0) | (r == 1.0)) for r in rows):
+        raise ValueError(f"each sample needs {ell} bits valued 0/1")
+    table = np.array(rows) == 1.0  # (count, ell)
     count = anchors.shape[0]
     if count > cap_w * cap_w * ell:
         raise CapacityError(f"{count} anchors exceed capacity W^2*ell = {cap_w * cap_w * ell}")
-    if count > 4 * cap_w * (2 * ell - 2):
-        raise CapacityError(
-            f"{count} anchors exceed the stage budget {4 * cap_w * (2 * ell - 2)} "
-            f"of this construction (W={cap_w}, ell={ell})")
-    values = np.array([bits_to_value(bits) for bits in bit_rows])
+    values = table @ np.ldexp(1.0, -np.arange(1, ell + 1))  # exact for ell <= MAX_BITS
 
     width = 4 * cap_w + 6
     k = anchors.shape[1]
@@ -482,20 +439,20 @@ def build_indexed_memorizer(samples, cap_w, ell):
     x_row = _fitter_part(stack, anchors, values[:, None], max_chunk=4 * cap_w,
                          num_layers=2 * ell - 2, carry_j=True)
     j_idx = stack.top_width - 1
-    net = stack.finish(_extractor_part(stack, ell, x_row, 0.0, j_idx))
+    net = stack.finish(_extractor_part(stack, ell, x_row, j_idx))
     mem = MemorizerNet(net=net, width=width, depth=3 * ell + 1,
                        construction="composed", ell=ell, cap_w=cap_w,
                        anchors=anchors)
-    # one column (z_i, j) per table entry, in row-major order of bit_rows
+    # one column (z_i, j) per table entry, in row-major order of the table
     queries = np.vstack([np.repeat(anchors.T, ell, axis=1),
                          np.tile(np.arange(1.0, ell + 1), count)])
-    want = np.array(bit_rows, dtype=np.float64).ravel()
+    want = table.ravel()
     got = forward_batch(net, queries)[0]
     bad = np.flatnonzero(got != want)
     if bad.size:
         i = bad[0]
         raise ObgcsError(f"composed recall certification failed at j={i % ell + 1}: "
-                         f"{float(got[i])} != {bit_rows[i // ell][i % ell]}")
+                         f"{float(got[i])} != {int(want[i])}")
     return mem
 
 
@@ -507,7 +464,7 @@ def recall_bit(mem, z, j):
 
 # ------------------------------------------------- anchor generator (G, Thm)
 
-def _reassembly_part(stack, ell, x_row, x_bias):
+def _reassembly_part(stack, ell, x_row):
     """Append layers re-extracting and re-summing ell bits of an affine x.
 
     Two layers per bit (threshold pair, then residual update plus a
@@ -517,16 +474,9 @@ def _reassembly_part(stack, ell, x_row, x_bias):
     ell-bit truncation of x whenever x's dust is below the half-grid margin.
     Returns the readout row dict.
     """
-    scale = math.ldexp(1.0, ell + 1)
     # A-layer slots: 0 p1, 1 p2, 2 xp, 3 acc, 4 bsat(prev)
     # B-layer slots: 0 xnext, 1 q1, 2 q2, 3 accm
-    stack.add_layer([
-        ({i: scale * c for i, c in x_row.items()}, scale * x_bias + _ramp_bias(ell, 1, 1.5)),
-        ({i: scale * c for i, c in x_row.items()}, scale * x_bias + _ramp_bias(ell, 1, 0.5)),
-        (dict(x_row), x_bias),
-        ({}, 0.0),
-        ({}, 0.0),
-    ])
+    stack.add_layer(_threshold_pair(ell, 1, x_row) + [(dict(x_row), 0.0)])
     for t in range(1, ell + 1):
         step = math.ldexp(1.0, -t)
         stack.add_layer([
@@ -536,9 +486,7 @@ def _reassembly_part(stack, ell, x_row, x_bias):
             ({3: 1.0, 4: math.ldexp(1.0, -(t - 1))}, 0.0),  # fold previous bit
         ])
         if t < ell:
-            stack.add_layer([
-                ({0: scale}, _ramp_bias(ell, t + 1, 1.5)),
-                ({0: scale}, _ramp_bias(ell, t + 1, 0.5)),
+            stack.add_layer(_threshold_pair(ell, t + 1, {0: 1.0}) + [
                 ({0: 1.0}, 0.0),
                 ({3: 1.0}, 0.0),
                 ({1: 1.0, 2: -1.0}, 0.0),         # saturated bit t
@@ -564,8 +512,8 @@ def build_theorem_generator(targets, tau, latent_dim=1):
     L2. Certified at build time.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    if targets.ndim != 2:
-        raise ShapeError("targets must form an (s, n) array")
+    if targets.ndim != 2 or targets.size == 0:
+        raise ShapeError(f"targets must form a non-empty (s, n) array, not shape {targets.shape}")
     if not np.all((targets >= 0.0) & (targets <= 1.0)):
         raise ValueError("targets must lie in the unit cube")
     tau = float(tau)
@@ -577,24 +525,20 @@ def build_theorem_generator(targets, tau, latent_dim=1):
         raise CapacityError(f"tau={tau} needs {ell} bits per coordinate "
                             f"(> {MAX_BITS} accepted)")
     cap_w = int(math.ceil(math.sqrt(s * n / ell)))
-    if s > 4 * cap_w * ell:
-        raise CapacityError(
-            f"{s} targets exceed the per-coordinate stage budget {4 * cap_w * ell}")
     k = int(latent_dim)
     if k < 1:
         raise ValueError("latent dimension must be >= 1")
 
     anchors = np.zeros((s, k))
     anchors[:, 0] = 1.0 / (np.arange(1, s + 1) * n)
-    trunc_bits = [[truncate_to_bits(targets[i, c], ell) for c in range(n)]
-                  for i in range(s)]
-    trunc_vals = np.array([[bits_to_value(trunc_bits[i][c]) for c in range(n)]
-                           for i in range(s)])
+    # truncate_to_bits then bits_to_value on every entry, bit for bit (-0.0 gives 0.0)
+    trunc_vals = np.ldexp(np.minimum(np.ldexp(targets, ell).astype(np.int64), (1 << ell) - 1),
+                          -ell)
 
     block_width = 4 * cap_w + 6
     stack = _Stack(k, block_width, blocks=n)
     x_row = _fitter_part(stack, anchors, trunc_vals, max_chunk=4 * cap_w, num_layers=ell)
-    net = stack.finish(_reassembly_part(stack, ell, x_row, 0.0))
+    net = stack.finish(_reassembly_part(stack, ell, x_row))
     mem = MemorizerNet(net=net, width=block_width * n, depth=3 * ell + 2,
                        construction="generator", ell=ell, cap_w=cap_w,
                        anchors=anchors, targets_truncated=trunc_vals)

@@ -206,6 +206,14 @@ class TestMemorize:
         assert flat["targets"] == nested["targets"] == [1, 3]
         assert flat["max_anchor_l2_error"] == nested["max_anchor_l2_error"] <= 0.25
 
+    def test_empty_targets_file_is_a_shape_error(self, tmp_path, capsys):
+        tfile = tmp_path / "empty.json"
+        tfile.write_text("[]")
+        cfg = write(tmp_path / "m.cfg", f"targets = {tfile}\ntau = 0.25\n")
+        assert main(["memorize", "--config", str(cfg), "--out", str(tmp_path / "m.bin"),
+                     "--quiet"]) == 1
+        assert "not shape (1, 0)" in capsys.readouterr().err
+
 
 class TestKeyTables:
     @pytest.mark.parametrize("command, text, key", [

@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from obgcs import (CapacityError, GeneratorNetwork, ObgcsError, architecture_summary,
-                   bits_to_value, build_bit_extractor, build_fitter,
+from obgcs import (CapacityError, GeneratorNetwork, ObgcsError, ShapeError,
+                   architecture_summary, bits_to_value, build_bit_extractor, build_fitter,
                    build_indexed_memorizer, build_theorem_generator, extract_bit,
                    forward, load_generator, recall_bit, save_generator,
                    truncate_to_bits, value_to_bits)
@@ -81,6 +81,11 @@ class TestFitter:
     def test_non_dyadic_value_rejected(self):
         with pytest.raises(ValueError):
             build_fitter([(np.array([0.1]), 1 / 3)], 1, 2)
+
+    @pytest.mark.parametrize("value", [1.0, np.nan, np.inf, 1e308])
+    def test_value_outside_the_unit_interval_rejected(self, value):
+        with pytest.raises(ValueError, match="is not an exact 2-bit dyadic"):
+            build_fitter([(np.array([0.1]), value)], 1, 2)
 
 
 class TestBitExtractor:
@@ -168,6 +173,12 @@ class TestIndexedMemorizer:
             with pytest.raises(ValueError, match="anchors must be finite"):
                 build_indexed_memorizer([([bad], [0, 1]), ([1.0], [1, 1])], 1, 2)
 
+    @pytest.mark.parametrize("row", [[1.5, 0.9], [1.0, 0.5], [2, 0], [0, 1, 1]])
+    def test_bits_must_be_exactly_zero_or_one(self, row):
+        # [1.5, 0.9] may not be read as [1, 0]
+        with pytest.raises(ValueError, match="2 bits valued 0/1"):
+            build_indexed_memorizer([([0.0], row), ([1.0], [0, 1])], 1, 2)
+
 
 class TestTheoremGenerator:
     def test_bit_depth_formula(self):
@@ -211,6 +222,11 @@ class TestTheoremGenerator:
     def test_targets_must_be_in_unit_cube(self):
         with pytest.raises(ValueError):
             build_theorem_generator(np.array([[0.5, 1.5]]), 0.25)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+    def test_empty_targets_are_a_shape_error(self, shape):
+        with pytest.raises(ShapeError, match=rf"not shape \({shape[0]}, {shape[1]}\)"):
+            build_theorem_generator(np.zeros(shape), 0.5)
 
     def test_nan_target_is_outside_the_unit_cube(self):
         with pytest.raises(ValueError, match="targets must lie in the unit cube"):
@@ -273,7 +289,7 @@ class TestTheoremGenerator:
             stack = memorizer._Stack(1, block)
             x_row = memorizer._fitter_part(stack, mem.anchors, mem.targets_truncated[:, c:c + 1],
                                            max_chunk=4 * mem.cap_w, num_layers=mem.ell)
-            single = stack.finish(memorizer._reassembly_part(stack, mem.ell, x_row, 0.0))
+            single = stack.finish(memorizer._reassembly_part(stack, mem.ell, x_row))
             rows = slice(c * block, (c + 1) * block)
             assert mem.net.weights[0][rows].tobytes() == single.weights[0].tobytes()
             for i in range(1, depth):
@@ -371,3 +387,20 @@ class TestExhaustiveRecallBudget:
         wrong = sum(recall_bit(mem, z, j) != float(row[j - 1])
                     for z, row in zip(anchors, bits) for j in range(1, 7))
         assert wrong == 0
+
+
+def _distinct_anchors(count):
+    return np.column_stack([np.arange(count, dtype=np.float64), np.zeros(count)])
+
+
+@pytest.mark.parametrize("build", [
+    # W^2 ell = 128 >= 97, but 4W(ell+1) = 96 stages' ramps
+    lambda: build_fitter([(z, 0.25) for z in _distinct_anchors(97)], 8, 2),
+    # W^2 ell = 128 >= 65, but 4W(2 ell - 2) = 64
+    lambda: build_indexed_memorizer([(z, [0, 1]) for z in _distinct_anchors(65)], 8, 2),
+    # ell = 3, W = ceil(sqrt(200 / 3)) = 9: 200 > 4 W ell = 108
+    lambda: build_theorem_generator(np.full((200, 1), 0.5), 0.5),
+], ids=["fitter", "composed", "generator"])
+def test_stage_budget_is_a_capacity_error(build):
+    with pytest.raises(CapacityError, match="interpolation stages"):
+        build()
