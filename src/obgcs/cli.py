@@ -10,6 +10,7 @@ numerical failure.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -322,6 +323,7 @@ def _cmd_memorize(args, cfg):
 
 # ------------------------------------------------------------------ plumbing
 
+@functools.cache  # parsing leaves the tree as it was, so one per process serves every call
 def _build_parser():
     parser = _Parser(prog="obgcs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -99,15 +99,15 @@ def ls_decode(obs, ens, net, cfg):
 
     Each pass of the loop evaluates one trial point per restart as one
     (k, R) batch, so every restart runs its own search and none waits for
-    another's halvings; stopped restarts stay in the batch. One generator
-    pass per trial point gives both its loss and its gradient, so an
-    accepted trial needs no second pass. The loss is quadratic in
-    x = G(z): when m > n a one-off O(m n^2) build of H = A^T A / m,
-    b = A^T y / m and c = |y|^2 / m makes every trial O(n^2 R) for R
-    restarts, independent of m; when m <= n the residual A x - y is the
-    cheaper form and is used directly. The returned ``objective`` is always
-    recomputed from the residual, so a near-zero loss is not lost to
-    cancellation.
+    another's halvings; a stopped restart stays in the batch at a zero
+    step. One generator pass per trial point gives both its loss and its
+    gradient, so an accepted trial needs no second pass. The loss is
+    quadratic in x = G(z): when m > n a one-off O(m n^2) build of
+    H = A^T A / m, b = A^T y / m and c = |y|^2 / m makes every trial
+    O(n^2 R) for R restarts, independent of m; when m <= n the residual
+    A x - y is the cheaper form and is used directly. The returned
+    ``objective`` is always recomputed from the residual, so a near-zero
+    loss is not lost to cancellation.
     """
     y = obs.y
     A = ens.A
@@ -124,7 +124,7 @@ def ls_decode(obs, ens, net, cfg):
     def evaluate(Z):
         X, preacts = forward_with_preacts(net, Z)
         data_loss, cotangent = data_term(X)
-        return (data_loss + lam * np.sum(Z * Z, axis=0),
+        return (data_loss + lam * np.add.reduce(Z * Z, 0),
                 vjp_from_preacts(net, preacts, cotangent) + 2.0 * lam * Z)
 
     rng = np.random.default_rng(cfg.seed)
@@ -138,15 +138,14 @@ def ls_decode(obs, ens, net, cfg):
             bad = int(np.flatnonzero(~np.isfinite(f))[0])
             raise DivergenceError(f"non-finite loss at restart {bad}, step 0 (its start point)",
                                   restart=bad, step=0)
-        f0 = f
         a = np.full(cfg.restarts, _FIRST_STEP)  # each restart's current trial step
         halvings = np.zeros(cfg.restarts, dtype=int)  # in its current search
         finite = np.zeros(cfg.restarts, dtype=bool)  # its current search met a finite loss
-        last_step = np.zeros(cfg.restarts)
         iterations = np.zeros(cfg.restarts, dtype=int)
         running = np.ones(cfg.restarts, dtype=bool)
-        passes = []  # (accepted, trial loss) of every pass
-        while running.any():
+        no_bb = np.full(cfg.restarts, np.inf)  # the BB step where s'y <= 0
+        passes = [(running.copy(), f, np.zeros(cfg.restarts))]  # the start as a step of 0.0
+        while True:
             Zt = Z - a * G
             if radius is not None:
                 Zt = _project_ball_cols(Zt, radius)
@@ -154,28 +153,33 @@ def ls_decode(obs, ens, net, cfg):
             S = Zt - Z
             ok = running & np.isfinite(ft)
             finite |= ok
-            ok &= ft <= f + _ARMIJO_C1 * np.minimum(np.sum(G * S, axis=0), 0.0)
-            failed = running & ~ok & (halvings == _MAX_BACKTRACKS)
-            if (failed & ~finite).any():
-                bad = int(np.flatnonzero(failed & ~finite)[0])
-                step = int(iterations[bad]) + 1
-                raise DivergenceError(f"no finite trial loss at restart {bad}, step {step}",
-                                      restart=bad, step=step)
-            sy = np.sum(S * (Gt - G), axis=0)
-            bb = np.divide(np.sum(S * S, axis=0), sy, out=np.full_like(sy, np.inf), where=sy > 0)
+            ok &= ft <= f + _ARMIJO_C1 * np.minimum(np.add.reduce(G * S, 0), 0.0)
+            passes.append((ok, ft, a))
+            sy = np.add.reduce(S * (Gt - G), 0)
+            bb = np.divide(np.add.reduce(S * S, 0), sy, out=no_bb.copy(), where=sy > 0)
             converged = f - ft <= _STOP_RTOL * (1.0 + np.abs(f))
             Z = np.where(ok, Zt, Z)
             G = np.where(ok, Gt, G)
             f = np.where(ok, ft, f)
-            last_step = np.where(ok, a, last_step)
             a = np.where(ok, np.minimum(bb, _MAX_GROWTH * a), 0.5 * a)
-            halvings = np.where(ok, 0, halvings + 1)
+            halvings = np.where(ok, 0, halvings + running)
             finite &= ~ok
             iterations += ok
-            running &= ~failed & ~(ok & (converged | (iterations == cfg.steps_per_restart)))
-            passes.append((ok, ft))
+            failed = halvings > _MAX_BACKTRACKS  # its search ran out of halvings
+            stopped = failed | (ok & (converged | (iterations == cfg.steps_per_restart)))
+            if stopped.any():
+                if (failed & ~finite).any():
+                    bad = int(np.flatnonzero(failed & ~finite)[0])
+                    step = int(iterations[bad]) + 1
+                    raise DivergenceError(f"no finite trial loss at restart {bad}, step {step}",
+                                          restart=bad, step=step)
+                running &= ~stopped
+                if not running.any():
+                    break
+                a[stopped] = halvings[stopped] = 0  # it tries a zero step from now on
 
     best = int(np.argmin(f))  # argmin returns the first (lowest) index on ties
+    trace = [(loss[best], step[best]) for took, loss, step in passes if took[best]]
     z_hat = Z[:, best].copy()
     x_hat = forward(net, z_hat)
     r = A @ x_hat - y
@@ -184,11 +188,11 @@ def ls_decode(obs, ens, net, cfg):
         z_hat=z_hat,
         x_hat=x_hat,
         objective=objective,
-        loss_trace=[float(f0[best])] + [float(ft[best]) for ok, ft in passes if ok[best]],
+        loss_trace=[float(loss) for loss, _ in trace],
         restart_index=best,
         iterations=int(iterations[best]),
         grad_norm=float(np.linalg.norm(G[:, best])),
-        step=float(last_step[best]),
+        step=float(trace[-1][1]),
         restart_losses=f.tolist(),
     )
 
@@ -199,7 +203,7 @@ def _residual_term(A, y):
 
     def term(X):
         resid = A @ X - y[:, None]
-        return 0.5 * np.sum(resid * resid, axis=0) / m, (A.T @ resid) / m
+        return 0.5 * np.add.reduce(resid * resid, 0) / m, (A.T @ resid) / m
     return term
 
 
@@ -212,7 +216,7 @@ def _gram_term(A, y):
 
     def term(X):
         HX = H @ X
-        return 0.5 * (np.sum(X * HX, axis=0) - 2.0 * (b @ X) + c), HX - b[:, None]
+        return 0.5 * (np.add.reduce(X * HX, 0) - 2.0 * (b @ X) + c), HX - b[:, None]
     return term
 
 

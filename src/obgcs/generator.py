@@ -169,12 +169,11 @@ def latent_vjp_batch(net, zs, cotangents):
     return vjp_from_preacts(net, _preacts(net, zs), vs)
 
 
-def vjp_from_preacts(net, preacts, v):
-    """Column-wise J^T v at the points whose pre-activations ``preacts`` came
-    from a forward pass (``forward_with_preacts``); ``v`` is (n, batch)."""
-    g = v.copy()
+def vjp_from_preacts(net, preacts, g):
+    """Column-wise J^T g at the points whose pre-activations ``preacts`` came
+    from a forward pass (``forward_with_preacts``); ``g`` is (n, batch)."""
     if net.normalize_output:
-        # d(x/|x|)^T v = (v - u <u, v>) / |x| with u = x/|x|
+        # d(x/|x|)^T g = (g - u <u, g>) / |x| with u = x/|x|
         pre_norm = preacts[-1]
         if net.final_activation == "relu":
             pre_norm = np.maximum(pre_norm, 0.0)
@@ -182,7 +181,7 @@ def vjp_from_preacts(net, preacts, v):
             pre_norm = 1.0 / (1.0 + np.exp(-pre_norm))
         nrm = np.linalg.norm(pre_norm, axis=0)
         u = pre_norm / nrm
-        g = (g - u * np.sum(u * g, axis=0)) / nrm
+        g = (g - u * np.add.reduce(u * g, 0)) / nrm
     if net.final_activation == "relu":
         g = g * (preacts[-1] > 0)
     elif net.final_activation == "sigmoid":

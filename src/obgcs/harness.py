@@ -10,7 +10,6 @@ are zeroed in files by default so that repeated runs are byte-identical.
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,6 +153,7 @@ def run_grid(grid, progress=None):
     results = []
     workers = grid.workers
     if workers is not None and workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for i, batch in enumerate(pool.map(_run_cell_star, cells, chunksize=1)):
                 results.extend(batch)

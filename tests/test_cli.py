@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obgcs import ExperimentGrid, run_grid
+from obgcs import ExperimentGrid, cli, run_grid
 from obgcs.cli import TABLES, main, parse_config
 
 
@@ -59,6 +59,25 @@ class TestExitCodes:
 
     def test_missing_file(self):
         assert main(["fit", "--in", "/nonexistent.csv"]) == 1
+
+    def test_calls_in_one_process_match_calls_alone(self, tmp_path, capsys):
+        # the parser is built once per process; no call may see another's state
+        cfg = write(tmp_path / "gen.cfg", "k = 3\nn = 12\nhidden_dims = 6\n")
+        calls = [["frobnicate"], ["fit"], ["--help"],
+                 ["synth-gen", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "g.bin")]]
+
+        def run(argv):
+            rc = main(argv)
+            out, err = capsys.readouterr()
+            return rc, out, err, (tmp_path / "g.bin").read_bytes() if argv[0] == "synth-gen" else b""
+
+        alone = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            alone.append(run(argv))
+        cli._build_parser.cache_clear()
+        assert [run(argv) for argv in calls] == alone
+        assert [r[0] for r in alone] == [1, 1, 0, 0]
 
 
 class TestSynthGen(object):

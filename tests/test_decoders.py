@@ -84,13 +84,30 @@ def reference_ls(obs, ens, net, cfg):
             trials)
 
 
-def parity_problem(m, seed, **cfg):
-    net = synth_generator(k=4, n=40, hidden_dims=[24], seed=seed)
+def parity_problem(m, seed, net=None, **cfg):
+    if net is None:
+        net = synth_generator(k=4, n=40, hidden_dims=[24], seed=seed)
     ens = sample_ensemble(m, CovarianceSpec.toeplitz(40, 0.3), 0.1, 0.97, seed=seed + 1)
     x_star = forward(net, np.random.default_rng(seed + 2).standard_normal(4))
     obs = observe(ens, x_star, seed=seed + 3)
     cfg = LsDecoderConfig(restarts=5, steps_per_restart=150, seed=seed + 4, **cfg)
     return obs, ens, net, cfg
+
+
+def sigmoid_sphere_net(seed):
+    """4 -> 16 -> 24 -> 40 with a final sigmoid and unit-norm output."""
+    return synth_generator(k=4, n=40, hidden_dims=[16, 24], seed=seed, unit_sphere=True,
+                           final_activation="sigmoid")
+
+
+def block_hidden_net(seed):
+    """4 -> 24 -> 24 -> 40 whose middle weight is three 8x8 diagonal blocks."""
+    rng = np.random.default_rng(seed)
+    weights = [rng.standard_normal((24, 4)) / 2.0,
+               rng.standard_normal((3, 8, 8)) / np.sqrt(8),
+               rng.standard_normal((40, 24)) / np.sqrt(24)]
+    biases = [0.1 * rng.standard_normal(d) for d in (24, 24, 40)]
+    return GeneratorNetwork([4, 24, 24, 40], weights, biases)
 
 
 def grid_cell(k, m, trial=0, base_seed=123):
@@ -314,6 +331,37 @@ class TestLsParity:
     @pytest.mark.parametrize("m,seed", [(10, 1), (25, 2), (40, 3)])
     def test_constrained_bitwise_equal_to_residual_form_when_m_le_n(self, m, seed, radius):
         obs, ens, net, cfg = parity_problem(m, seed, mode="constrained", radius=radius)
+        res = ls_decode(obs, ens, net, cfg)
+        x_ref, best_ref, trace_ref, *_ = reference_ls(obs, ens, net, cfg)
+        np.testing.assert_array_equal(res.x_hat, x_ref)
+        assert res.restart_index == best_ref
+        np.testing.assert_array_equal(res.loss_trace, trace_ref)
+
+    @pytest.mark.parametrize("constants", [
+        {"_MAX_BACKTRACKS": 0}, {"_MAX_BACKTRACKS": 1}, {"_MAX_BACKTRACKS": 2},
+        {"_MAX_BACKTRACKS": 3},
+        # a loose stop rule: restarts stop early beside others still searching
+        {"_MAX_BACKTRACKS": 0, "_FIRST_STEP": 1e-2, "_STOP_RTOL": 1e-2}])
+    @pytest.mark.parametrize("m,seed", [(10, 1), (25, 2), (40, 3)])
+    def test_bitwise_equal_to_residual_form_with_few_halvings(self, m, seed, constants,
+                                                              monkeypatch):
+        # with a cap of a few halvings, searches run out while other restarts
+        # go on, and a running search can meet the cap after others stopped
+        for name, value in constants.items():
+            monkeypatch.setattr(decoders, name, value)
+        obs, ens, net, cfg = parity_problem(m, seed)
+        res = ls_decode(obs, ens, net, cfg)
+        x_ref, best_ref, trace_ref, *_ = reference_ls(obs, ens, net, cfg)
+        np.testing.assert_array_equal(res.x_hat, x_ref)
+        assert res.restart_index == best_ref
+        np.testing.assert_array_equal(res.loss_trace, trace_ref)
+
+    @pytest.mark.parametrize("mode", ["lagrangian", "constrained"])
+    @pytest.mark.parametrize("make_net", [sigmoid_sphere_net, block_hidden_net])
+    @pytest.mark.parametrize("m,seed", [(10, 1), (25, 2), (40, 3)])
+    def test_other_nets_bitwise_equal_to_residual_form_when_m_le_n(self, m, seed, make_net,
+                                                                   mode):
+        obs, ens, net, cfg = parity_problem(m, seed, net=make_net(seed), mode=mode)
         res = ls_decode(obs, ens, net, cfg)
         x_ref, best_ref, trace_ref, *_ = reference_ls(obs, ens, net, cfg)
         np.testing.assert_array_equal(res.x_hat, x_ref)

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import obgcs
 from obgcs import (CellResult, ExperimentGrid, GeneratorNetwork, NotSpdError,
                    fit_scaling, flip_robustness_report, harness, read_csv,
                    run_grid, save_generator, write_csv)
@@ -52,6 +57,18 @@ class TestRunGrid:
         run_grid(tiny_grid(output_path=str(p1), workers=1))
         run_grid(tiny_grid(output_path=str(p2), workers=2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_import_loads_no_process_pool(self):
+        # only run_grid with workers > 1 needs the pool; importing the package
+        # or the CLI must not load concurrent.futures or multiprocessing
+        code = ("import sys, obgcs, obgcs.cli; print(sorted(name for name in "
+                "('concurrent.futures', 'multiprocessing') if name in sys.modules))")
+        src = str(Path(obgcs.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
