@@ -193,10 +193,12 @@ def read_csv(path):
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header}")
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             if not line.strip():
                 continue
             m, dec, trial, seed, l2, cos, pp, rt, conv = line.strip().split(",")
+            if conv not in ("true", "false"):
+                raise ValueError(f"{path}:{lineno}: converged must be true or false, got {conv!r}")
             out.append(CellResult(
                 m=int(m), decoder=dec, trial=int(trial), seed=int(seed),
                 l2_err=float(l2), cosine=float(cos), per_pixel=float(pp),

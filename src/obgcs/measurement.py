@@ -91,8 +91,8 @@ class MeasurementEnsemble:
         if self.A.shape[1] != self.cov.n:
             raise ShapeError(
                 f"matrix has {self.A.shape[1]} columns but covariance is {self.cov.n}-dimensional")
-        if self.sigma < 0:
-            raise ValueError("noise level must be nonnegative")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"noise level must be finite and nonnegative, got {self.sigma}")
         if not 0.0 <= self.q <= 1.0:
             raise ValueError("flip-keep probability must lie in [0, 1]")
 
@@ -185,8 +185,8 @@ def scaling_constant(sigma, q):
     """
     sigma = float(sigma)
     q = float(q)
-    if sigma < 0 or not 0.0 <= q <= 1.0:
-        raise ValueError("need sigma >= 0 and q in [0, 1]")
+    if not (0.0 <= sigma < math.inf and 0.0 <= q <= 1.0):
+        raise ValueError(f"need finite sigma >= 0 and q in [0, 1], got sigma={sigma}, q={q}")
     return (2.0 * q - 1.0) * math.sqrt(2.0 / (math.pi * (sigma * sigma + 1.0)))
 
 

@@ -11,21 +11,76 @@ Ensemble payload: the measurement matrix row-major (plus the explicit
 covariance matrix when the covariance kind is "explicit").
 Observation payload: y, x_star, eta, eps.
 
+Each kind's layout function is its single declaration: the parsed metadata
+fields and the ``(name, shape)`` of every block, in file order.
+
 Generators additionally round-trip through an equivalent JSON text form
 (handy for small nets); the loader sniffs the first byte.
 """
 
 import json
+import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, MalformedFileError, NonFiniteError
+from .errors import DimensionMismatchError, MalformedFileError, NonFiniteError, ObgcsError
+from .generator import GeneratorNetwork
+from .measurement import BinaryObservation, CovarianceSpec, MeasurementEnsemble
 
 GEN_MAGIC = b"OBGCS-GEN v1"
 ENS_MAGIC = b"OBGCS-ENS v1"
 OBS_MAGIC = b"OBGCS-OBS v1"
 
 _F8 = np.dtype("<f8")
+
+
+def _write(path, magic, meta, blocks):
+    """The magic line, the metadata line, then each array of ``blocks`` in
+    turn as raw little-endian float64."""
+    with open(path, "wb") as fh:
+        fh.write(magic + b"\n")
+        fh.write(json.dumps(meta, separators=(",", ":")).encode("utf-8") + b"\n")
+        for arr in blocks:
+            fh.write(np.ascontiguousarray(arr, dtype=_F8).tobytes())
+
+
+def _read(path, magic, layout, text_blocks=None):
+    """The fields and checked blocks of a container declared by ``layout``.
+    With ``text_blocks``, a file whose first byte is "{" is the kind's JSON
+    text twin, and ``text_blocks(doc, count)`` returns its blocks."""
+    with open(path, "rb") as fh:
+        text = text_blocks is not None and fh.peek(1)[:1] == b"{"
+        try:
+            if text:
+                meta = json.loads(fh.read())
+                _check_magic(meta.get("format"), magic.decode())
+            else:
+                _check_magic(_read_line(fh, "magic"), magic)
+                meta = json.loads(_read_line(fh, "metadata"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise MalformedFileError(f"unparseable JSON: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise MalformedFileError("metadata line is not a JSON object")
+        try:
+            fields, shapes = layout(meta)
+        except ObgcsError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedFileError(f"bad {magic.decode()} metadata: {exc!r}") from exc
+        if text:
+            arrays = text_blocks(meta, len(shapes))
+        else:
+            arrays = (_read_raw(fh, name, shape) for name, shape in shapes)
+        blocks = []
+        for (name, shape), arr in zip(shapes, arrays):
+            if arr.shape != shape:
+                raise DimensionMismatchError(f"{name}: shape {arr.shape} != {shape}")
+            if not np.all(np.isfinite(arr)):
+                raise NonFiniteError(f"non-finite entries in {name}")
+            blocks.append(arr)
+        if fh.read(1):
+            raise MalformedFileError("trailing bytes after declared payload")
+    return fields, blocks
 
 
 def _read_line(fh, what, cap=1 << 20):
@@ -35,32 +90,24 @@ def _read_line(fh, what, cap=1 << 20):
     return line[:-1]
 
 
-def _read_block(fh, count, what):
-    raw = fh.read(count * 8)
-    if len(raw) != count * 8:
-        raise MalformedFileError(f"truncated file: {what} expects {count} float64s")
-    arr = np.frombuffer(raw, dtype=_F8).astype(np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"non-finite entries in {what}")
-    return arr
-
-
-def _read_meta(fh, magic):
-    got = _read_line(fh, "magic")
+def _check_magic(got, magic):
     if got != magic:
         raise MalformedFileError(f"bad magic {got!r}, expected {magic!r}")
-    try:
-        meta = json.loads(_read_line(fh, "metadata").decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedFileError(f"unparseable metadata line: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise MalformedFileError("metadata line is not a JSON object")
-    return meta
 
 
-def _write_header(fh, magic, meta):
-    fh.write(magic + b"\n")
-    fh.write(json.dumps(meta, separators=(",", ":")).encode("utf-8") + b"\n")
+def _read_raw(fh, name, shape):
+    count = math.prod(shape)
+    raw = fh.read(count * 8)
+    if len(raw) != count * 8:
+        raise MalformedFileError(f"truncated file: {name} expects {count} float64s")
+    return np.frombuffer(raw, dtype=_F8).astype(np.float64).reshape(shape)
+
+
+def _m_n(meta):
+    m, n = int(meta["m"]), int(meta["n"])
+    if m < 1 or n < 1:
+        raise MalformedFileError(f"metadata sizes must be >= 1, got m={m}, n={n}")
+    return m, n
 
 
 # ---------------------------------------------------------------- generators
@@ -76,28 +123,29 @@ def save_generator(net, path):
         "activation": net.final_activation,
         "normalize_output": bool(net.normalize_output),
     }
-    if str(path).endswith(".json"):
-        # json.dump's layout for {"format": ..., **meta, "layers": [...]},
-        # written row by row
-        head = json.dumps({"format": GEN_MAGIC.decode(), **meta})
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(head[:-1] + ', "layers": [')
-            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                fh.write(', {"weights": ' if i else '{"weights": ')
-                sep = "["
-                for chunk in _dense_row_chunks(w):
-                    for row in chunk.tolist():
-                        fh.write(sep + json.dumps(row))
-                        sep = ", "
-                fh.write('], "bias": ' + json.dumps(b.tolist()) + "}")
-            fh.write("]}\n")
+    if not str(path).endswith(".json"):
+        _write(path, GEN_MAGIC, meta, _generator_blocks(net))
         return
-    with open(path, "wb") as fh:
-        _write_header(fh, GEN_MAGIC, meta)
-        for w, b in zip(net.weights, net.biases):
+    # json.dump's layout for {"format": ..., **meta, "layers": [...]},
+    # written row by row
+    head = json.dumps({"format": GEN_MAGIC.decode(), **meta})
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head[:-1] + ', "layers": [')
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            fh.write(', {"weights": ' if i else '{"weights": ')
+            sep = "["
             for chunk in _dense_row_chunks(w):
-                fh.write(np.ascontiguousarray(chunk, dtype=_F8).tobytes())
-            fh.write(np.ascontiguousarray(b, dtype=_F8).tobytes())
+                for row in chunk.tolist():
+                    fh.write(sep + json.dumps(row))
+                    sep = ", "
+            fh.write('], "bias": ' + json.dumps(b.tolist()) + "}")
+        fh.write("]}\n")
+
+
+def _generator_blocks(net):
+    for w, b in zip(net.weights, net.biases):
+        yield from _dense_row_chunks(w)
+        yield b
 
 
 def _dense_row_chunks(w):
@@ -114,72 +162,39 @@ def _dense_row_chunks(w):
         chunk[:, i * cols:(i + 1) * cols] = 0.0
 
 
-def load_generator(path):
-    from .generator import GeneratorNetwork
-
-    with open(path, "rb") as fh:
-        first = fh.read(1)
-        fh.seek(0)
-        if first == b"{":
-            return _load_generator_text(fh)
-        meta = _read_meta(fh, GEN_MAGIC)
-        dims, act, norm = _gen_meta_fields(meta)
-        weights, biases = [], []
-        for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
-            weights.append(_read_block(fh, din * dout, f"layer {i} weights").reshape(dout, din))
-            biases.append(_read_block(fh, dout, f"layer {i} bias"))
-        if fh.read(1):
-            raise MalformedFileError("trailing bytes after declared payload")
-    return GeneratorNetwork(dims, weights, biases, final_activation=act,
-                            normalize_output=norm)
-
-
-def _gen_meta_fields(meta):
-    try:
-        dims = [int(d) for d in meta["layer_dims"]]
-        act = str(meta.get("activation", "identity"))
-        norm = bool(meta.get("normalize_output", False))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedFileError(f"bad generator metadata: {exc}") from exc
+def _generator_layout(meta):
+    dims = [int(d) for d in meta["layer_dims"]]
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise DimensionMismatchError(f"invalid layer_dims {dims}")
-    return dims, act, norm
+    fields = (dims, str(meta.get("activation", "identity")),
+              bool(meta.get("normalize_output", False)))
+    shapes = []
+    for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
+        shapes += [(f"layer {i} weights", (dout, din)), (f"layer {i} bias", (dout,))]
+    return fields, shapes
 
 
-def _load_generator_text(fh):
-    from .generator import GeneratorNetwork
-
-    try:
-        doc = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedFileError(f"unparseable JSON generator: {exc}") from exc
-    if doc.get("format") != GEN_MAGIC.decode():
-        raise MalformedFileError(f"bad format tag {doc.get('format')!r}")
-    dims, act, norm = _gen_meta_fields(doc)
+def _generator_text_blocks(doc, count):
+    """Per layer of a JSON generator, its weights then its bias."""
     layers = doc.get("layers")
-    if not isinstance(layers, list) or len(layers) != len(dims) - 1:
-        raise DimensionMismatchError(
-            f"{len(dims) - 1} layers declared, {0 if not isinstance(layers, list) else len(layers)} provided")
-    weights, biases = [], []
+    if not isinstance(layers, list) or 2 * len(layers) != count:
+        raise DimensionMismatchError(f"'layers' must list the {count // 2} layers declared")
+    arrays = []
     for i, layer in enumerate(layers):
         if not isinstance(layer, dict):
             raise MalformedFileError(f"layer {i} is not a JSON object")
         try:
-            w = np.asarray(layer.get("weights"), dtype=np.float64)
-            b = np.asarray(layer.get("bias"), dtype=np.float64)
+            arrays += [np.asarray(layer.get(key), dtype=np.float64) for key in ("weights", "bias")]
         except (TypeError, ValueError) as exc:
             raise MalformedFileError(
                 f"layer {i}: weights and bias must be numeric arrays") from exc
-        if w.ndim != 2 or w.shape != (dims[i + 1], dims[i]):
-            raise DimensionMismatchError(
-                f"layer {i}: weights shape {w.shape} != {(dims[i + 1], dims[i])}")
-        if b.shape != (dims[i + 1],):
-            raise DimensionMismatchError(f"layer {i}: bias shape {b.shape}")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise NonFiniteError(f"layer {i}: non-finite entries")
-        weights.append(w)
-        biases.append(b)
-    return GeneratorNetwork(dims, weights, biases, final_activation=act,
+    return arrays
+
+
+def load_generator(path):
+    (dims, act, norm), blocks = _read(path, GEN_MAGIC, _generator_layout,
+                                      _generator_text_blocks)
+    return GeneratorNetwork(dims, blocks[0::2], blocks[1::2], final_activation=act,
                             normalize_output=norm)
 
 
@@ -192,66 +207,47 @@ def save_ensemble(ens, path):
         cov_meta["nu"] = cov.nu
     meta = {"m": ens.m, "n": ens.n, "sigma": ens.sigma, "q": ens.q,
             "seed": ens.seed, "cov": cov_meta}
-    with open(path, "wb") as fh:
-        _write_header(fh, ENS_MAGIC, meta)
-        fh.write(np.ascontiguousarray(ens.A, dtype=_F8).tobytes())
-        if cov.kind == "explicit":
-            fh.write(np.ascontiguousarray(cov.matrix, dtype=_F8).tobytes())
+    _write(path, ENS_MAGIC, meta, [ens.A] + ([cov.matrix] if cov.kind == "explicit" else []))
+
+
+def _ensemble_layout(meta):
+    m, n = _m_n(meta)
+    cov_meta = meta["cov"]
+    kind, cov_n = cov_meta["kind"], int(cov_meta["n"])
+    if cov_n != n:
+        raise DimensionMismatchError(f"covariance size cov.n={cov_n} != n={n}")
+    shapes = [("measurement matrix", (m, n))]
+    if kind == "identity":
+        cov = CovarianceSpec.identity(n)
+    elif kind == "toeplitz":
+        cov = CovarianceSpec.toeplitz(n, float(cov_meta["nu"]))
+    elif kind == "explicit":
+        cov = None  # built from its block
+        shapes.append(("covariance matrix", (n, n)))
+    else:
+        raise MalformedFileError(f"unknown covariance kind {kind!r}")
+    return (cov, float(meta["sigma"]), float(meta["q"]), int(meta["seed"])), shapes
 
 
 def load_ensemble(path):
-    from .measurement import CovarianceSpec, MeasurementEnsemble
-
-    with open(path, "rb") as fh:
-        meta = _read_meta(fh, ENS_MAGIC)
-        try:
-            m, n = int(meta["m"]), int(meta["n"])
-            sigma, q = float(meta["sigma"]), float(meta["q"])
-            seed = int(meta["seed"])
-            cov_meta = meta["cov"]
-            kind = cov_meta["kind"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedFileError(f"bad ensemble metadata: {exc}") from exc
-        A = _read_block(fh, m * n, "measurement matrix").reshape(m, n)
-        if kind == "identity":
-            cov = CovarianceSpec.identity(n)
-        elif kind == "toeplitz":
-            cov = CovarianceSpec.toeplitz(n, float(cov_meta["nu"]))
-        elif kind == "explicit":
-            sig = _read_block(fh, n * n, "covariance matrix").reshape(n, n)
-            cov = CovarianceSpec.explicit(sig)
-        else:
-            raise MalformedFileError(f"unknown covariance kind {kind!r}")
-        if fh.read(1):
-            raise MalformedFileError("trailing bytes after declared payload")
+    (cov, sigma, q, seed), (A, *cov_block) = _read(path, ENS_MAGIC, _ensemble_layout)
+    cov = cov or CovarianceSpec.explicit(*cov_block)
     return MeasurementEnsemble(A=A, cov=cov, sigma=sigma, q=q, seed=seed)
 
 
 # -------------------------------------------------------------- observations
 
 def save_observation(obs, path):
-    m = obs.y.shape[0]
-    n = obs.x_star.shape[0]
-    meta = {"m": m, "n": n}
-    with open(path, "wb") as fh:
-        _write_header(fh, OBS_MAGIC, meta)
-        for arr in (obs.y, obs.x_star, obs.eta, obs.eps):
-            fh.write(np.ascontiguousarray(arr, dtype=_F8).tobytes())
+    meta = {"m": obs.y.shape[0], "n": obs.x_star.shape[0]}
+    _write(path, OBS_MAGIC, meta, [obs.y, obs.x_star, obs.eta, obs.eps])
+
+
+def _observation_layout(meta):
+    m, n = _m_n(meta)
+    return None, [("signs", (m,)), ("ground truth", (n,)), ("flip pattern", (m,)),
+                  ("noise", (m,))]
 
 
 def load_observation(path):
-    from .measurement import BinaryObservation
-
-    with open(path, "rb") as fh:
-        meta = _read_meta(fh, OBS_MAGIC)
-        try:
-            m, n = int(meta["m"]), int(meta["n"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedFileError(f"bad observation metadata: {exc}") from exc
-        y = _read_block(fh, m, "signs")
-        x_star = _read_block(fh, n, "ground truth")
-        eta = _read_block(fh, m, "flip pattern")
-        eps = _read_block(fh, m, "noise")
-        if fh.read(1):
-            raise MalformedFileError("trailing bytes after declared payload")
-    return BinaryObservation(y=y, x_star=x_star, eta=eta, eps=eps)
+    _, blocks = _read(path, OBS_MAGIC, _observation_layout)
+    return BinaryObservation(*blocks)

@@ -314,6 +314,23 @@ class TestKeyTables:
                      "--quiet"]) == 1
         assert "error: layer 0" in capsys.readouterr().err
 
+    def test_decode_with_nan_noise_level_in_ensemble_file_exits_1(self, tmp_path, gen_file,
+                                                                   capsys):
+        # such a file used to load, and decode exited 0 with NaN errors
+        prefix = str(tmp_path / "meas")
+        mcfg = write(tmp_path / "m.cfg", f"gen = {gen_file}\nm = 30\n")
+        assert main(["measure", "--config", mcfg, "--out", prefix, "--quiet"]) == 0
+        ens = Path(prefix + ".ens.bin")
+        magic, meta, payload = ens.read_bytes().split(b"\n", 2)
+        meta = json.dumps({**json.loads(meta), "sigma": float("nan")}).encode()
+        ens.write_bytes(b"\n".join([magic, meta, payload]))
+        dcfg = write(tmp_path / "d.cfg", (f"gen = {gen_file}\nens = {prefix}.ens.bin\n"
+                                          f"obs = {prefix}.obs.bin\n"))
+        capsys.readouterr()
+        assert main(["decode", "--config", dcfg, "--out", str(tmp_path / "d.json"),
+                     "--quiet"]) == 1
+        assert "noise level must be finite" in capsys.readouterr().err
+
     def test_decode_with_overflowing_generator_exits_2(self, tmp_path, gen_file, capsys):
         prefix = str(tmp_path / "meas")
         mcfg = write(tmp_path / "m.cfg", f"gen = {gen_file}\nm = 30\n")

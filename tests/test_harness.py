@@ -196,6 +196,15 @@ class TestFlipReport:
 
 
 class TestCsvFormat:
+    @pytest.mark.parametrize("value", ["True", "yes", "1", ""])
+    def test_converged_must_be_true_or_false(self, tmp_path, value):
+        # anything but "true" used to read as False and drop the row from fit_scaling
+        path = tmp_path / "r.csv"
+        path.write_text(f"{CSV_HEADER}\n10,ls,0,1,0.5,0.9,0.1,0,false\n"
+                        f"10,ls,1,2,0.5,0.9,0.1,0,{value}\n")
+        with pytest.raises(ValueError, match=rf"r\.csv:3: converged must be true or false"):
+            read_csv(path)
+
     def test_seventeen_digit_floats(self, tmp_path):
         rows = [CellResult(m=10, decoder="ls", trial=0, seed=1,
                            l2_err=1 / 3, cosine=2 / 3, per_pixel=1 / 30,

@@ -63,6 +63,12 @@ class TestSampleEnsemble:
         with pytest.raises(ValueError):
             sample_ensemble(0, CovarianceSpec.identity(3), 0.0, 1.0, seed=0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.1])
+    def test_noise_level_finite_and_nonnegative(self, sigma):
+        # a NaN sigma used to give all -1 signs from observe
+        with pytest.raises(ValueError, match="noise level must be finite and nonnegative"):
+            sample_ensemble(10, CovarianceSpec.identity(5), sigma, 0.97, seed=1)
+
     @staticmethod
     def _draw(m, n, seed):
         rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, 0]))
@@ -175,9 +181,11 @@ class TestScalingConstant:
     def test_sign_follows_q_side(self):
         assert scaling_constant(0.0, 0.2) < 0
 
-    def test_domain(self):
+    @pytest.mark.parametrize("sigma, q", [(-0.1, 0.9), (math.nan, 0.9), (math.inf, 0.9),
+                                          (0.1, math.nan)])
+    def test_domain(self, sigma, q):
         with pytest.raises(ValueError):
-            scaling_constant(-0.1, 0.9)
+            scaling_constant(sigma, q)
 
 
 class TestSigmaNorm:

@@ -1,0 +1,125 @@
+"""Container files of every kind: malformed input, metadata checks, and
+save -> load -> save byte identity."""
+
+import json
+
+import numpy as np
+import pytest
+
+from obgcs import (CovarianceSpec, DimensionMismatchError, GeneratorNetwork, MalformedFileError,
+                   NonFiniteError, load_ensemble, load_generator, load_observation, observe,
+                   sample_ensemble, save_ensemble, save_generator, save_observation,
+                   synth_generator)
+
+
+def dense_net():
+    return synth_generator(k=3, n=8, hidden_dims=[5, 6], seed=2, unit_sphere=True)
+
+
+def block_net():
+    """A net whose hidden weight is a (3, 4, 2) block-diagonal stack."""
+    rng = np.random.default_rng(5)
+    return GeneratorNetwork(
+        [2, 6, 12, 3],
+        [rng.standard_normal((6, 2)), rng.standard_normal((3, 4, 2)),
+         rng.standard_normal((3, 12))],
+        [rng.standard_normal(6), rng.standard_normal(12), rng.standard_normal(3)],
+        final_activation="sigmoid", normalize_output=True)
+
+
+def ensemble(cov):
+    return sample_ensemble(7, cov, 0.1, 0.97, seed=3)
+
+
+def observation():
+    ens = ensemble(CovarianceSpec.identity(4))
+    return observe(ens, np.random.default_rng(3).standard_normal(4), seed=4)
+
+
+KINDS = {
+    "generator": (save_generator, load_generator, dense_net),
+    "ensemble": (save_ensemble, load_ensemble,
+                 lambda: ensemble(CovarianceSpec.explicit([[2.0, 0.5], [0.5, 1.0]]))),
+    "observation": (save_observation, load_observation, observation),
+}
+
+
+def saved(tmp_path, kind):
+    save, _, make = KINDS[kind]
+    path = tmp_path / f"{kind}.bin"
+    save(make(), path)
+    return path
+
+
+def edit_meta(path, change):
+    """Rewrite a container's metadata line through ``change(meta)``."""
+    magic, meta, payload = path.read_bytes().split(b"\n", 2)
+    meta = json.loads(meta)
+    change(meta)
+    path.write_bytes(b"\n".join([magic, json.dumps(meta).encode(), payload]))
+
+
+class TestMalformed:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("fault, corrupt", [
+        ("truncated file", lambda data: data[:-8]),
+        ("trailing bytes", lambda data: data + b"\0"),
+        ("bad magic", lambda data: b"OBGCS-XYZ v1" + data[data.index(b"\n"):]),
+        ("metadata line is not a JSON object",
+         lambda data: data.replace(data.split(b"\n")[1], b"[1, 2]", 1)),
+    ], ids=["truncated", "trailing", "magic", "meta-not-object"])
+    def test_rejected_with_named_fault(self, tmp_path, kind, fault, corrupt):
+        path = saved(tmp_path, kind)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(MalformedFileError, match=fault):
+            KINDS[kind][1](path)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_non_finite_block_is_named(self, tmp_path, kind):
+        path = saved(tmp_path, kind)
+        data = bytearray(path.read_bytes())
+        data[-8:] = np.array([np.nan]).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(NonFiniteError, match="non-finite entries in"):
+            KINDS[kind][1](path)
+
+    def test_toeplitz_without_nu(self, tmp_path):
+        path = tmp_path / "e.bin"
+        save_ensemble(ensemble(CovarianceSpec.toeplitz(4, 0.3)), path)
+        edit_meta(path, lambda meta: meta["cov"].pop("nu"))
+        with pytest.raises(MalformedFileError, match="'nu'"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("kind", ["ensemble", "observation"])
+    @pytest.mark.parametrize("field", ["m", "n"])
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_size_below_one(self, tmp_path, kind, field, size):
+        path = saved(tmp_path, kind)
+        edit_meta(path, lambda meta: meta.update({field: size}))
+        with pytest.raises(MalformedFileError, match=f"{field}={size}"):
+            KINDS[kind][1](path)
+
+    def test_covariance_size_must_match_n(self, tmp_path):
+        path = tmp_path / "e.bin"
+        save_ensemble(ensemble(CovarianceSpec.identity(4)), path)
+        edit_meta(path, lambda meta: meta["cov"].update(n=3))
+        with pytest.raises(DimensionMismatchError, match=r"cov\.n=3 != n=4"):
+            load_ensemble(path)
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("kind, suffix, make", [
+        ("generator", ".bin", dense_net), ("generator", ".json", dense_net),
+        ("generator", ".bin", block_net), ("generator", ".json", block_net),
+        ("ensemble", ".bin", lambda: ensemble(CovarianceSpec.identity(4))),
+        ("ensemble", ".bin", lambda: ensemble(CovarianceSpec.toeplitz(4, 0.3))),
+        ("ensemble", ".bin", KINDS["ensemble"][2]),
+        ("observation", ".bin", observation),
+    ], ids=["dense-bin", "dense-json", "block-bin", "block-json", "identity", "toeplitz",
+            "explicit", "observation"])
+    def test_save_load_save(self, tmp_path, kind, suffix, make):
+        save, load, _ = KINDS[kind]
+        first, second = tmp_path / f"a{suffix}", tmp_path / f"b{suffix}"
+        save(make(), first)
+        save(load(first), second)
+        assert first.read_bytes() == second.read_bytes()
