@@ -29,7 +29,6 @@ from .serialization import (load_ensemble, load_generator, load_observation,
                             save_ensemble, save_generator, save_observation)
 from .theory import (EpsNet, MeanWidthEstimate, SrecReport, build_eps_net,
                      check_jl, check_srec, concentration_diagnostics,
-                     default_gamma_scale, estimate_local_mean_width,
-                     mean_width_of_directions)
+                     estimate_local_mean_width, mean_width_of_directions)
 
 __version__ = "0.1.0"

@@ -4,9 +4,9 @@ Subcommands: synth-gen, measure, decode, grid, fit, validate, memorize.
 Every subcommand accepts --seed, --config <file>, --out <path>, and --quiet.
 Configs are flat key=value text files ('#' starts a comment). ``TABLES``
 names every key each subcommand accepts (per decoder for decode, per check
-for validate) with its type; a key outside the table or of the wrong type
-is a usage error. Exit codes: 0 success, 1 usage or input error, 2
-numerical failure.
+for validate) with its kind, and a value's text is read by that kind alone;
+a key outside the table or text its kind cannot read is a usage error.
+Exit codes: 0 success, 1 usage or input error, 2 numerical failure.
 """
 
 import argparse
@@ -28,7 +28,7 @@ from .util import derive_seed, dumps17, rng_for
 
 _REQUIRED = object()
 
-# key: (type,) or (type, default), a default only where the callee has none:
+# key: (kind,) or (kind, default), a default only where the callee has none:
 # a key the config does not set is not passed on, so the callee's applies.
 _GEN = {"k": ("count", 5), "n": ("count", 100), "hidden_dims": ("counts",),
         "scale": ("float",), "unit_sphere": ("bool",)}
@@ -66,11 +66,13 @@ TABLES = {
 # a file key and the keys it replaces; setting both is a usage error
 _ALTERNATIVES = {"grid": ("gen", (*_GEN, "gen_seed")), "memorize": ("targets", ("s", "n"))}
 
-_TYPES = {"int": (lambda v: type(v) is int, "an integer"),
-          "count": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
-          "float": (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number"),
-          "bool": (lambda v: type(v) is bool, "true or false"),
-          "str": (lambda v: type(v) is str, "a string")}
+_BOOL_WORDS = {"true": True, "yes": True, "on": True, "false": False, "no": False, "off": False}
+# kind: (read the text, accept what was read, what the text must be)
+_KINDS = {"int": (int, lambda v: True, "an integer"),
+          "count": (int, lambda v: v >= 1, "an integer >= 1"),
+          "float": (float, math.isfinite, "a finite number"),
+          "bool": (lambda text: _BOOL_WORDS[text.lower()], lambda v: True, "true or false"),
+          "str": (str, lambda v: True, "a string")}
 
 
 class _UsageError(Exception):
@@ -83,7 +85,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_config(path):
-    """Flat key=value config file; values auto-typed (int/float/bool/list/str)."""
+    """Flat key=value config file, as {key: the value's text}."""
     cfg = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -95,35 +97,23 @@ def parse_config(path):
             key, val = (part.strip() for part in line.split("=", 1))
             if key in cfg:
                 raise ValueError(f"{path}:{lineno}: key {key!r} is given twice")
-            cfg[key] = _auto_type(val)
+            cfg[key] = val
     return cfg
 
 
-def _auto_type(val):
-    if "," in val:
-        return [_auto_type(v.strip()) for v in val.split(",") if v.strip()]
-    low = val.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    for cast in (int, float):
-        try:
-            return cast(val)
-        except ValueError:
-            pass
-    return val
-
-
-def _typed(value, kind, name):
-    """``value`` checked as ``kind``; "counts"/"strs" take a list, one value or nothing."""
+def _typed(text, kind, name):
+    """``text`` read as ``kind``; "counts"/"strs" split it on commas, skipping empty items."""
     if kind.endswith("s"):
-        items = value if isinstance(value, list) else [] if value == "" else [value]
-        return [_typed(v, kind[:-1], name) for v in items]
-    ok, desc = _TYPES[kind]
-    if not ok(value):
-        raise _UsageError(f"{name} must be {desc}, got {value!r}")
-    return float(value) if kind == "float" else value
+        items = (item.strip() for item in text.split(","))
+        return [_typed(item, kind[:-1], name) for item in items if item]
+    read, ok, desc = _KINDS[kind]
+    try:
+        value = read(text)
+        if ok(value):
+            return value
+    except (KeyError, ValueError):
+        pass
+    raise _UsageError(f"{name} must be {desc}, got {text!r}")
 
 
 def _settings(args):
@@ -134,7 +124,7 @@ def _settings(args):
     if label == "validate":
         label += " " + args.check
     elif label == "decode":
-        label += " " + str(given.setdefault("decoder", "ls"))
+        label += " " + given.setdefault("decoder", "ls")
         if label not in TABLES:
             raise _UsageError(f"unknown decoder {given['decoder']!r}")
     table = TABLES[label]
@@ -146,7 +136,7 @@ def _settings(args):
         if key not in table:
             raise _UsageError(f"{name[key]} is not accepted by {label} "
                               f"(accepted: {', '.join(table)})")
-    given = {key: _typed(value, table[key][0], name[key]) for key, value in given.items()}
+    given = {key: _typed(text, table[key][0], name[key]) for key, text in given.items()}
     file_key, replaced = _ALTERNATIVES.get(label, (None, ()))
     clash = [key for key in replaced if key in given]
     if file_key in given and clash:
@@ -339,17 +329,17 @@ def _build_parser():
         ("measure", _cmd_measure, ()),
         ("decode", _cmd_decode, ()),
         ("grid", _cmd_grid, ()),
-        ("fit", _cmd_fit, (("in", str), ("decoder", str))),
-        ("validate", _cmd_validate, (("m", int), ("k", int), ("runs", int))),
+        ("fit", _cmd_fit, ("in", "decoder")),
+        ("validate", _cmd_validate, ("m", "k", "runs")),
         ("memorize", _cmd_memorize, ()),
     ):
         p = sub.add_parser(name)
         common(p)
         if name == "validate":
             p.add_argument("check", choices=[key[9:] for key in TABLES if key[:9] == "validate "])
-        for flag, kind in flags:
-            p.add_argument(f"--{flag}", dest=flag, type=kind, default=None)
-        p.set_defaults(func=fn, flags=[flag for flag, _ in flags])
+        for flag in flags:  # read by the table's kind, as a config key is
+            p.add_argument(f"--{flag}", dest=flag, default=None)
+        p.set_defaults(func=fn, flags=flags)
     return parser
 
 

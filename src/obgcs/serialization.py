@@ -20,6 +20,7 @@ Generators additionally round-trip through an equivalent JSON text form
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -32,6 +33,7 @@ ENS_MAGIC = b"OBGCS-ENS v1"
 OBS_MAGIC = b"OBGCS-OBS v1"
 
 _F8 = np.dtype("<f8")
+_NUMBER = (int, float)
 
 
 def _write(path, magic, meta, blocks):
@@ -65,7 +67,7 @@ def _read(path, magic, layout, text_blocks=None):
             fields, shapes = layout(meta)
         except ObgcsError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedFileError(f"bad {magic.decode()} metadata: {exc!r}") from exc
         if text:
             arrays = text_blocks(meta, len(shapes))
@@ -96,15 +98,26 @@ def _check_magic(got, magic):
 
 
 def _read_raw(fh, name, shape):
+    """The next block, read only once the file is known to hold it, so a
+    declared size is never allocated first."""
     count = math.prod(shape)
-    raw = fh.read(count * 8)
-    if len(raw) != count * 8:
+    if count * 8 > os.fstat(fh.fileno()).st_size - fh.tell():
         raise MalformedFileError(f"truncated file: {name} expects {count} float64s")
-    return np.frombuffer(raw, dtype=_F8).astype(np.float64).reshape(shape)
+    return np.frombuffer(fh.read(count * 8), dtype=_F8).astype(np.float64).reshape(shape)
+
+
+def _exact(meta, key, types, default=None):
+    """``meta[key]`` (``default`` if given and the key is absent), which must
+    be of one of ``types`` exactly: JSON's true is not an int, 7.9 not a size."""
+    value = meta[key] if default is None else meta.get(key, default)
+    if type(value) not in types:
+        names = " or ".join(t.__name__ for t in types)
+        raise MalformedFileError(f"metadata {key!r} must be {names}, got {value!r}")
+    return value
 
 
 def _m_n(meta):
-    m, n = int(meta["m"]), int(meta["n"])
+    m, n = _exact(meta, "m", (int,)), _exact(meta, "n", (int,))
     if m < 1 or n < 1:
         raise MalformedFileError(f"metadata sizes must be >= 1, got m={m}, n={n}")
     return m, n
@@ -163,11 +176,13 @@ def _dense_row_chunks(w):
 
 
 def _generator_layout(meta):
-    dims = [int(d) for d in meta["layer_dims"]]
+    dims = _exact(meta, "layer_dims", (list,))
+    if any(type(d) is not int for d in dims):
+        raise MalformedFileError(f"metadata 'layer_dims' must hold ints, got {dims!r}")
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise DimensionMismatchError(f"invalid layer_dims {dims}")
-    fields = (dims, str(meta.get("activation", "identity")),
-              bool(meta.get("normalize_output", False)))
+    fields = (dims, _exact(meta, "activation", (str,), "identity"),
+              _exact(meta, "normalize_output", (bool,), False))
     shapes = []
     for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
         shapes += [(f"layer {i} weights", (dout, din)), (f"layer {i} bias", (dout,))]
@@ -213,20 +228,21 @@ def save_ensemble(ens, path):
 def _ensemble_layout(meta):
     m, n = _m_n(meta)
     cov_meta = meta["cov"]
-    kind, cov_n = cov_meta["kind"], int(cov_meta["n"])
+    kind, cov_n = cov_meta["kind"], _exact(cov_meta, "n", (int,))
     if cov_n != n:
         raise DimensionMismatchError(f"covariance size cov.n={cov_n} != n={n}")
     shapes = [("measurement matrix", (m, n))]
     if kind == "identity":
         cov = CovarianceSpec.identity(n)
     elif kind == "toeplitz":
-        cov = CovarianceSpec.toeplitz(n, float(cov_meta["nu"]))
+        cov = CovarianceSpec.toeplitz(n, float(_exact(cov_meta, "nu", _NUMBER)))
     elif kind == "explicit":
         cov = None  # built from its block
         shapes.append(("covariance matrix", (n, n)))
     else:
         raise MalformedFileError(f"unknown covariance kind {kind!r}")
-    return (cov, float(meta["sigma"]), float(meta["q"]), int(meta["seed"])), shapes
+    return (cov, float(_exact(meta, "sigma", _NUMBER)), float(_exact(meta, "q", _NUMBER)),
+            _exact(meta, "seed", (int,))), shapes
 
 
 def load_ensemble(path):

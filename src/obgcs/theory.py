@@ -1,9 +1,10 @@
 """Empirical validators for the analysis machinery behind the decoder.
 
 Everything here is a seeded Monte-Carlo check, not a proof: covering nets
-with certified coverage, restricted-eigenvalue sampling over generator
-images, random-projection distortion tests, Gaussian mean-width estimation,
-and concentration diagnostics for the empirical covariance.
+(proven for the k <= 8 lattice, sampled for the random net above it),
+restricted-eigenvalue sampling over generator images, random-projection
+distortion tests, Gaussian mean-width estimation, and concentration
+diagnostics for the empirical covariance.
 """
 
 import math
@@ -13,16 +14,16 @@ import numpy as np
 
 from .errors import CapacityError, DegenerateConeError, NotSpdError, ShapeError
 from .generator import forward, forward_batch, lipschitz_upper_bound
-from .util import compensated_mean
 
 _LATTICE_BUDGET = 2_000_000
 _CHUNK_ENTRIES = 1 << 16  # entries of one _min_dists product (512 KB; 2 MB timed slower)
 _PRUNE_BLOCK = 32  # candidates _greedy_prune decides together
+_CHECK_SAMPLES = 10_000  # uniform ball points a coverage check measures
 
 
 @dataclass
 class EpsNet:
-    """Finite subset of the radius-r ball covering it to within epsilon."""
+    """Finite subset of the radius-r ball meant to cover it to within epsilon."""
 
     points: np.ndarray
     epsilon: float
@@ -39,11 +40,11 @@ class EpsNet:
     def __len__(self):
         return self.points.shape[0]
 
-    def covering_radius_sampled(self, num_samples=10_000, seed=0):
-        """Max distance from random ball points to the net (sampled); +inf for
-        an empty net, which covers nothing."""
+    def covering_radius_sampled(self, seed=0):
+        """Max distance from _CHECK_SAMPLES random ball points to the net; +inf
+        for an empty net, which covers nothing."""
         rng = np.random.default_rng(seed)
-        test = _uniform_ball(rng, num_samples, self.points.shape[1], self.r)
+        test = _uniform_ball(rng, _CHECK_SAMPLES, self.points.shape[1], self.r)
         return float(_min_dists(test, self.points).max(initial=0.0))
 
 
@@ -84,9 +85,8 @@ def _lattice_points(k, pitch, radius):
         counts = np.where(budget >= 0, 2 * top + 1, 0)
         total = int(counts.sum())
         if total > _LATTICE_BUDGET:
-            raise CapacityError(
-                "lattice enumeration exceeds the point budget; "
-                "use method='random' instead")
+            raise CapacityError(f"the k={k} lattice of pitch {pitch:.3g} exceeds "
+                                f"{_LATTICE_BUDGET} points; use a larger epsilon")
         first = np.repeat(np.cumsum(counts) - counts + top, counts)
         coord = (np.arange(total) - first) * pitch
         pts = np.hstack([np.repeat(pts, counts, axis=0), coord[:, None]])
@@ -94,20 +94,20 @@ def _lattice_points(k, pitch, radius):
     return pts
 
 
-def build_eps_net(k, r, epsilon, method="auto", seed=0):
-    """Construct an epsilon-net of the radius-r ball in R^k.
+def build_eps_net(k, r, epsilon):
+    """An epsilon-net of the radius-r ball in R^k: a lattice net for k <= 8, a
+    random net above that.
 
-    The lattice construction (k <= 8) lays down an axis-aligned grid of pitch
-    epsilon/sqrt(k), whose cells have half-diagonal epsilon/2, intersects it
-    with the slightly enlarged ball, projects everything back into the ball
-    (projection onto a convex set can only shrink distances to interior
-    points), and prunes points lying within epsilon/2 of an earlier survivor.
-    Both halves of the argument leave total coverage at epsilon.
+    Only the lattice net is an epsilon-net by construction. It lays down an
+    axis-aligned grid of pitch epsilon/sqrt(k), whose cells have half-diagonal
+    epsilon/2, intersects it with the slightly enlarged ball, projects
+    everything back into the ball (projection onto a convex set can only
+    shrink distances to interior points), and prunes points lying within
+    epsilon/2 of an earlier survivor. Both halves of the argument leave total
+    coverage at epsilon.
 
-    For larger k the lattice blows up, so a random construction draws uniform
-    candidates, keeps a greedy spread-out subset, and then certifies coverage
-    on fresh samples, topping up with any uncovered sample until the
-    certification passes.
+    For larger k the lattice blows up, so ``_random_net`` is used; its
+    coverage is checked on random samples, not proven.
     """
     k = int(k)
     r = float(r)
@@ -116,23 +116,14 @@ def build_eps_net(k, r, epsilon, method="auto", seed=0):
         raise ValueError("need k >= 1 and r > 0")
     if not 0 < epsilon <= 2 * r:
         raise ValueError("need 0 < epsilon <= 2r")
-    if method == "auto":
-        method = "lattice" if k <= 8 else "random"
-    if method == "lattice":
-        if k > 8:
-            raise CapacityError(
-                f"lattice construction supports k <= 8 (got k={k}); "
-                "use method='random' instead")
-        pitch = epsilon / math.sqrt(k)
-        pts = _lattice_points(k, pitch, r + 0.5 * epsilon)
-        norms = np.linalg.norm(pts, axis=1)
-        outside = norms > r
-        pts[outside] *= (r / norms[outside])[:, None]
-        kept = _greedy_prune(pts, 0.5 * epsilon)
-        return EpsNet(points=kept, epsilon=epsilon, r=r)
-    if method == "random":
-        return _random_net(k, r, epsilon, seed)
-    raise ValueError(f"unknown method {method!r}")
+    if k > 8:
+        return _random_net(k, r, epsilon)
+    pitch = epsilon / math.sqrt(k)
+    pts = _lattice_points(k, pitch, r + 0.5 * epsilon)
+    norms = np.linalg.norm(pts, axis=1)
+    outside = norms > r
+    pts[outside] *= (r / norms[outside])[:, None]
+    return EpsNet(points=_greedy_prune(pts, 0.5 * epsilon), epsilon=epsilon, r=r)
 
 
 def _greedy_prune(points, min_sep):
@@ -168,17 +159,21 @@ def _greedy_prune(points, min_sep):
     return kept
 
 
-def _random_net(k, r, epsilon, seed):
-    rng = np.random.default_rng(seed)
+def _random_net(k, r, epsilon):
+    """A greedy spread-out subset of uniform candidates (seed 0), topped up
+    with every point of a fresh _CHECK_SAMPLES-point sample it misses until a
+    sample finds none. That is a sampled check of coverage, not a proof: a
+    point no sample hit may still lie farther than epsilon from the net."""
+    rng = np.random.default_rng(0)
     candidates = _uniform_ball(rng, max(4000, 200 * k), k, r)
     kept = _greedy_prune(candidates, 0.5 * epsilon)
     for _ in range(50):
-        test = _uniform_ball(rng, 10_000, k, r)
+        test = _uniform_ball(rng, _CHECK_SAMPLES, k, r)
         bad = _min_dists(test, kept) > epsilon * 0.999
         if not np.any(bad):
             return EpsNet(points=kept, epsilon=epsilon, r=r)
         kept = np.vstack([kept, test[bad]])
-    raise CapacityError("random net failed coverage certification")
+    raise CapacityError("random net failed its sampled coverage check")
 
 
 @dataclass
@@ -278,8 +273,10 @@ def mean_width_of_directions(directions, num_gaussians, seed):
     D = np.asarray(directions, dtype=np.float64)
     if D.ndim != 2 or D.shape[0] < 1:
         raise DegenerateConeError("direction set is empty")
-    rng = np.random.default_rng(seed)
     num = int(num_gaussians)
+    if num < 1:
+        raise ValueError("need num_gaussians >= 1")
+    rng = np.random.default_rng(seed)
     maxima = []
     block = max(1, min(num, 20_000_000 // max(D.size, 1)))
     done = 0
@@ -288,7 +285,7 @@ def mean_width_of_directions(directions, num_gaussians, seed):
         G = rng.standard_normal((take, D.shape[1]))
         maxima.extend((G @ D.T).max(axis=1).tolist())
         done += take
-    omega = compensated_mean(maxima)
+    omega = math.fsum(maxima) / len(maxima)
     var = math.fsum((v - omega) ** 2 for v in maxima) / max(len(maxima) - 1, 1)
     bound = math.sqrt(2.0 * math.log(max(D.shape[0], 2)))
     return MeanWidthEstimate(omega_hat=float(omega),
@@ -330,14 +327,6 @@ def estimate_local_mean_width(net, z_bar, gamma_scale, num_gaussians,
                              gaussians_used=est.gaussians_used,
                              net_size=len(u_net), gamma_scale=float(gamma_scale),
                              theoretical_bound=float(bound))
-
-
-def default_gamma_scale(tau, k, m, lipschitz, r, n):
-    """Documented default for the cone threshold:
-    max(tau, (k/m) log(L r n / k) + sqrt(log(n) / m))."""
-    return max(float(tau),
-               (k / m) * math.log(max(lipschitz * r * n / k, math.e))
-               + math.sqrt(math.log(max(n, 2)) / m))
 
 
 def concentration_diagnostics(ens, obs):

@@ -1,6 +1,4 @@
-"""Small numeric helpers: seed derivation, float formatting, exact means."""
-
-import math
+"""Small numeric helpers: seed derivation and float formatting."""
 
 import numpy as np
 
@@ -44,10 +42,3 @@ def dumps17(obj):
         return fmt17(obj)
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
-
-def compensated_mean(values):
-    """Mean via exact compensated summation (order-independent to ~1 ulp)."""
-    values = list(map(float, values))
-    if not values:
-        raise ValueError("mean of empty sequence")
-    return math.fsum(values) / len(values)

@@ -25,11 +25,18 @@ def gen_file(tmp_path):
 
 class TestConfigParser:
     def test_types(self, tmp_path):
-        cfg = parse_config(write(tmp_path / "c.cfg", (
-            "ints = 1, 2, 3\nname = hello\nflag = true\nx = 0.5\n"
-            "# comment line\nn = 10  # trailing comment\n")))
-        assert cfg == {"ints": [1, 2, 3], "name": "hello", "flag": True,
-                       "x": 0.5, "n": 10}
+        # parse_config keeps each value's text; _settings reads it by the key's kind
+        path = write(tmp_path / "c.cfg", (
+            "m_values = 100, 200,\ndecoders = ls\nrecord_runtime = yes\nsigma = 1\n"
+            "# comment line\ntrials = 10  # trailing comment\ngen_seed = -4\n"))
+        text = parse_config(path)
+        assert text == {"m_values": "100, 200,", "decoders": "ls", "record_runtime": "yes",
+                        "sigma": "1", "trials": "10", "gen_seed": "-4"}
+        cfg = cli._settings(cli._build_parser().parse_args(["grid", "--config", path]))
+        typed = {key: cfg[key] for key in text}
+        assert typed == {"m_values": [100, 200], "decoders": ["ls"], "record_runtime": True,
+                         "sigma": 1.0, "trials": 10, "gen_seed": -4}
+        assert type(typed["sigma"]) is float and type(typed["trials"]) is int
 
     def test_rejects_garbage(self, tmp_path):
         with pytest.raises(ValueError):
@@ -225,6 +232,14 @@ class TestMemorize:
         assert flat["targets"] == nested["targets"] == [1, 3]
         assert flat["max_anchor_l2_error"] == nested["max_anchor_l2_error"] <= 0.25
 
+    def test_str_key_keeps_text_that_looks_like_a_number(self, tmp_path, monkeypatch, capsys):
+        # "7" used to be read as the integer 7, which the str key then rejected
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "7").write_text(json.dumps([[0.25, 0.5]]))
+        cfg = write(tmp_path / "m.cfg", "targets = 7\ntau = 0.5\n")
+        assert main(["memorize", "--config", cfg, "--out", "mem.bin", "--quiet"]) == 0
+        assert json.loads(capsys.readouterr().out.strip())["targets"] == [1, 2]
+
     def test_empty_targets_file_is_a_shape_error(self, tmp_path, capsys):
         tfile = tmp_path / "empty.json"
         tfile.write_text("[]")
@@ -260,6 +275,16 @@ class TestKeyTables:
     def test_flag_below_one_exits_1(self, capsys, flags):
         assert main(["validate", "epsnet" if flags[0] == "--k" else "srec"] + flags) == 1
         assert flags[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--m", "abc"], ["--k", "2.5"], ["--runs", "true"]])
+    def test_flag_read_by_its_kind(self, capsys, flags):
+        assert main(["validate", "epsnet" if flags[0] == "--k" else "srec"] + flags) == 1
+        assert f"{flags[0]} must be an integer >= 1, got {flags[1]!r}" in capsys.readouterr().err
+
+    def test_str_key_keeps_text_that_looks_like_a_list(self, tmp_path, capsys):
+        cfg = write(tmp_path / "d.cfg", "gen = a,b.bin\nens = e.bin\nobs = o.bin\n")
+        assert main(["decode", "--config", cfg, "--out", str(tmp_path / "d.json")]) == 1
+        assert "No such file or directory: 'a,b.bin'" in capsys.readouterr().err
 
     def test_flag_not_used_by_check_rejected(self, capsys):
         assert main(["validate", "epsnet", "--runs", "3"]) == 1
@@ -330,6 +355,23 @@ class TestKeyTables:
         assert main(["decode", "--config", dcfg, "--out", str(tmp_path / "d.json"),
                      "--quiet"]) == 1
         assert "noise level must be finite" in capsys.readouterr().err
+
+    def test_decode_with_oversized_observation_exits_1(self, tmp_path, gen_file, capsys):
+        # m = 10^12 over a short payload: its 8 TB used to be read before its
+        # size was checked, and decode died with a MemoryError traceback
+        prefix = str(tmp_path / "meas")
+        mcfg = write(tmp_path / "m.cfg", f"gen = {gen_file}\nm = 30\n")
+        assert main(["measure", "--config", mcfg, "--out", prefix, "--quiet"]) == 0
+        obs = Path(prefix + ".obs.bin")
+        magic, meta, payload = obs.read_bytes().split(b"\n", 2)
+        meta = json.dumps({**json.loads(meta), "m": 10 ** 12}).encode()
+        obs.write_bytes(b"\n".join([magic, meta, payload]))
+        dcfg = write(tmp_path / "d.cfg", (f"gen = {gen_file}\nens = {prefix}.ens.bin\n"
+                                          f"obs = {prefix}.obs.bin\n"))
+        capsys.readouterr()
+        assert main(["decode", "--config", dcfg, "--out", str(tmp_path / "d.json"),
+                     "--quiet"]) == 1
+        assert "error: truncated file: signs expects" in capsys.readouterr().err
 
     def test_decode_with_overflowing_generator_exits_2(self, tmp_path, gen_file, capsys):
         prefix = str(tmp_path / "meas")

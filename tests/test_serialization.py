@@ -99,6 +99,59 @@ class TestMalformed:
         with pytest.raises(MalformedFileError, match=f"{field}={size}"):
             KINDS[kind][1](path)
 
+    @pytest.mark.parametrize("kind, change", [
+        ("generator", lambda meta: meta.update(layer_dims=[10 ** 6, 10 ** 6])),
+        ("ensemble", lambda meta: meta.update(m=10 ** 12)),
+        ("observation", lambda meta: meta.update(m=10 ** 12)),
+    ], ids=["generator", "ensemble", "observation"])
+    def test_declared_payload_larger_than_file(self, tmp_path, kind, change):
+        # the declared bytes used to be read first: 8 TB ended in a MemoryError
+        path = saved(tmp_path, kind)
+        edit_meta(path, change)
+        with pytest.raises(MalformedFileError, match="truncated file: .* expects"):
+            KINDS[kind][1](path)
+
+    @pytest.mark.parametrize("kind, change, field", [
+        ("generator", lambda meta: meta.update(normalize_output="false"), "normalize_output"),
+        ("generator", lambda meta: meta.update(normalize_output=0), "normalize_output"),
+        ("generator", lambda meta: meta.update(activation=3), "activation"),
+        ("generator", lambda meta: meta.update(layer_dims="38"), "layer_dims"),
+        ("generator", lambda meta: meta["layer_dims"].__setitem__(1, 5.0), "layer_dims"),
+        ("generator", lambda meta: meta["layer_dims"].__setitem__(0, True), "layer_dims"),
+        ("ensemble", lambda meta: meta.update(m=7.9), "m"),
+        ("ensemble", lambda meta: meta.update(n=True), "n"),
+        ("ensemble", lambda meta: meta.update(seed=3.7), "seed"),
+        ("ensemble", lambda meta: meta.update(sigma="0.1"), "sigma"),
+        ("ensemble", lambda meta: meta.update(q=True), "q"),
+        ("ensemble", lambda meta: meta["cov"].update(n=2.0), "n"),
+        ("ensemble", lambda meta: meta["cov"].update(kind="toeplitz", nu="0.3"), "nu"),
+        ("ensemble", lambda meta: meta["cov"].update(kind="toeplitz", nu=False), "nu"),
+        ("observation", lambda meta: meta.update(m=7.0), "m"),
+        ("observation", lambda meta: meta.update(n="4"), "n"),
+    ], ids=["normalize-str", "normalize-int", "activation-int", "dims-str", "dims-float",
+            "dims-bool", "ens-m-float", "ens-n-bool", "seed-float", "sigma-str", "q-bool",
+            "cov-n-float", "nu-str", "nu-bool", "obs-m-float", "obs-n-str"])
+    def test_metadata_takes_exact_json_types(self, tmp_path, kind, change, field):
+        # these were coerced: bool("false") is True, int(7.9) is 7, float("0.1") loads
+        path = saved(tmp_path, kind)
+        edit_meta(path, change)
+        with pytest.raises(MalformedFileError, match=f"metadata '{field}' must"):
+            KINDS[kind][1](path)
+
+    def test_number_too_large_for_a_float(self, tmp_path):
+        path = saved(tmp_path, "ensemble")
+        edit_meta(path, lambda meta: meta.update(sigma=10 ** 400))
+        with pytest.raises(MalformedFileError, match="OverflowError"):
+            load_ensemble(path)
+
+    def test_json_generator_takes_exact_json_types(self, tmp_path):
+        path = tmp_path / "g.json"
+        save_generator(dense_net(), path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "normalize_output": "false"}))
+        with pytest.raises(MalformedFileError, match="metadata 'normalize_output' must"):
+            load_generator(path)
+
     def test_covariance_size_must_match_n(self, tmp_path):
         path = tmp_path / "e.bin"
         save_ensemble(ensemble(CovarianceSpec.identity(4)), path)

@@ -8,9 +8,8 @@ from obgcs import theory
 
 from obgcs import (CapacityError, CovarianceSpec, DegenerateConeError,
                    build_eps_net, check_jl, check_srec, concentration_diagnostics,
-                   default_gamma_scale, estimate_local_mean_width,
-                   lipschitz_upper_bound, mean_width_of_directions, observe,
-                   sample_ensemble, synth_generator)
+                   estimate_local_mean_width, lipschitz_upper_bound,
+                   mean_width_of_directions, observe, sample_ensemble, synth_generator)
 
 
 class TestEpsNet:
@@ -25,7 +24,7 @@ class TestEpsNet:
     @pytest.mark.parametrize("k,eps", [(2, 0.5), (3, 0.6), (4, 0.8)])
     def test_sampled_coverage(self, k, eps):
         net = build_eps_net(k, 1.0, eps)
-        assert net.covering_radius_sampled(num_samples=10_000, seed=0) <= eps
+        assert net.covering_radius_sampled(seed=0) <= eps
 
     @pytest.mark.parametrize("k,eps", [(1, 0.5), (2, 0.5), (3, 0.6), (4, 0.8)])
     def test_cardinality_bound(self, k, eps):
@@ -42,14 +41,9 @@ class TestEpsNet:
         net = build_eps_net(3, 0.8, 0.4)
         assert np.all(np.linalg.norm(net.points, axis=1) <= 0.8 + 1e-9)
 
-    def test_lattice_rejects_large_k(self):
-        with pytest.raises(CapacityError) as err:
-            build_eps_net(9, 1.0, 0.5, method="lattice")
-        assert "random" in str(err.value)
-
     def test_random_fallback_covers(self):
-        net = build_eps_net(10, 1.0, 0.9, method="random")
-        assert net.covering_radius_sampled(num_samples=10_000, seed=1) <= 0.9
+        net = build_eps_net(10, 1.0, 0.9)
+        assert net.covering_radius_sampled(seed=1) <= 0.9
 
     def test_covering_radius_peak_memory(self):
         # 2048-row distance chunks took about 180 MB here
@@ -65,7 +59,7 @@ class TestEpsNet:
 
     def test_empty_net_has_infinite_covering_radius(self):
         net = theory.EpsNet(points=np.zeros((0, 3)), epsilon=0.5, r=1.0)
-        assert net.covering_radius_sampled(num_samples=100) == math.inf
+        assert net.covering_radius_sampled() == math.inf
         assert np.all(theory._min_dists(np.ones((4, 3)), net.points) == math.inf)
 
     # at shift 3, |x|^2 near 45 cancels against 2 x.p: errors reached
@@ -141,10 +135,9 @@ class TestEpsNetParity:
         got = build_eps_net(k, 1.0, eps).points
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_random_net_bytes(self, monkeypatch, seed):
-        want = _reference_net(monkeypatch, 10, 1, 0.9, method="random", seed=seed)
-        got = build_eps_net(10, 1, 0.9, method="random", seed=seed).points
+    def test_random_net_bytes(self, monkeypatch):
+        want = _reference_net(monkeypatch, 10, 1, 0.9)
+        got = build_eps_net(10, 1, 0.9).points
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("block", [1, 7, 1 << 30])
@@ -165,14 +158,14 @@ class TestEpsNetParity:
     def test_lattice_budget_raises_before_allocating(self, monkeypatch):
         tracemalloc.start()
         try:
-            with pytest.raises(CapacityError, match="method='random'"):
-                build_eps_net(8, 1.0, 0.2, method="lattice")
+            with pytest.raises(CapacityError, match="use a larger epsilon"):
+                build_eps_net(8, 1.0, 0.2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20  # the full lattice would hold billions of points
         monkeypatch.setattr(theory, "_LATTICE_BUDGET", 100)  # (3, 0.6) has 251 candidates
-        with pytest.raises(CapacityError, match="method='random'"):
+        with pytest.raises(CapacityError, match="use a larger epsilon"):
             build_eps_net(3, 1.0, 0.6)
 
     def test_build_peak_memory(self):
@@ -295,11 +288,10 @@ class TestMeanWidth:
             estimate_local_mean_width(net, np.zeros(2), gamma_scale=1e9,
                                       num_gaussians=100, net_epsilon=0.5, seed=5)
 
-    def test_default_gamma_scale_formula(self):
-        val = default_gamma_scale(0.05, 5, 400, 10.0, 1.0, 100)
-        want = max(0.05, (5 / 400) * math.log(10.0 * 100 / 5)
-                   + math.sqrt(math.log(100) / 400))
-        assert val == pytest.approx(want, rel=1e-12)
+    @pytest.mark.parametrize("num", [0, -3])
+    def test_needs_one_gaussian(self, num):
+        with pytest.raises(ValueError, match="num_gaussians >= 1"):
+            mean_width_of_directions(np.eye(2), num, seed=0)
 
 
 class TestConcentration:
