@@ -36,12 +36,11 @@ _FILES = {"gen": ("str", _REQUIRED), "ens": ("str", _REQUIRED), "obs": ("str", _
           "decoder": ("str",)}
 _LS = {"mode": ("str",), "lambda": ("float",), "radius": ("float",), "restarts": ("count",),
        "steps": ("count",)}
-_BIHT = {"s": ("count", 10), "iters": ("count",), "step": ("float",)}
+_BIHT = {"s": ("count", 10), "iters": ("count",)}
 _PV = {"s_ell1": ("float", 3.0)}
 _SWEEP = {"m_values": ("counts", [100, 200, 300]), "trials": ("count",), "decoders": ("strs",),
           "sigma": ("float",), "q": ("float",), "nu": ("float",), "ls_restarts": ("count",),
-          "ls_steps": ("count",), "ls_lambda": ("float",), "biht_s": ("count",),
-          "biht_iters": ("count",), "biht_step": ("float",), "pv_s": ("float",),
+          "ls_steps": ("count",), "biht_s": ("count",), "pv_s": ("float",),
           "workers": ("count",), "record_runtime": ("bool",)}
 TABLES = {
     "synth-gen": _GEN,

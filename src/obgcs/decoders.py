@@ -50,10 +50,10 @@ class LsDecoderConfig:
     def __post_init__(self):
         if self.mode not in ("lagrangian", "constrained"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "lagrangian" and self.lam < 0:
-            raise ValueError("penalty weight must be >= 0")
-        if self.mode == "constrained" and self.radius <= 0:
-            raise ValueError("constraint radius must be > 0")
+        if self.mode == "lagrangian" and not self.lam >= 0:
+            raise ValueError(f"penalty weight must be >= 0, got {self.lam}")
+        if self.mode == "constrained" and not self.radius > 0:
+            raise ValueError(f"constraint radius must be > 0, got {self.radius}")
         if self.restarts < 1 or self.steps_per_restart < 1:
             raise ValueError("need at least one restart and one step")
 
@@ -242,10 +242,10 @@ def hard_threshold(x, s):
     return out
 
 
-def biht_decode(obs, ens, s, iters=100, step=1.0):
+def biht_decode(obs, ens, s, iters=100):
     """Binary iterative hard thresholding baseline.
 
-    Iterates x <- H_s(x + (step/m) A^T (y - sign(Ax))) from zero and returns
+    Iterates x <- H_s(x + (1/m) A^T (y - sign(Ax))) from zero and returns
     the final iterate rescaled to unit norm; the output is exactly s-sparse.
     Raises ValueError unless ``iters`` >= 1.
     """
@@ -256,7 +256,7 @@ def biht_decode(obs, ens, s, iters=100, step=1.0):
     m = A.shape[0]
     x = np.zeros(A.shape[1])
     for _ in range(int(iters)):
-        x = hard_threshold(x + (step / m) * (A.T @ (y - sign_pm1(A @ x))), s)
+        x = hard_threshold(x + (1.0 / m) * (A.T @ (y - sign_pm1(A @ x))), s)
     nrm = np.linalg.norm(x)
     if nrm == 0.0:
         x[0] = 1.0  # degenerate all-zero iterate; return a fixed unit vector
@@ -292,8 +292,8 @@ def pv_convex_decode(obs, ens, s_ell1):
     s sign(g_i) e_i when t = 1. Zeros when g = 0.
     """
     s = float(s_ell1)
-    if s <= 0:
-        raise ValueError("L1 radius must be positive")
+    if not s > 0:
+        raise ValueError(f"L1 radius must be positive, got {s}")
     g = (ens.A.T @ obs.y) / ens.m
     a = np.sort(np.abs(g))[::-1]
     if a[0] == 0.0:

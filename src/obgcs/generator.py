@@ -1,8 +1,8 @@
 """ReLU multilayer generators: evaluation, latent gradients, Lipschitz bounds.
 
 A generator maps a low-dimensional latent vector to a high-dimensional signal
-through affine layers with ReLU activations on every hidden layer and a
-configurable final activation. Networks are treated as immutable after
+through affine layers with ReLU activations on every hidden layer and an
+identity or ReLU final activation. Networks are treated as immutable after
 construction; the only mutation is the one-time caching of the Lipschitz
 bound.
 """
@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ShapeError
 
-ACTIVATIONS = ("identity", "relu", "sigmoid")
+ACTIVATIONS = ("identity", "relu")
 
 
 @dataclass
@@ -97,8 +97,6 @@ def _as_latent_batch(net, zs):
 def _apply_final(net, h):
     if net.final_activation == "relu":
         h = np.maximum(h, 0.0)
-    elif net.final_activation == "sigmoid":
-        h = 1.0 / (1.0 + np.exp(-h))
     if net.normalize_output:
         nrm = np.linalg.norm(h, axis=0)
         if np.any(nrm == 0.0):
@@ -177,16 +175,11 @@ def vjp_from_preacts(net, preacts, g):
         pre_norm = preacts[-1]
         if net.final_activation == "relu":
             pre_norm = np.maximum(pre_norm, 0.0)
-        elif net.final_activation == "sigmoid":
-            pre_norm = 1.0 / (1.0 + np.exp(-pre_norm))
         nrm = np.linalg.norm(pre_norm, axis=0)
         u = pre_norm / nrm
         g = (g - u * np.add.reduce(u * g, 0)) / nrm
     if net.final_activation == "relu":
         g = g * (preacts[-1] > 0)
-    elif net.final_activation == "sigmoid":
-        s = 1.0 / (1.0 + np.exp(-preacts[-1]))
-        g = g * s * (1.0 - s)
     for i in range(len(net.weights) - 1, -1, -1):
         w = net.weights[i]
         g = w.T @ g if w.ndim == 2 else _block_apply(np.swapaxes(w, -1, -2), g)
@@ -198,20 +191,18 @@ def vjp_from_preacts(net, preacts, g):
 def lipschitz_upper_bound(net):
     """Product of layer spectral norms; caches the value on the network.
 
-    Valid as a Lipschitz upper bound whenever the activations are 1-Lipschitz
-    (identity, relu). A final sigmoid contributes its slope bound 1/4. Output
-    normalization is excluded: the bound covers the un-normalized map.
+    Valid as a Lipschitz upper bound because every activation (identity,
+    relu) is 1-Lipschitz. Output normalization is excluded: the bound covers
+    the un-normalized map.
     """
     if net.lipschitz_bound is not None:
         return net.lipschitz_bound
     # exact largest singular values (SVD): an iterative estimate converges
     # from below and would make the product fall short of the true bound; a
     # block-diagonal matrix's norm is its largest block's
-    bound = float(np.prod([np.linalg.norm(w, 2) if w.ndim == 2
-                           else np.linalg.norm(w, 2, axis=(1, 2)).max() for w in net.weights]))
-    if net.final_activation == "sigmoid":
-        bound *= 0.25
-    net.lipschitz_bound = float(bound)
+    net.lipschitz_bound = float(np.prod([
+        np.linalg.norm(w, 2) if w.ndim == 2 else np.linalg.norm(w, 2, axis=(1, 2)).max()
+        for w in net.weights]))
     return net.lipschitz_bound
 
 

@@ -42,10 +42,7 @@ class ExperimentGrid:
     output_path: str | None = None
     ls_restarts: int = 10
     ls_steps: int = 1000
-    ls_lambda: float = 1e-3
     biht_s: int = 10
-    biht_iters: int = 100
-    biht_step: float = 1.0
     pv_s: float = 3.0
     workers: int | None = None
     record_runtime: bool = False
@@ -124,14 +121,11 @@ def _run_cell(grid, net, m, trial):
 
 def _decode(grid, name, obs, ens, net, m, trial):
     if name == "ls":
-        cfg = LsDecoderConfig(
-            mode="lagrangian", lam=grid.ls_lambda,
-            restarts=grid.ls_restarts, steps_per_restart=grid.ls_steps,
-            seed=derive_seed(grid.base_seed, m, trial, 2),
-        )
+        cfg = LsDecoderConfig(restarts=grid.ls_restarts, steps_per_restart=grid.ls_steps,
+                              seed=derive_seed(grid.base_seed, m, trial, 2))
         return ls_decode(obs, ens, net, cfg).x_hat
     if name == "biht":
-        return biht_decode(obs, ens, s=grid.biht_s, iters=grid.biht_iters, step=grid.biht_step)
+        return biht_decode(obs, ens, s=grid.biht_s)
     return pv_convex_decode(obs, ens, s_ell1=grid.pv_s)
 
 
@@ -196,13 +190,16 @@ def read_csv(path):
         for lineno, line in enumerate(fh, 2):
             if not line.strip():
                 continue
-            m, dec, trial, seed, l2, cos, pp, rt, conv = line.strip().split(",")
-            if conv not in ("true", "false"):
-                raise ValueError(f"{path}:{lineno}: converged must be true or false, got {conv!r}")
-            out.append(CellResult(
-                m=int(m), decoder=dec, trial=int(trial), seed=int(seed),
-                l2_err=float(l2), cosine=float(cos), per_pixel=float(pp),
-                runtime_s=float(rt), converged=conv == "true"))
+            try:
+                m, dec, trial, seed, l2, cos, pp, rt, conv = line.strip().split(",")
+                if conv not in ("true", "false"):
+                    raise ValueError(f"converged must be true or false, got {conv!r}")
+                out.append(CellResult(
+                    m=int(m), decoder=dec, trial=int(trial), seed=int(seed),
+                    l2_err=float(l2), cosine=float(cos), per_pixel=float(pp),
+                    runtime_s=float(rt), converged=conv == "true"))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 

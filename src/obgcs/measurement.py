@@ -18,12 +18,11 @@ from .util import rng_for
 
 @dataclass
 class CovarianceSpec:
-    """Row covariance of the sensing matrix: identity, toeplitz, or explicit."""
+    """Row covariance of the sensing matrix: identity, or toeplitz nu^|i-j|."""
 
     kind: str
     n: int
     nu: float = 0.0
-    matrix: np.ndarray | None = None
 
     @classmethod
     def identity(cls, n):
@@ -41,25 +40,12 @@ class CovarianceSpec:
         """Identity when ``nu`` is 0, else toeplitz(``nu``)."""
         return cls.identity(n) if nu == 0.0 else cls.toeplitz(n, nu)
 
-    @classmethod
-    def explicit(cls, matrix):
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ShapeError(f"covariance must be square, got {matrix.shape}")
-        if not np.allclose(matrix, matrix.T, atol=1e-10):
-            raise NotSpdError("covariance is not symmetric")
-        spec = cls(kind="explicit", n=matrix.shape[0], matrix=matrix)
-        spec.cholesky()  # fail fast on non-SPD input
-        return spec
-
     def dense(self):
         """Materialize Sigma as a dense matrix."""
         if self.kind == "identity":
             return np.eye(self.n)
-        if self.kind == "toeplitz":
-            idx = np.arange(self.n)
-            return self.nu ** np.abs(idx[:, None] - idx[None, :])
-        return np.array(self.matrix, dtype=np.float64)
+        idx = np.arange(self.n)
+        return self.nu ** np.abs(idx[:, None] - idx[None, :])
 
     def cholesky(self):
         """Lower Cholesky factor of Sigma; raises NotSpdError on failure."""

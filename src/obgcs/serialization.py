@@ -7,8 +7,7 @@ Binary layout, shared by all three kinds:
     then:   raw little-endian float64 blocks in the documented order
 
 Generator payload: per layer, the weight matrix row-major then the bias.
-Ensemble payload: the measurement matrix row-major (plus the explicit
-covariance matrix when the covariance kind is "explicit").
+Ensemble payload: the measurement matrix row-major.
 Observation payload: y, x_star, eta, eps.
 
 Each kind's layout function is its single declaration: the parsed metadata
@@ -222,7 +221,7 @@ def save_ensemble(ens, path):
         cov_meta["nu"] = cov.nu
     meta = {"m": ens.m, "n": ens.n, "sigma": ens.sigma, "q": ens.q,
             "seed": ens.seed, "cov": cov_meta}
-    _write(path, ENS_MAGIC, meta, [ens.A] + ([cov.matrix] if cov.kind == "explicit" else []))
+    _write(path, ENS_MAGIC, meta, [ens.A])
 
 
 def _ensemble_layout(meta):
@@ -231,23 +230,18 @@ def _ensemble_layout(meta):
     kind, cov_n = cov_meta["kind"], _exact(cov_meta, "n", (int,))
     if cov_n != n:
         raise DimensionMismatchError(f"covariance size cov.n={cov_n} != n={n}")
-    shapes = [("measurement matrix", (m, n))]
     if kind == "identity":
         cov = CovarianceSpec.identity(n)
     elif kind == "toeplitz":
         cov = CovarianceSpec.toeplitz(n, float(_exact(cov_meta, "nu", _NUMBER)))
-    elif kind == "explicit":
-        cov = None  # built from its block
-        shapes.append(("covariance matrix", (n, n)))
     else:
         raise MalformedFileError(f"unknown covariance kind {kind!r}")
     return (cov, float(_exact(meta, "sigma", _NUMBER)), float(_exact(meta, "q", _NUMBER)),
-            _exact(meta, "seed", (int,))), shapes
+            _exact(meta, "seed", (int,))), [("measurement matrix", (m, n))]
 
 
 def load_ensemble(path):
-    (cov, sigma, q, seed), (A, *cov_block) = _read(path, ENS_MAGIC, _ensemble_layout)
-    cov = cov or CovarianceSpec.explicit(*cov_block)
+    (cov, sigma, q, seed), (A,) = _read(path, ENS_MAGIC, _ensemble_layout)
     return MeasurementEnsemble(A=A, cov=cov, sigma=sigma, q=q, seed=seed)
 
 

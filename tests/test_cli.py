@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obgcs import ExperimentGrid, cli, run_grid
+from obgcs import ExperimentGrid, cli, harness, run_grid
 from obgcs.cli import TABLES, main, parse_config
 
 
@@ -66,6 +66,18 @@ class TestExitCodes:
 
     def test_missing_file(self):
         assert main(["fit", "--in", "/nonexistent.csv"]) == 1
+
+    @pytest.mark.parametrize("row, fault", [
+        ("10,ls,1,2,0.5,0.9,0.1,0", "not enough values to unpack"),
+        ("10,ls,1,2,abc,0.9,0.1,0,true", "could not convert string to float: 'abc'"),
+        ("10.5,ls,1,2,0.5,0.9,0.1,0,true", "invalid literal for int()"),
+    ], ids=["short", "bad-float", "bad-int"])
+    def test_fit_names_the_malformed_row(self, tmp_path, capsys, row, fault):
+        csv = tmp_path / "r.csv"
+        csv.write_text(f"{harness.CSV_HEADER}\n10,ls,0,1,0.5,0.9,0.1,0,false\n{row}\n")
+        assert main(["fit", "--in", str(csv)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {csv}:3: " in err and fault in err
 
     def test_calls_in_one_process_match_calls_alone(self, tmp_path, capsys):
         # the parser is built once per process; no call may see another's state
@@ -262,6 +274,12 @@ class TestKeyTables:
          "iters"),
         (["grid"], "k = 3\nn = 16\ndecoders = biht\nbiht_iters = 0\n", "biht_iters"),
         (["grid"], "k = 3\nn = 16\nworkers = -3\n", "workers"),
+        # keys no longer accepted: BIHT's step is fixed at 1/m, and a grid's LS
+        # decoder runs at the default penalty
+        (["decode"], "gen = g.bin\nens = e.bin\nobs = o.bin\ndecoder = biht\nstep = 0.5\n",
+         "step"),
+        (["grid"], "k = 3\nn = 16\nm_values = 20\ntrials = 1\nls_lambda = 0.01\n", "ls_lambda"),
+        (["grid"], "k = 3\nn = 16\nm_values = 20\ntrials = 1\nbiht_step = 0.5\n", "biht_step"),
     ])
     def test_bad_key_exits_1_naming_file_and_key(self, tmp_path, capsys, command, text, key):
         cfg = write(tmp_path / "bad.cfg", text)
@@ -310,14 +328,14 @@ class TestKeyTables:
         cfg = write(tmp_path / "g.cfg", (
             "k = 3\nn = 16\nhidden_dims = 8\nunit_sphere = true\ngen_seed = 4\n"
             "m_values = 40, 80\ntrials = 2\ndecoders = ls, biht\nls_steps = 50\n"
-            "ls_restarts = 2\nbiht_s = 4\nbiht_step = 0.5\n"))
+            "ls_restarts = 2\nbiht_s = 4\n"))
         cli_csv, api_csv = tmp_path / "cli.csv", tmp_path / "api.csv"
         assert main(["grid", "--config", cfg, "--seed", "7", "--out", str(cli_csv),
                      "--quiet"]) == 0
         run_grid(ExperimentGrid(
             generator={"k": 3, "n": 16, "hidden_dims": [8], "unit_sphere": True, "seed": 4},
             m_values=[40, 80], trials_per_cell=2, decoders=("ls", "biht"), base_seed=7,
-            output_path=str(api_csv), ls_steps=50, ls_restarts=2, biht_s=4, biht_step=0.5))
+            output_path=str(api_csv), ls_steps=50, ls_restarts=2, biht_s=4))
         assert cli_csv.read_bytes() == api_csv.read_bytes()
 
     def test_measure_on_zero_generator_exits_2_and_writes_nothing(self, tmp_path):

@@ -94,10 +94,10 @@ def parity_problem(m, seed, net=None, **cfg):
     return obs, ens, net, cfg
 
 
-def sigmoid_sphere_net(seed):
-    """4 -> 16 -> 24 -> 40 with a final sigmoid and unit-norm output."""
+def relu_sphere_net(seed):
+    """4 -> 16 -> 24 -> 40 with a final ReLU and unit-norm output."""
     return synth_generator(k=4, n=40, hidden_dims=[16, 24], seed=seed, unit_sphere=True,
-                           final_activation="sigmoid")
+                           final_activation="relu")
 
 
 def block_hidden_net(seed):
@@ -128,6 +128,15 @@ class TestLsDecode:
         assert cfg.lam == pytest.approx(1e-3)
         assert cfg.restarts == 10
         assert cfg.steps_per_restart == 1000
+
+    @pytest.mark.parametrize("kwargs, fault", [
+        ({"mode": "lagrangian", "lam": math.nan}, "penalty weight"),
+        ({"mode": "constrained", "radius": math.nan}, "constraint radius"),
+    ])
+    def test_nan_setting_rejected(self, kwargs, fault):
+        # a NaN radius used to fail every norms > radius test and decode unconstrained
+        with pytest.raises(ValueError, match=f"{fault} must be .*, got nan"):
+            LsDecoderConfig(**kwargs)
 
     def test_recovers_direction_with_identity_prior(self):
         # no-prior sanity: k = n, huge m, noiseless and flipless
@@ -357,7 +366,7 @@ class TestLsParity:
         np.testing.assert_array_equal(res.loss_trace, trace_ref)
 
     @pytest.mark.parametrize("mode", ["lagrangian", "constrained"])
-    @pytest.mark.parametrize("make_net", [sigmoid_sphere_net, block_hidden_net])
+    @pytest.mark.parametrize("make_net", [relu_sphere_net, block_hidden_net])
     @pytest.mark.parametrize("m,seed", [(10, 1), (25, 2), (40, 3)])
     def test_other_nets_bitwise_equal_to_residual_form_when_m_le_n(self, m, seed, make_net,
                                                                    mode):
@@ -443,10 +452,10 @@ class TestBiht:
         n = 12
         ens = sample_ensemble(80, CovarianceSpec.identity(n), 0.0, 1.0, seed=14)
         obs = observe(ens, np.random.default_rng(15).standard_normal(n), seed=16)
-        x_hat = biht_decode(obs, ens, s=n, iters=3, step=0.5)
+        x_hat = biht_decode(obs, ens, s=n, iters=3)
         x = np.zeros(n)
         for _ in range(3):
-            x = x + (0.5 / ens.m) * (ens.A.T @ (obs.y - np.where(ens.A @ x >= 0, 1.0, -1.0)))
+            x = x + (1.0 / ens.m) * (ens.A.T @ (obs.y - np.where(ens.A @ x >= 0, 1.0, -1.0)))
         np.testing.assert_allclose(x_hat, x / np.linalg.norm(x), atol=1e-12)
 
 
@@ -502,6 +511,13 @@ class TestPvConvex:
         obs = observe(ens, e1, seed=25)
         x_hat = pv_convex_decode(obs, ens, s_ell1=1.0)
         assert float(x_hat @ e1) / np.linalg.norm(x_hat) >= 0.9
+
+    def test_nan_radius_rejected(self):
+        # it used to return the unconstrained g / |g|, far outside any L1 ball
+        ens = sample_ensemble(200, CovarianceSpec.identity(30), 0.1, 0.9, seed=18)
+        obs = observe(ens, np.random.default_rng(19).standard_normal(30), seed=20)
+        with pytest.raises(ValueError, match="L1 radius must be positive, got nan"):
+            pv_convex_decode(obs, ens, s_ell1=math.nan)
 
 
 class TestPvOptimality:

@@ -102,13 +102,13 @@ class TestLatentVjp:
             assert rel < 1e-4
         assert checked == 25
 
-    def test_sigmoid_and_normalization_path(self):
+    def test_relu_and_normalization_path(self):
         rng = np.random.default_rng(7)
         net = GeneratorNetwork(
             [3, 8, 6],
             [0.5 * rng.standard_normal((8, 3)), 0.3 * rng.standard_normal((6, 8))],
             [np.zeros(8), np.zeros(6)],
-            final_activation="sigmoid", normalize_output=True)
+            final_activation="relu", normalize_output=True)
         z = np.array([0.3, -0.2, 0.5])
         v = rng.standard_normal(6)
         g = latent_vjp(net, z, v)
@@ -145,7 +145,7 @@ def block_net_and_dense_twin(seed, final_activation="identity", normalize_output
 
 class TestBlockDiagonalWeights:
     @pytest.mark.parametrize("act,norm", [("identity", False), ("relu", False),
-                                          ("sigmoid", True)])
+                                          ("relu", True)])
     def test_matches_dense_twin(self, act, norm):
         net, dense = block_net_and_dense_twin(4, act, norm)
         rng = np.random.default_rng(5)
@@ -183,11 +183,6 @@ class TestLipschitzBound:
         net = GeneratorNetwork([3, 3, 3], [3.0 * np.eye(3), 2.0 * np.eye(3)],
                                [np.zeros(3), np.zeros(3)])
         assert lipschitz_upper_bound(net) == pytest.approx(6.0, abs=1e-6)
-
-    def test_sigmoid_quarter_factor(self):
-        net = GeneratorNetwork([3, 3], [2.0 * np.eye(3)], [np.zeros(3)],
-                               final_activation="sigmoid")
-        assert lipschitz_upper_bound(net) == pytest.approx(0.5, abs=1e-7)
 
     def test_sampled_ratios_never_exceed_bound(self):
         net = synth_generator(k=5, n=30, hidden_dims=[20], seed=3)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from obgcs import (CovarianceSpec, NotSpdError, load_ensemble, load_observation,
+from obgcs import (CovarianceSpec, load_ensemble, load_observation,
                    observe, sample_ensemble, save_ensemble, save_observation,
                    scaling_constant, sigma_norm, sign_pm1)
 
@@ -23,14 +23,6 @@ class TestCovarianceSpec:
     def test_nu_out_of_range(self):
         with pytest.raises(ValueError):
             CovarianceSpec.toeplitz(4, 1.0)
-
-    def test_explicit_requires_spd(self):
-        with pytest.raises(NotSpdError):
-            CovarianceSpec.explicit(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_explicit_requires_symmetry(self):
-        with pytest.raises(NotSpdError):
-            CovarianceSpec.explicit(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
 
 class TestSampleEnsemble:
@@ -81,7 +73,7 @@ class TestSampleEnsemble:
         assert ens.A.tobytes() == (self._draw(m, n, seed) @ np.eye(n)).tobytes()
 
     @pytest.mark.parametrize("cov", [CovarianceSpec.toeplitz(6, 0.3),
-                                     CovarianceSpec.explicit([[2.0, 0.5], [0.5, 1.0]])])
+                                     CovarianceSpec.toeplitz(2, -0.5)])
     def test_correlated_matrix_is_the_draw_times_cholesky(self, cov):
         ens = sample_ensemble(40, cov, 0.0, 1.0, seed=9)
         want = self._draw(40, cov.n, 9) @ cov.cholesky().T
@@ -194,11 +186,6 @@ class TestSigmaNorm:
         x = np.array([3.0, 4.0, 0.0, 0.0])
         assert sigma_norm(cov, x) == pytest.approx(5.0)
 
-    def test_scaled_identity(self):
-        cov = CovarianceSpec.explicit(4.0 * np.eye(3))
-        x = np.array([1.0, 0.0, 0.0])
-        assert sigma_norm(cov, x) == pytest.approx(2.0)
-
     def test_toeplitz_hand_expansion(self):
         cov = CovarianceSpec.toeplitz(5, 0.3)
         x = np.zeros(5)
@@ -217,13 +204,6 @@ class TestSerialization:
         np.testing.assert_array_equal(back.A, ens.A)
         assert back.cov.kind == "toeplitz" and back.cov.nu == 0.3
         assert back.sigma == 0.1 and back.q == 0.97 and back.seed == 3
-
-    def test_explicit_cov_round_trip(self, tmp_path):
-        sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
-        ens = sample_ensemble(6, CovarianceSpec.explicit(sigma), 0.0, 1.0, seed=1)
-        path = tmp_path / "e.bin"
-        save_ensemble(ens, path)
-        np.testing.assert_array_equal(load_ensemble(path).cov.matrix, sigma)
 
     def test_observation_round_trip(self, tmp_path):
         cov = CovarianceSpec.identity(4)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from obgcs import (CovarianceSpec, DimensionMismatchError, GeneratorNetwork, MalformedFileError,
-                   NonFiniteError, load_ensemble, load_generator, load_observation, observe,
+                   NonFiniteError, ShapeError, load_ensemble, load_generator, load_observation, observe,
                    sample_ensemble, save_ensemble, save_generator, save_observation,
                    synth_generator)
 
@@ -24,7 +24,7 @@ def block_net():
         [rng.standard_normal((6, 2)), rng.standard_normal((3, 4, 2)),
          rng.standard_normal((3, 12))],
         [rng.standard_normal(6), rng.standard_normal(12), rng.standard_normal(3)],
-        final_activation="sigmoid", normalize_output=True)
+        final_activation="relu", normalize_output=True)
 
 
 def ensemble(cov):
@@ -39,7 +39,7 @@ def observation():
 KINDS = {
     "generator": (save_generator, load_generator, dense_net),
     "ensemble": (save_ensemble, load_ensemble,
-                 lambda: ensemble(CovarianceSpec.explicit([[2.0, 0.5], [0.5, 1.0]]))),
+                 lambda: ensemble(CovarianceSpec.toeplitz(3, -0.5))),
     "observation": (save_observation, load_observation, observation),
 }
 
@@ -152,6 +152,26 @@ class TestMalformed:
         with pytest.raises(MalformedFileError, match="metadata 'normalize_output' must"):
             load_generator(path)
 
+    def test_explicit_covariance_kind_is_unknown(self, tmp_path):
+        # ensembles are sampled from identity or toeplitz covariances only
+        path = tmp_path / "e.bin"
+        save_ensemble(ensemble(CovarianceSpec.identity(2)), path)
+        edit_meta(path, lambda meta: meta["cov"].update(kind="explicit"))
+        path.write_bytes(path.read_bytes() + np.eye(2).tobytes())
+        with pytest.raises(MalformedFileError, match="unknown covariance kind 'explicit'"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("suffix", [".bin", ".json"])
+    def test_sigmoid_activation_is_unknown(self, tmp_path, suffix):
+        path = tmp_path / f"g{suffix}"
+        save_generator(dense_net(), path)
+        if suffix == ".json":
+            path.write_text(json.dumps({**json.loads(path.read_text()), "activation": "sigmoid"}))
+        else:
+            edit_meta(path, lambda meta: meta.update(activation="sigmoid"))
+        with pytest.raises(ShapeError, match="unknown final activation 'sigmoid'"):
+            load_generator(path)
+
     def test_covariance_size_must_match_n(self, tmp_path):
         path = tmp_path / "e.bin"
         save_ensemble(ensemble(CovarianceSpec.identity(4)), path)
@@ -166,10 +186,9 @@ class TestByteIdentity:
         ("generator", ".bin", block_net), ("generator", ".json", block_net),
         ("ensemble", ".bin", lambda: ensemble(CovarianceSpec.identity(4))),
         ("ensemble", ".bin", lambda: ensemble(CovarianceSpec.toeplitz(4, 0.3))),
-        ("ensemble", ".bin", KINDS["ensemble"][2]),
         ("observation", ".bin", observation),
     ], ids=["dense-bin", "dense-json", "block-bin", "block-json", "identity", "toeplitz",
-            "explicit", "observation"])
+            "observation"])
     def test_save_load_save(self, tmp_path, kind, suffix, make):
         save, load, _ = KINDS[kind]
         first, second = tmp_path / f"a{suffix}", tmp_path / f"b{suffix}"
