@@ -213,7 +213,8 @@ def _cmd_decode(args, cfg):
         extra = {"objective": res.objective, "restart_index": res.restart_index,
                  "iterations": res.iterations, "loss_trace": res.loss_trace,
                  "grad_norm": res.grad_norm, "step": res.step,
-                 "restart_losses": res.restart_losses, "z_hat": res.z_hat.tolist()}
+                 "restart_losses": res.restart_losses, "passes": res.passes,
+                 "z_hat": res.z_hat.tolist()}
     elif which == "biht":
         x_hat = biht_decode(obs, ens, **_passed(cfg, _BIHT))
     else:

@@ -25,7 +25,9 @@ _FIRST_STEP = 1.0        # first trial step of every restart
 _ARMIJO_C1 = 1e-4        # sufficient-decrease constant
 _MAX_GROWTH = 4.0        # a BB step is at most this multiple of the last accepted one
 _MAX_BACKTRACKS = 60     # halvings before a search gives up
-_STOP_RTOL = 1e-12       # stop once f_old - f_new <= _STOP_RTOL * (1 + |f_old|)
+# stop once f_old - f_new <= _STOP_RTOL * (1 + |f_old|): L-BFGS-B's default
+# moderate-accuracy factr = 1e7 (Zhu, Byrd, Lu & Nocedal, ACM TOMS 1997)
+_STOP_RTOL = 1e7 * np.finfo(float).eps
 
 
 @dataclass
@@ -35,9 +37,10 @@ class LsDecoderConfig:
     ``mode`` is "lagrangian" (penalty ``lam * ||z||^2``) or "constrained"
     (projection onto the ball of radius ``radius`` after every step).
     ``steps_per_restart`` caps the steps of each restart; a restart stops
-    sooner once its loss no longer falls. Each restart's first trial step
-    is 1.0: the line search shrinks it as needed, and later steps come from
-    the Barzilai-Borwein rule.
+    sooner once a step lowers its loss by at most 1e7 eps (1 + |f|), about
+    2.2e-9 relative (L-BFGS-B's default factr = 1e7). Each restart's first
+    trial step is 1.0: the line search shrinks it as needed, and later steps
+    come from the Barzilai-Borwein rule.
     """
 
     mode: str = "lagrangian"
@@ -65,7 +68,8 @@ class DecoderResult:
     ``iterations`` counts the steps the winning restart took, ``loss_trace``
     holds its loss at the start and after each of them, ``grad_norm`` is
     ||grad f|| at its endpoint, ``step`` its last accepted step (0.0 if it
-    took none), and ``restart_losses`` the final loss of every restart.
+    took none), ``restart_losses`` the final loss of every restart, and
+    ``passes`` the batched generator passes the decode made, start included.
     """
 
     z_hat: np.ndarray
@@ -77,6 +81,7 @@ class DecoderResult:
     grad_norm: float = 0.0
     step: float = 0.0
     restart_losses: list = field(default_factory=list, repr=False)
+    passes: int = 0
 
 
 def ls_decode(obs, ens, net, cfg):
@@ -88,7 +93,8 @@ def ls_decode(obs, ens, net, cfg):
     backtracking search (halving) finds the Armijo decrease
     f(z+) <= f(z) + c1 <grad f(z), z+ - z>, with z+ projected in constrained
     mode. The loss never rises. A restart stops once a step lowers its loss
-    by at most 1e-12 (1 + |f|), when a search finds no such decrease, or at
+    by at most 1e7 eps (1 + |f|) (about 2.2e-9 relative; L-BFGS-B's default
+    factr = 1e7), when a search finds no such decrease, or at
     ``steps_per_restart`` steps; a stopped restart stays where it is. The
     endpoint with the smallest final loss wins, ties broken by lowest
     restart index. Deterministic in ``cfg.seed``. Raises DivergenceError
@@ -194,6 +200,7 @@ def ls_decode(obs, ens, net, cfg):
         grad_norm=float(np.linalg.norm(G[:, best])),
         step=float(trace[-1][1]),
         restart_losses=f.tolist(),
+        passes=len(passes),
     )
 
 
@@ -247,7 +254,10 @@ def biht_decode(obs, ens, s, iters=100):
 
     Iterates x <- H_s(x + (1/m) A^T (y - sign(Ax))) from zero and returns
     the final iterate rescaled to unit norm; the output is exactly s-sparse.
-    Raises ValueError unless ``iters`` >= 1.
+    If the final iterate is zero (every y_i = +1 leaves x = 0 fixed, as
+    sign(0) = +1), it returns H_s(A^T y / m) at unit norm instead: the first
+    step with sign(0) read as 0. Zeros if that is zero too. Raises
+    ValueError unless ``iters`` >= 1.
     """
     if iters < 1:
         raise ValueError(f"BIHT needs iters >= 1, got {iters}")
@@ -259,9 +269,9 @@ def biht_decode(obs, ens, s, iters=100):
         x = hard_threshold(x + (1.0 / m) * (A.T @ (y - sign_pm1(A @ x))), s)
     nrm = np.linalg.norm(x)
     if nrm == 0.0:
-        x[0] = 1.0  # degenerate all-zero iterate; return a fixed unit vector
-        return x
-    return x / nrm
+        x = hard_threshold((1.0 / m) * (A.T @ y), s)
+        nrm = np.linalg.norm(x)
+    return x / nrm if nrm > 0.0 else x
 
 
 def project_l1_ball(x, radius):

@@ -58,6 +58,11 @@ class ExperimentGrid:
             raise ValueError(f"decoders must be a nonempty subset of {KNOWN_DECODERS}")
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be None or >= 1, got {self.workers}")
+        for name in ("ls_restarts", "ls_steps", "biht_s"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.pv_s > 0:
+            raise ValueError(f"pv_s must be > 0, got {self.pv_s}")
 
     def make_generator(self):
         if isinstance(self.generator, str):
@@ -139,9 +144,12 @@ def run_grid(grid, progress=None):
     Decoder failures (any ObgcsError) and degenerate sampled truths are
     recorded as converged=False with NaN errors, never fatal. With
     ``workers`` > 1 cells run in separate processes; ordering and values do
-    not depend on the worker count.
+    not depend on the worker count. Raises ValueError before any cell runs
+    if BIHT is asked for with ``biht_s`` above the signal dimension.
     """
     net = grid.make_generator()
+    if "biht" in grid.decoders and grid.biht_s > net.signal_dim:
+        raise ValueError(f"biht_s must be <= n = {net.signal_dim}, got {grid.biht_s}")
     cells = [(grid, net, m, trial)
              for m in grid.m_values for trial in range(grid.trials_per_cell)]
     results = []

@@ -148,6 +148,7 @@ class TestMeasureDecode:
         assert doc["restart_losses"][doc["restart_index"]] == doc["loss_trace"][-1]
         assert len(doc["restart_losses"]) == 3
         assert doc["grad_norm"] >= 0 and doc["step"] > 0
+        assert doc["passes"] > doc["iterations"]
 
     def test_biht_and_pv_paths(self, tmp_path, gen_file):
         mcfg = write(tmp_path / "m.cfg", f"gen = {gen_file}\nm = 150\n")
@@ -322,6 +323,18 @@ class TestKeyTables:
         cfg = write(tmp_path / "g.cfg", f"gen = {gen_file}\nhidden_dims = 8\nm_values = 40\n")
         assert main(["grid", "--config", cfg, "--out", str(tmp_path / "r.csv"), "--quiet"]) == 1
         assert "'hidden_dims'" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_grid_rejects_bad_pv_radius_before_any_decode(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # it used to decode the first cell's LS, then fail in PV
+        calls = []
+        monkeypatch.setattr(harness, "ls_decode", lambda *args: calls.append(args))
+        cfg = write(tmp_path / "g.cfg", "k = 3\nn = 20\nhidden_dims = 8\nm_values = 40\n"
+                                        "decoders = ls, pv\npv_s = 0\n")
+        assert main(["grid", "--config", cfg, "--out", str(tmp_path / "r.csv"), "--quiet"]) == 1
+        assert "pv_s" in capsys.readouterr().err
+        assert calls == []
         assert not (tmp_path / "r.csv").exists()
 
     def test_grid_passes_every_key_to_experiment_grid(self, tmp_path):

@@ -316,6 +316,32 @@ class TestLsDecode:
         fixed = 0.5 * np.sum(resid * resid, axis=0) / m + cfg.lam * np.sum(Z * Z, axis=0)
         assert res.objective <= float(fixed.min())
 
+    @pytest.mark.parametrize("k,m", [(5, 80), (8, 250), (16, 1000)])
+    def test_stops_sooner_than_1e12_at_the_same_optimum(self, k, m, monkeypatch):
+        # the 1e7 eps stop rule ends in fewer passes than 1e-12 and where it
+        # ends barely moves: worst cases measured on k in {5, 8, 16} x 7 m x
+        # 6 trials were an objective rise of 1.8e-5 and |dx| = 4.8e-3 |x|
+        obs, ens, net, cfg = grid_cell(k=k, m=m)
+        res = ls_decode(obs, ens, net, cfg)
+        monkeypatch.setattr(decoders, "_STOP_RTOL", 1e-12)
+        tight = ls_decode(obs, ens, net, cfg)
+        assert res.passes < tight.passes
+        assert abs(res.objective - tight.objective) <= 1e-4
+        assert np.linalg.norm(res.x_hat - tight.x_hat) <= 1e-2 * np.linalg.norm(res.x_hat)
+
+    @pytest.mark.parametrize("k,m", [(5, 80), (16, 1000)])
+    def test_stops_at_the_first_step_below_the_tolerance(self, k, m):
+        # every decrease before the last exceeds the stop tolerance; in these
+        # cells the winner stops by that rule, not the step cap or a failed
+        # search, so its last decrease does not
+        obs, ens, net, cfg = grid_cell(k=k, m=m)
+        res = ls_decode(obs, ens, net, cfg)
+        trace = res.loss_trace
+        tol = [decoders._STOP_RTOL * (1.0 + abs(f)) for f in trace[:-1]]
+        drops = [f - g for f, g in zip(trace[:-1], trace[1:])]
+        assert all(d > t for d, t in zip(drops[:-1], tol[:-1]))
+        assert drops[-1] <= tol[-1]
+
 
 class TestLsParity:
     @pytest.mark.parametrize("m,seed", [(10, 1), (25, 2), (40, 3)])
@@ -400,11 +426,12 @@ class TestLsParity:
             return real(net, Z)
 
         monkeypatch.setattr(decoders, "forward_with_preacts", counting)
-        ls_decode(obs, ens, net, cfg)
+        res = ls_decode(obs, ens, net, cfg)
         *_, searches, backtracks, trials = reference_ls(obs, ens, net, cfg)
         assert backtracks > 0
         assert calls == [(net.latent_dim, cfg.restarts)] * (1 + trials.max())
         assert 1 + trials.max() < 1 + searches + backtracks
+        assert res.passes == len(calls)
 
 
 class TestHardThreshold:
@@ -440,6 +467,25 @@ class TestBiht:
             x_hat = biht_decode(obs, ens, s=s, iters=40)
             assert int(np.sum(x_hat != 0)) <= s
             assert np.linalg.norm(x_hat) == pytest.approx(1.0, rel=1e-12)
+
+    def test_all_plus_one_signs_return_the_correlation_not_e0(self):
+        # sign(A 0) = +1 matches every y_i = +1, so the iterate never leaves 0;
+        # the answer is the first step with sign(0) read as 0, not a fixed e0
+        ens = sample_ensemble(3, CovarianceSpec.identity(5), 0.0, 1.0, seed=0)
+        obs = BinaryObservation(y=np.ones(3), x_star=np.ones(5), eta=np.ones(3),
+                                eps=np.zeros(3))
+        want = hard_threshold(ens.A.T @ obs.y / 3, 2)
+        np.testing.assert_allclose(biht_decode(obs, ens, s=2), want / np.linalg.norm(want),
+                                   rtol=0, atol=1e-15)
+
+    def test_zero_correlation_returns_zeros(self):
+        # A^T y = 0 leaves nothing to point at: zeros, which run_grid records
+        # as converged=false
+        ens = MeasurementEnsemble(A=np.array([[1.0, 2.0], [-1.0, -2.0]]),
+                                  cov=CovarianceSpec.identity(2), sigma=0.0, q=1.0, seed=0)
+        obs = BinaryObservation(y=np.ones(2), x_star=np.ones(2), eta=np.ones(2),
+                                eps=np.zeros(2))
+        np.testing.assert_array_equal(biht_decode(obs, ens, s=1), [0.0, 0.0])
 
     @pytest.mark.parametrize("iters", [0, -5])
     def test_iterations_below_one_rejected(self, iters):

@@ -75,6 +75,26 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="workers"):
             tiny_grid(workers=workers)
 
+    @pytest.mark.parametrize("setting, fault", [
+        ({"pv_s": math.nan}, "pv_s must be > 0, got nan"),
+        ({"pv_s": 0.0}, "pv_s must be > 0"),
+        ({"biht_s": 0}, "biht_s must be >= 1"),
+        ({"ls_restarts": 0}, "ls_restarts must be >= 1"),
+        ({"ls_steps": 0}, "ls_steps must be >= 1"),
+    ])
+    def test_bad_decoder_setting_rejected(self, setting, fault):
+        with pytest.raises(ValueError, match=fault):
+            tiny_grid(**setting)
+
+    def test_biht_s_above_n_rejected_before_any_cell(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "_run_cell", lambda *args: calls.append(args) or [])
+        with pytest.raises(ValueError, match="biht_s must be <= n = 20, got 21"):
+            run_grid(tiny_grid(decoders=("ls", "biht"), biht_s=21))
+        assert calls == []
+        run_grid(tiny_grid(decoders=("ls", "pv"), biht_s=21))  # no BIHT, no check
+        assert len(calls) == 2 * 2
+
     def test_csv_header_and_round_trip(self, tmp_path):
         path = tmp_path / "r.csv"
         res = run_grid(tiny_grid(output_path=str(path)))
