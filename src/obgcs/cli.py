@@ -30,8 +30,7 @@ _REQUIRED = object()
 
 # key: (kind,) or (kind, default), a default only where the callee has none:
 # a key the config does not set is not passed on, so the callee's applies.
-_GEN = {"k": ("count", 5), "n": ("count", 100), "hidden_dims": ("counts",),
-        "scale": ("float",), "unit_sphere": ("bool",)}
+_GEN = {"k": ("count", 5), "n": ("count", 100), "hidden_dims": ("counts",), "scale": ("float",)}
 _FILES = {"gen": ("str", _REQUIRED), "ens": ("str", _REQUIRED), "obs": ("str", _REQUIRED),
           "decoder": ("str",)}
 _LS = {"mode": ("str",), "lambda": ("float",), "radius": ("float",), "restarts": ("count",),

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DivergenceError, ShapeError
 from .generator import forward, forward_with_preacts, vjp_from_preacts
 from .measurement import scaling_constant, sign_pm1
+from .util import as_count
 
 
 # The LS step rule: each restart takes Barzilai-Borwein (BB1) steps s's/s'y
@@ -57,8 +58,8 @@ class LsDecoderConfig:
             raise ValueError(f"penalty weight must be >= 0, got {self.lam}")
         if self.mode == "constrained" and not self.radius > 0:
             raise ValueError(f"constraint radius must be > 0, got {self.radius}")
-        if self.restarts < 1 or self.steps_per_restart < 1:
-            raise ValueError("need at least one restart and one step")
+        self.restarts = as_count(self.restarts, "restarts")
+        self.steps_per_restart = as_count(self.steps_per_restart, "steps_per_restart")
 
 
 @dataclass
@@ -237,8 +238,8 @@ def hard_threshold(x, s):
     """Keep the s largest-magnitude entries, ties broken by lowest index."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
-    s = int(s)
-    if not 1 <= s <= n:
+    s = as_count(s, "sparsity s")
+    if s > n:
         raise ValueError(f"sparsity must lie in [1, {n}], got {s}")
     if s == n:
         return x.copy()
@@ -257,15 +258,14 @@ def biht_decode(obs, ens, s, iters=100):
     If the final iterate is zero (every y_i = +1 leaves x = 0 fixed, as
     sign(0) = +1), it returns H_s(A^T y / m) at unit norm instead: the first
     step with sign(0) read as 0. Zeros if that is zero too. Raises
-    ValueError unless ``iters`` >= 1.
+    ValueError unless ``iters`` is an integer >= 1.
     """
-    if iters < 1:
-        raise ValueError(f"BIHT needs iters >= 1, got {iters}")
+    iters = as_count(iters, "BIHT iters")
     A = ens.A
     y = obs.y
     m = A.shape[0]
     x = np.zeros(A.shape[1])
-    for _ in range(int(iters)):
+    for _ in range(iters):
         x = hard_threshold(x + (1.0 / m) * (A.T @ (y - sign_pm1(A @ x))), s)
     nrm = np.linalg.norm(x)
     if nrm == 0.0:

@@ -23,9 +23,7 @@ class GeneratorNetwork:
     ``layer_dims`` is ``[k, d1, ..., n]``; ``weights[i]`` has shape
     ``(layer_dims[i+1], layer_dims[i])`` and ``biases[i]`` has shape
     ``(layer_dims[i+1],)``. Hidden layers use ReLU; the output layer applies
-    ``final_activation``. With ``normalize_output`` the output is rescaled to
-    unit Euclidean norm after the final activation, so the image lies on the
-    unit sphere.
+    ``final_activation``.
 
     A weight may instead be 3-D, ``(blocks, rows, cols)`` with
     ``blocks * rows == layer_dims[i+1]`` and ``blocks * cols == layer_dims[i]``:
@@ -38,7 +36,6 @@ class GeneratorNetwork:
     weights: list
     biases: list
     final_activation: str = "identity"
-    normalize_output: bool = False
     lipschitz_bound: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -95,14 +92,7 @@ def _as_latent_batch(net, zs):
 
 
 def _apply_final(net, h):
-    if net.final_activation == "relu":
-        h = np.maximum(h, 0.0)
-    if net.normalize_output:
-        nrm = np.linalg.norm(h, axis=0)
-        if np.any(nrm == 0.0):
-            raise ZeroDivisionError("cannot normalize a zero output vector")
-        h = h / nrm
-    return h
+    return np.maximum(h, 0.0) if net.final_activation == "relu" else h
 
 
 def forward(net, z):
@@ -170,14 +160,6 @@ def latent_vjp_batch(net, zs, cotangents):
 def vjp_from_preacts(net, preacts, g):
     """Column-wise J^T g at the points whose pre-activations ``preacts`` came
     from a forward pass (``forward_with_preacts``); ``g`` is (n, batch)."""
-    if net.normalize_output:
-        # d(x/|x|)^T g = (g - u <u, g>) / |x| with u = x/|x|
-        pre_norm = preacts[-1]
-        if net.final_activation == "relu":
-            pre_norm = np.maximum(pre_norm, 0.0)
-        nrm = np.linalg.norm(pre_norm, axis=0)
-        u = pre_norm / nrm
-        g = (g - u * np.add.reduce(u * g, 0)) / nrm
     if net.final_activation == "relu":
         g = g * (preacts[-1] > 0)
     for i in range(len(net.weights) - 1, -1, -1):
@@ -192,8 +174,7 @@ def lipschitz_upper_bound(net):
     """Product of layer spectral norms; caches the value on the network.
 
     Valid as a Lipschitz upper bound because every activation (identity,
-    relu) is 1-Lipschitz. Output normalization is excluded: the bound covers
-    the un-normalized map.
+    relu) is 1-Lipschitz.
     """
     if net.lipschitz_bound is not None:
         return net.lipschitz_bound
@@ -206,15 +187,12 @@ def lipschitz_upper_bound(net):
     return net.lipschitz_bound
 
 
-def synth_generator(k, n, hidden_dims=(), seed=0, scale=1.0, unit_sphere=False,
-                    final_activation="identity"):
+def synth_generator(k, n, hidden_dims=(), seed=0, scale=1.0, final_activation="identity"):
     """Random dense generator with Gaussian weights of std scale/sqrt(fan_in).
 
     Biases are zero, which makes the map positively homogeneous: scaling the
     latent by a > 0 scales the output by a, so the image is a cone that is
-    closed under positive rescaling. ``unit_sphere`` adds output
-    normalization so every output lies on the unit sphere. Deterministic in
-    ``seed``.
+    closed under positive rescaling. Deterministic in ``seed``.
     """
     k, n = int(k), int(n)
     if k < 1 or n < 1:
@@ -228,8 +206,7 @@ def synth_generator(k, n, hidden_dims=(), seed=0, scale=1.0, unit_sphere=False,
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         weights.append(rng.standard_normal((fan_out, fan_in)) * (scale / np.sqrt(fan_in)))
         biases.append(np.zeros(fan_out))
-    return GeneratorNetwork(dims, weights, biases, final_activation=final_activation,
-                            normalize_output=bool(unit_sphere))
+    return GeneratorNetwork(dims, weights, biases, final_activation=final_activation)
 
 
 def architecture_summary(net):

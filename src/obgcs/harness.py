@@ -20,7 +20,7 @@ from .errors import ObgcsError
 from .generator import synth_generator
 from .measurement import CovarianceSpec, observe, sample_ensemble, sample_truth
 from .serialization import load_generator
-from .util import derive_seed, fmt17, rng_for
+from .util import as_count, derive_seed, fmt17, rng_for
 
 CSV_HEADER = "m,decoder,trial,seed,l2_err,cosine,per_pixel,runtime_s,converged"
 KNOWN_DECODERS = ("ls", "biht", "pv")
@@ -48,19 +48,16 @@ class ExperimentGrid:
     record_runtime: bool = False
 
     def __post_init__(self):
-        self.m_values = [int(m) for m in self.m_values]
-        if not self.m_values or any(m < 1 for m in self.m_values):
+        self.m_values = [as_count(m, "m_values entry") for m in self.m_values]
+        if not self.m_values:
             raise ValueError("m_values must be nonempty positive integers")
-        if self.trials_per_cell < 1:
-            raise ValueError("need at least one trial per cell")
         self.decoders = tuple(self.decoders)
         if not self.decoders or any(d not in KNOWN_DECODERS for d in self.decoders):
             raise ValueError(f"decoders must be a nonempty subset of {KNOWN_DECODERS}")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be None or >= 1, got {self.workers}")
-        for name in ("ls_restarts", "ls_steps", "biht_s"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("trials_per_cell", "ls_restarts", "ls_steps", "biht_s"):
+            setattr(self, name, as_count(getattr(self, name), name))
+        if self.workers is not None:
+            self.workers = as_count(self.workers, "workers")
         if not self.pv_s > 0:
             raise ValueError(f"pv_s must be > 0, got {self.pv_s}")
 

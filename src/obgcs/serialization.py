@@ -12,9 +12,6 @@ Observation payload: y, x_star, eta, eps.
 
 Each kind's layout function is its single declaration: the parsed metadata
 fields and the ``(name, shape)`` of every block, in file order.
-
-Generators additionally round-trip through an equivalent JSON text form
-(handy for small nets); the loader sniffs the first byte.
 """
 
 import json
@@ -45,19 +42,15 @@ def _write(path, magic, meta, blocks):
             fh.write(np.ascontiguousarray(arr, dtype=_F8).tobytes())
 
 
-def _read(path, magic, layout, text_blocks=None):
-    """The fields and checked blocks of a container declared by ``layout``.
-    With ``text_blocks``, a file whose first byte is "{" is the kind's JSON
-    text twin, and ``text_blocks(doc, count)`` returns its blocks."""
+def _read(path, magic, layout):
+    """The fields and checked blocks of a container declared by ``layout``."""
     with open(path, "rb") as fh:
-        text = text_blocks is not None and fh.peek(1)[:1] == b"{"
+        got = _read_line(fh, "magic")
+        if got != magic:  # shown cut short: a one-line text file is all magic line
+            raise MalformedFileError(f"bad magic {got[:32]!r}{'...' * (len(got) > 32)}, "
+                                     f"expected {magic!r}")
         try:
-            if text:
-                meta = json.loads(fh.read())
-                _check_magic(meta.get("format"), magic.decode())
-            else:
-                _check_magic(_read_line(fh, "magic"), magic)
-                meta = json.loads(_read_line(fh, "metadata"))
+            meta = json.loads(_read_line(fh, "metadata"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise MalformedFileError(f"unparseable JSON: {exc}") from exc
         if not isinstance(meta, dict):
@@ -68,14 +61,9 @@ def _read(path, magic, layout, text_blocks=None):
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedFileError(f"bad {magic.decode()} metadata: {exc!r}") from exc
-        if text:
-            arrays = text_blocks(meta, len(shapes))
-        else:
-            arrays = (_read_raw(fh, name, shape) for name, shape in shapes)
         blocks = []
-        for (name, shape), arr in zip(shapes, arrays):
-            if arr.shape != shape:
-                raise DimensionMismatchError(f"{name}: shape {arr.shape} != {shape}")
+        for name, shape in shapes:
+            arr = _read_raw(fh, name, shape)
             if not np.all(np.isfinite(arr)):
                 raise NonFiniteError(f"non-finite entries in {name}")
             blocks.append(arr)
@@ -89,11 +77,6 @@ def _read_line(fh, what, cap=1 << 20):
     if not line.endswith(b"\n"):
         raise MalformedFileError(f"missing or overlong {what} line")
     return line[:-1]
-
-
-def _check_magic(got, magic):
-    if got != magic:
-        raise MalformedFileError(f"bad magic {got!r}, expected {magic!r}")
 
 
 def _read_raw(fh, name, shape):
@@ -125,33 +108,15 @@ def _m_n(meta):
 # ---------------------------------------------------------------- generators
 
 def save_generator(net, path):
-    """Write a generator; JSON text form if the path ends .json, else binary.
+    """Write a generator container, whatever the path's suffix.
 
     Block-diagonal (3-D) layers are written as their dense matrices, one
     block row at a time, so the file is the same as for the dense net.
+    ``normalize_output`` is always false: the v1 format keeps the field.
     """
-    meta = {
-        "layer_dims": list(net.layer_dims),
-        "activation": net.final_activation,
-        "normalize_output": bool(net.normalize_output),
-    }
-    if not str(path).endswith(".json"):
-        _write(path, GEN_MAGIC, meta, _generator_blocks(net))
-        return
-    # json.dump's layout for {"format": ..., **meta, "layers": [...]},
-    # written row by row
-    head = json.dumps({"format": GEN_MAGIC.decode(), **meta})
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head[:-1] + ', "layers": [')
-        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            fh.write(', {"weights": ' if i else '{"weights": ')
-            sep = "["
-            for chunk in _dense_row_chunks(w):
-                for row in chunk.tolist():
-                    fh.write(sep + json.dumps(row))
-                    sep = ", "
-            fh.write('], "bias": ' + json.dumps(b.tolist()) + "}")
-        fh.write("]}\n")
+    meta = {"layer_dims": list(net.layer_dims), "activation": net.final_activation,
+            "normalize_output": False}
+    _write(path, GEN_MAGIC, meta, _generator_blocks(net))
 
 
 def _generator_blocks(net):
@@ -180,36 +145,19 @@ def _generator_layout(meta):
         raise MalformedFileError(f"metadata 'layer_dims' must hold ints, got {dims!r}")
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise DimensionMismatchError(f"invalid layer_dims {dims}")
-    fields = (dims, _exact(meta, "activation", (str,), "identity"),
-              _exact(meta, "normalize_output", (bool,), False))
+    if _exact(meta, "normalize_output", (bool,), False):
+        raise MalformedFileError("metadata 'normalize_output' is true: unit-sphere "
+                                 "output is not supported")
+    fields = (dims, _exact(meta, "activation", (str,), "identity"))
     shapes = []
     for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
         shapes += [(f"layer {i} weights", (dout, din)), (f"layer {i} bias", (dout,))]
     return fields, shapes
 
 
-def _generator_text_blocks(doc, count):
-    """Per layer of a JSON generator, its weights then its bias."""
-    layers = doc.get("layers")
-    if not isinstance(layers, list) or 2 * len(layers) != count:
-        raise DimensionMismatchError(f"'layers' must list the {count // 2} layers declared")
-    arrays = []
-    for i, layer in enumerate(layers):
-        if not isinstance(layer, dict):
-            raise MalformedFileError(f"layer {i} is not a JSON object")
-        try:
-            arrays += [np.asarray(layer.get(key), dtype=np.float64) for key in ("weights", "bias")]
-        except (TypeError, ValueError) as exc:
-            raise MalformedFileError(
-                f"layer {i}: weights and bias must be numeric arrays") from exc
-    return arrays
-
-
 def load_generator(path):
-    (dims, act, norm), blocks = _read(path, GEN_MAGIC, _generator_layout,
-                                      _generator_text_blocks)
-    return GeneratorNetwork(dims, blocks[0::2], blocks[1::2], final_activation=act,
-                            normalize_output=norm)
+    (dims, act), blocks = _read(path, GEN_MAGIC, _generator_layout)
+    return GeneratorNetwork(dims, blocks[0::2], blocks[1::2], final_activation=act)
 
 
 # ----------------------------------------------------------------- ensembles

@@ -187,8 +187,9 @@ class SrecReport:
     min_ratio: float
 
 
-def check_srec(ens, net, gamma, delta, num_pairs, seed, r=1.0):
-    """Sample latent pairs and test (1/m)||A(x1-x2)||^2 >= gamma ||x1-x2||^2 - delta.
+def check_srec(ens, net, gamma, delta, num_pairs, seed):
+    """Sample latent pairs from the unit ball and test
+    (1/m)||A(x1-x2)||^2 >= gamma ||x1-x2||^2 - delta.
 
     Pairs whose generator images are closer than 1e-9 are skipped in the
     ratio statistic (0/0); ``min_ratio`` is the smallest observed
@@ -199,8 +200,8 @@ def check_srec(ens, net, gamma, delta, num_pairs, seed, r=1.0):
         raise ValueError("need at least one pair")
     rng = np.random.default_rng(seed)
     k = net.latent_dim
-    z1 = _uniform_ball(rng, num_pairs, k, r).T
-    z2 = _uniform_ball(rng, num_pairs, k, r).T
+    z1 = _uniform_ball(rng, num_pairs, k, 1.0).T
+    z2 = _uniform_ball(rng, num_pairs, k, 1.0).T
     diff = forward_batch(net, z1) - forward_batch(net, z2)
     d2 = np.sum(diff * diff, axis=0)
     lhs = np.sum((ens.A @ diff) ** 2, axis=0) / ens.m
@@ -294,20 +295,19 @@ def mean_width_of_directions(directions, num_gaussians, seed):
                              gamma_scale=0.0, theoretical_bound=bound)
 
 
-def estimate_local_mean_width(net, z_bar, gamma_scale, num_gaussians,
-                              net_epsilon, seed, r=1.0):
+def estimate_local_mean_width(net, z_bar, gamma_scale, num_gaussians, net_epsilon, seed):
     """Mean width of the normalized generator-difference cone around z_bar.
 
-    Builds an epsilon-net of the latent ball, keeps directions
+    Builds an epsilon-net of the unit latent ball, keeps directions
     (G(u) - G(z_bar)) / ||G(u) - G(z_bar)|| whose length clears gamma_scale,
     and Monte-Carlo estimates E sup <g, v>. The reported theoretical bound is
-    sqrt(2k log(16 L r / (gamma epsilon))) + sqrt(n) epsilon with L the
+    sqrt(2k log(16 L / (gamma epsilon))) + sqrt(n) epsilon with L the
     generator's Lipschitz upper bound.
     """
     if gamma_scale <= 0 or net_epsilon <= 0 or num_gaussians < 2:
         raise ValueError("gamma_scale, net_epsilon must be positive; need >= 2 gaussians")
     k = net.latent_dim
-    u_net = build_eps_net(k, r, net_epsilon)
+    u_net = build_eps_net(k, 1.0, net_epsilon)
     images = forward_batch(net, u_net.points.T)
     base = forward(net, np.asarray(z_bar, dtype=np.float64))
     diffs = images - base[:, None]
@@ -320,7 +320,7 @@ def estimate_local_mean_width(net, z_bar, gamma_scale, num_gaussians,
     directions = (diffs[:, keep] / lens[keep]).T
     est = mean_width_of_directions(directions, num_gaussians, seed)
     lip = lipschitz_upper_bound(net)
-    arg = 16.0 * lip * r / (gamma_scale * net_epsilon)
+    arg = 16.0 * lip / (gamma_scale * net_epsilon)
     bound = math.sqrt(2.0 * k * math.log(arg)) if arg > 1.0 else 0.0
     bound += math.sqrt(net.signal_dim) * net_epsilon
     return MeanWidthEstimate(omega_hat=est.omega_hat, std_err=est.std_err,

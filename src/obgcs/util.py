@@ -7,15 +7,28 @@ def derive_seed(*parts):
     """Stable integer seed derived from a tuple of non-negative integers.
 
     Uses numpy's SeedSequence entropy-mixing, which is documented to be
-    reproducible across platforms and numpy versions.
+    reproducible across platforms and numpy versions. Every part is taken
+    whole (SeedSequence raises ValueError on a negative one), so seeds that
+    differ by a multiple of 2**32 stay distinct.
     """
-    ss = np.random.SeedSequence([int(p) & 0xFFFFFFFF for p in parts])
+    ss = np.random.SeedSequence([int(p) for p in parts])
     return int(ss.generate_state(1, dtype=np.uint32)[0])
 
 
 def rng_for(*parts):
-    """Generator seeded from a stable hash of the given integer parts."""
-    return np.random.default_rng(np.random.SeedSequence([int(p) & 0xFFFFFFFF for p in parts]))
+    """Generator seeded from a stable hash of the given integer parts, taken
+    whole as in ``derive_seed``."""
+    return np.random.default_rng(np.random.SeedSequence([int(p) for p in parts]))
+
+
+def as_count(value, name):
+    """``value`` as an int; ValueError naming ``name`` unless it is an integer
+    (a bool or a float such as 2.5 or 2.0 is not) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
 
 
 def fmt17(x):

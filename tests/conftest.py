@@ -16,11 +16,12 @@ def identity_generator(n):
 
 
 def preacts_away_from_kinks(net, z, margin=1e-3):
-    """True when every hidden pre-activation clears the given margin."""
+    """True when every pre-activation that meets a ReLU (the hidden ones, and
+    the output's under a ReLU output) clears the given margin."""
     h = np.asarray(z, dtype=np.float64)
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         h = w @ h + b
-        if i < len(net.weights) - 1:
+        if i < len(net.weights) - 1 or net.final_activation == "relu":
             if np.min(np.abs(h)) < margin:
                 return False
             h = np.maximum(h, 0.0)

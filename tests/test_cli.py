@@ -281,6 +281,9 @@ class TestKeyTables:
          "step"),
         (["grid"], "k = 3\nn = 16\nm_values = 20\ntrials = 1\nls_lambda = 0.01\n", "ls_lambda"),
         (["grid"], "k = 3\nn = 16\nm_values = 20\ntrials = 1\nbiht_step = 0.5\n", "biht_step"),
+        # generators have no unit-sphere output
+        (["synth-gen"], "k = 3\nunit_sphere = true\n", "unit_sphere"),
+        (["grid"], "k = 3\nn = 16\nunit_sphere = false\n", "unit_sphere"),
     ])
     def test_bad_key_exits_1_naming_file_and_key(self, tmp_path, capsys, command, text, key):
         cfg = write(tmp_path / "bad.cfg", text)
@@ -339,14 +342,14 @@ class TestKeyTables:
 
     def test_grid_passes_every_key_to_experiment_grid(self, tmp_path):
         cfg = write(tmp_path / "g.cfg", (
-            "k = 3\nn = 16\nhidden_dims = 8\nunit_sphere = true\ngen_seed = 4\n"
+            "k = 3\nn = 16\nhidden_dims = 8\nscale = 0.5\ngen_seed = 4\n"
             "m_values = 40, 80\ntrials = 2\ndecoders = ls, biht\nls_steps = 50\n"
             "ls_restarts = 2\nbiht_s = 4\n"))
         cli_csv, api_csv = tmp_path / "cli.csv", tmp_path / "api.csv"
         assert main(["grid", "--config", cfg, "--seed", "7", "--out", str(cli_csv),
                      "--quiet"]) == 0
         run_grid(ExperimentGrid(
-            generator={"k": 3, "n": 16, "hidden_dims": [8], "unit_sphere": True, "seed": 4},
+            generator={"k": 3, "n": 16, "hidden_dims": [8], "scale": 0.5, "seed": 4},
             m_values=[40, 80], trials_per_cell=2, decoders=("ls", "biht"), base_seed=7,
             output_path=str(api_csv), ls_steps=50, ls_restarts=2, biht_s=4))
         assert cli_csv.read_bytes() == api_csv.read_bytes()
@@ -360,15 +363,25 @@ class TestKeyTables:
                      "--quiet"]) == 2
         assert not list(tmp_path.glob("meas*"))
 
-    @pytest.mark.parametrize("layers", [
-        '[7]', '[{"weights": [[1.0], [1.0, 2.0]], "bias": [0, 0]}]'], ids=["non-object", "ragged"])
-    def test_measure_on_malformed_json_generator_exits_1(self, tmp_path, capsys, layers):
-        gen = write(tmp_path / "bad.json", '{"format": "OBGCS-GEN v1", "layer_dims": [1, 2], '
-                                           f'"layers": {layers}}}')
+    def test_negative_seed_exits_1(self, tmp_path, gen_file, capsys):
+        # it was masked to 32 bits and drew seed 2**32 - 1's ensemble
+        mcfg = write(tmp_path / "m.cfg", f"gen = {gen_file}\nm = 10\n")
+        assert main(["measure", "--config", mcfg, "--seed", "-1", "--out",
+                     str(tmp_path / "meas"), "--quiet"]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("meas*"))
+
+    def test_measure_on_json_text_generator_exits_1(self, tmp_path, capsys):
+        # every generator file is the binary container, whatever its suffix
+        gen = write(tmp_path / "g.json", '{"format": "OBGCS-GEN v1", "layer_dims": [1, 2], '
+                                         '"layers": [{"weights": [[1.0], [2.0]], "bias": [0, 0]}]}\n')
         mcfg = write(tmp_path / "m.cfg", f"gen = {gen}\nm = 10\n")
         assert main(["measure", "--config", mcfg, "--out", str(tmp_path / "meas"),
                      "--quiet"]) == 1
-        assert "error: layer 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the message shows the start of the line, not the whole one-line file
+        assert "error: bad magic b'{\"format\": \"OBGCS-GEN v1\", \"laye'..." in err
+        assert not list(tmp_path.glob("meas*"))
 
     def test_decode_with_nan_noise_level_in_ensemble_file_exits_1(self, tmp_path, gen_file,
                                                                    capsys):

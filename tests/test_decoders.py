@@ -94,10 +94,9 @@ def parity_problem(m, seed, net=None, **cfg):
     return obs, ens, net, cfg
 
 
-def relu_sphere_net(seed):
-    """4 -> 16 -> 24 -> 40 with a final ReLU and unit-norm output."""
-    return synth_generator(k=4, n=40, hidden_dims=[16, 24], seed=seed, unit_sphere=True,
-                           final_activation="relu")
+def relu_net(seed):
+    """4 -> 16 -> 24 -> 40 with a final ReLU."""
+    return synth_generator(k=4, n=40, hidden_dims=[16, 24], seed=seed, final_activation="relu")
 
 
 def block_hidden_net(seed):
@@ -137,6 +136,19 @@ class TestLsDecode:
         # a NaN radius used to fail every norms > radius test and decode unconstrained
         with pytest.raises(ValueError, match=f"{fault} must be .*, got nan"):
             LsDecoderConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["restarts", "steps_per_restart"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True])
+    def test_non_integer_count_rejected(self, field, value):
+        # steps_per_restart=2.5 used to drop the cap (iterations == 2.5 never
+        # holds) and restarts=2.5 to fail inside numpy
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            LsDecoderConfig(**{field: value})
+
+    def test_numpy_integer_count_taken(self):
+        cfg = LsDecoderConfig(restarts=np.int64(3), steps_per_restart=np.int32(7))
+        assert (cfg.restarts, cfg.steps_per_restart) == (3, 7)
+        assert type(cfg.restarts) is int and type(cfg.steps_per_restart) is int
 
     def test_recovers_direction_with_identity_prior(self):
         # no-prior sanity: k = n, huge m, noiseless and flipless
@@ -392,7 +404,7 @@ class TestLsParity:
         np.testing.assert_array_equal(res.loss_trace, trace_ref)
 
     @pytest.mark.parametrize("mode", ["lagrangian", "constrained"])
-    @pytest.mark.parametrize("make_net", [relu_sphere_net, block_hidden_net])
+    @pytest.mark.parametrize("make_net", [relu_net, block_hidden_net])
     @pytest.mark.parametrize("m,seed", [(10, 1), (25, 2), (40, 3)])
     def test_other_nets_bitwise_equal_to_residual_form_when_m_le_n(self, m, seed, make_net,
                                                                    mode):
@@ -447,6 +459,12 @@ class TestHardThreshold:
         x = np.array([1.0, -2.0, 0.5])
         np.testing.assert_array_equal(hard_threshold(x, 3), x)
 
+    @pytest.mark.parametrize("s", [2.5, 2.0])
+    def test_non_integer_s_rejected(self, s):
+        # int(2.5) used to keep 2 entries
+        with pytest.raises(ValueError, match=f"sparsity s must be an integer, got {s}"):
+            hard_threshold(np.array([3.0, -5.0, 1.0, 4.0]), s)
+
 
 class TestBiht:
     def test_single_spike_recovery(self):
@@ -493,6 +511,13 @@ class TestBiht:
         obs = observe(ens, np.ones(4), seed=18)
         with pytest.raises(ValueError, match="iters"):
             biht_decode(obs, ens, s=2, iters=iters)
+
+    def test_non_integer_iterations_rejected(self):
+        # iters=1.5 used to run once
+        ens = sample_ensemble(20, CovarianceSpec.identity(4), 0.0, 1.0, seed=17)
+        obs = observe(ens, np.ones(4), seed=18)
+        with pytest.raises(ValueError, match="BIHT iters must be an integer, got 1.5"):
+            biht_decode(obs, ens, s=2, iters=1.5)
 
     def test_s_equals_n_reduces_to_sign_matching_iteration(self):
         n = 12

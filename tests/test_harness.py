@@ -12,7 +12,7 @@ from obgcs import (CellResult, ExperimentGrid, GeneratorNetwork, NotSpdError,
                    fit_scaling, flip_robustness_report, harness, read_csv,
                    run_grid, save_generator, write_csv)
 from obgcs.harness import CSV_HEADER
-from obgcs.util import derive_seed
+from obgcs.util import derive_seed, rng_for
 
 
 def tiny_grid(**overrides):
@@ -33,6 +33,19 @@ class TestSeedDerivation:
         assert derive_seed(7, 100, 3) == 1662483503
         assert derive_seed(0, 250, 0) == 4037361814
         assert derive_seed(7, 100, 3, 2) == 3619024898
+
+    def test_parts_at_or_above_2_32_stay_distinct(self):
+        # each part was masked to 32 bits, so 2**32 + 7 and 7 gave one seed
+        assert derive_seed(2 ** 32 + 7, 100, 0) != derive_seed(7, 100, 0)
+        assert derive_seed(2 ** 32) != derive_seed(0)
+        assert not np.array_equal(rng_for(2 ** 32, 1).random(4), rng_for(0, 1).random(4))
+
+    def test_negative_part_rejected(self):
+        # -1 was masked to 2**32 - 1
+        with pytest.raises(ValueError):
+            derive_seed(-1, 100, 0)
+        with pytest.raises(ValueError):
+            rng_for(-1, 0)
 
 
 class TestRunGrid:
@@ -86,6 +99,18 @@ class TestRunGrid:
         with pytest.raises(ValueError, match=fault):
             tiny_grid(**setting)
 
+    @pytest.mark.parametrize("field", ["trials_per_cell", "ls_restarts", "ls_steps", "biht_s",
+                                       "workers"])
+    def test_non_integer_count_rejected(self, field):
+        # these were accepted; ls_steps=2.5 then dropped the LS step cap
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got 2.5"):
+            tiny_grid(**{field: 2.5})
+
+    def test_non_integer_m_rejected(self):
+        # int(40.5) used to run the cell at m = 40
+        with pytest.raises(ValueError, match="m_values entry must be an integer, got 40.5"):
+            tiny_grid(m_values=[40.5, 80])
+
     def test_biht_s_above_n_rejected_before_any_cell(self, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "_run_cell", lambda *args: calls.append(args) or [])
@@ -105,11 +130,10 @@ class TestRunGrid:
         assert back[0].l2_err == res[0].l2_err
         assert all(r.runtime_s == 0.0 for r in back)  # zeroed for determinism
 
-    @pytest.mark.parametrize("unit_sphere", [False, True])
-    def test_zero_output_generator_gives_unconverged_rows(self, tmp_path, unit_sphere):
+    def test_zero_output_generator_gives_unconverged_rows(self, tmp_path):
         # every sampled truth is zero, so no cell has anything to recover
         net = GeneratorNetwork([3, 8, 20], [np.ones((8, 3)), np.zeros((20, 8))],
-                               [np.zeros(8), np.zeros(20)], normalize_output=unit_sphere)
+                               [np.zeros(8), np.zeros(20)])
         gen_path, csv_path = tmp_path / "zero.bin", tmp_path / "r.csv"
         save_generator(net, gen_path)
         res = run_grid(tiny_grid(generator=str(gen_path), decoders=("ls", "biht", "pv"),

@@ -32,6 +32,15 @@ class TestSampleEnsemble:
         b = sample_ensemble(20, cov, 0.1, 0.97, seed=5)
         np.testing.assert_array_equal(a.A, b.A)
 
+    def test_seed_taken_whole(self):
+        # seeds were masked to 32 bits: -1 drew seed 2**32 - 1's matrix and
+        # 2**32 drew seed 0's
+        cov = CovarianceSpec.identity(3)
+        with pytest.raises(ValueError):
+            sample_ensemble(4, cov, 0.1, 0.97, seed=-1)
+        assert not np.array_equal(sample_ensemble(4, cov, 0.1, 0.97, seed=2 ** 32).A,
+                                  sample_ensemble(4, cov, 0.1, 0.97, seed=0).A)
+
     def test_identity_cov_concentrates(self):
         # max-entry deviation of the empirical covariance under the
         # (desk-calibrated constant 4) sqrt(log n / m) envelope

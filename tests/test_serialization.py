@@ -13,7 +13,7 @@ from obgcs import (CovarianceSpec, DimensionMismatchError, GeneratorNetwork, Mal
 
 
 def dense_net():
-    return synth_generator(k=3, n=8, hidden_dims=[5, 6], seed=2, unit_sphere=True)
+    return synth_generator(k=3, n=8, hidden_dims=[5, 6], seed=2)
 
 
 def block_net():
@@ -24,7 +24,7 @@ def block_net():
         [rng.standard_normal((6, 2)), rng.standard_normal((3, 4, 2)),
          rng.standard_normal((3, 12))],
         [rng.standard_normal(6), rng.standard_normal(12), rng.standard_normal(3)],
-        final_activation="relu", normalize_output=True)
+        final_activation="relu")
 
 
 def ensemble(cov):
@@ -144,12 +144,12 @@ class TestMalformed:
         with pytest.raises(MalformedFileError, match="OverflowError"):
             load_ensemble(path)
 
-    def test_json_generator_takes_exact_json_types(self, tmp_path):
-        path = tmp_path / "g.json"
-        save_generator(dense_net(), path)
-        doc = json.loads(path.read_text())
-        path.write_text(json.dumps({**doc, "normalize_output": "false"}))
-        with pytest.raises(MalformedFileError, match="metadata 'normalize_output' must"):
+    def test_unit_sphere_generator_is_refused(self, tmp_path):
+        # such a file declares a unit-sphere output: loading it as the plain
+        # map would give a different generator
+        path = saved(tmp_path, "generator")
+        edit_meta(path, lambda meta: meta.update(normalize_output=True))
+        with pytest.raises(MalformedFileError, match="'normalize_output' is true"):
             load_generator(path)
 
     def test_explicit_covariance_kind_is_unknown(self, tmp_path):
@@ -161,14 +161,9 @@ class TestMalformed:
         with pytest.raises(MalformedFileError, match="unknown covariance kind 'explicit'"):
             load_ensemble(path)
 
-    @pytest.mark.parametrize("suffix", [".bin", ".json"])
-    def test_sigmoid_activation_is_unknown(self, tmp_path, suffix):
-        path = tmp_path / f"g{suffix}"
-        save_generator(dense_net(), path)
-        if suffix == ".json":
-            path.write_text(json.dumps({**json.loads(path.read_text()), "activation": "sigmoid"}))
-        else:
-            edit_meta(path, lambda meta: meta.update(activation="sigmoid"))
+    def test_sigmoid_activation_is_unknown(self, tmp_path):
+        path = saved(tmp_path, "generator")
+        edit_meta(path, lambda meta: meta.update(activation="sigmoid"))
         with pytest.raises(ShapeError, match="unknown final activation 'sigmoid'"):
             load_generator(path)
 
@@ -181,17 +176,23 @@ class TestMalformed:
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("kind, suffix, make", [
-        ("generator", ".bin", dense_net), ("generator", ".json", dense_net),
-        ("generator", ".bin", block_net), ("generator", ".json", block_net),
-        ("ensemble", ".bin", lambda: ensemble(CovarianceSpec.identity(4))),
-        ("ensemble", ".bin", lambda: ensemble(CovarianceSpec.toeplitz(4, 0.3))),
-        ("observation", ".bin", observation),
-    ], ids=["dense-bin", "dense-json", "block-bin", "block-json", "identity", "toeplitz",
-            "observation"])
-    def test_save_load_save(self, tmp_path, kind, suffix, make):
+    @pytest.mark.parametrize("kind, make", [
+        ("generator", dense_net), ("generator", block_net),
+        ("ensemble", lambda: ensemble(CovarianceSpec.identity(4))),
+        ("ensemble", lambda: ensemble(CovarianceSpec.toeplitz(4, 0.3))),
+        ("observation", observation),
+    ], ids=["dense-bin", "block-bin", "identity", "toeplitz", "observation"])
+    def test_save_load_save(self, tmp_path, kind, make):
         save, load, _ = KINDS[kind]
-        first, second = tmp_path / f"a{suffix}", tmp_path / f"b{suffix}"
+        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
         save(make(), first)
         save(load(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_json_suffix_writes_the_binary_container(self, tmp_path):
+        save_generator(dense_net(), tmp_path / "g.json")
+        save_generator(dense_net(), tmp_path / "g.bin")
+        data = (tmp_path / "g.json").read_bytes()
+        assert data.startswith(b"OBGCS-GEN v1\n")
+        assert b'"normalize_output":false' in data.split(b"\n")[1]
+        assert data == (tmp_path / "g.bin").read_bytes()
