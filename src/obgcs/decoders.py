@@ -28,7 +28,7 @@ _MAX_GROWTH = 4.0        # a BB step is at most this multiple of the last accept
 _MAX_BACKTRACKS = 60     # halvings before a search gives up
 # stop once f_old - f_new <= _STOP_RTOL * (1 + |f_old|): L-BFGS-B's default
 # moderate-accuracy factr = 1e7 (Zhu, Byrd, Lu & Nocedal, ACM TOMS 1997)
-_STOP_RTOL = 1e7 * np.finfo(float).eps
+_STOP_RTOL = 1e7 * float(np.finfo(float).eps)
 
 
 @dataclass
@@ -37,11 +37,8 @@ class LsDecoderConfig:
 
     ``mode`` is "lagrangian" (penalty ``lam * ||z||^2``) or "constrained"
     (projection onto the ball of radius ``radius`` after every step).
-    ``steps_per_restart`` caps the steps of each restart; a restart stops
-    sooner once a step lowers its loss by at most 1e7 eps (1 + |f|), about
-    2.2e-9 relative (L-BFGS-B's default factr = 1e7). Each restart's first
-    trial step is 1.0: the line search shrinks it as needed, and later steps
-    come from the Barzilai-Borwein rule.
+    ``steps_per_restart`` caps the steps of each restart; ``ls_decode``
+    gives the step rule and the other ways a restart stops.
     """
 
     mode: str = "lagrangian"
@@ -104,17 +101,18 @@ def ls_decode(obs, ens, net, cfg):
     several restarts fail, it names the one whose search runs out first
     (the lowest index among those that run out in the same pass).
 
-    Each pass of the loop evaluates one trial point per restart as one
-    (k, R) batch, so every restart runs its own search and none waits for
-    another's halvings; a stopped restart stays in the batch at a zero
-    step. One generator pass per trial point gives both its loss and its
-    gradient, so an accepted trial needs no second pass. The loss is
+    Each pass evaluates one trial point per restart as one (k, R) batch, so
+    every restart runs its own search and none waits for another's halvings;
+    a stopped restart stays in the batch at a zero step, so the batch width
+    and its rounding never change. One generator pass per trial point gives
+    both its loss and its gradient. The step bookkeeping (Armijo test, BB
+    step, stop rules) runs on plain floats over the running restarts only:
+    on (R,) arrays numpy's cost per call exceeds the arithmetic. The loss is
     quadratic in x = G(z): when m > n a one-off O(m n^2) build of
     H = A^T A / m, b = A^T y / m and c = |y|^2 / m makes every trial
-    O(n^2 R) for R restarts, independent of m; when m <= n the residual
-    A x - y is the cheaper form and is used directly. The returned
-    ``objective`` is always recomputed from the residual, so a near-zero
-    loss is not lost to cancellation.
+    O(n^2 R), independent of m; when m <= n the residual A x - y is the
+    cheaper form. The returned ``objective`` is recomputed from the
+    residual, so a near-zero loss is not lost to cancellation.
     """
     y = obs.y
     A = ens.A
@@ -145,48 +143,59 @@ def ls_decode(obs, ens, net, cfg):
             bad = int(np.flatnonzero(~np.isfinite(f))[0])
             raise DivergenceError(f"non-finite loss at restart {bad}, step 0 (its start point)",
                                   restart=bad, step=0)
-        a = np.full(cfg.restarts, _FIRST_STEP)  # each restart's current trial step
-        halvings = np.zeros(cfg.restarts, dtype=int)  # in its current search
-        finite = np.zeros(cfg.restarts, dtype=bool)  # its current search met a finite loss
-        iterations = np.zeros(cfg.restarts, dtype=int)
-        running = np.ones(cfg.restarts, dtype=bool)
-        no_bb = np.full(cfg.restarts, np.inf)  # the BB step where s'y <= 0
-        passes = [(running.copy(), f, np.zeros(cfg.restarts))]  # the start as a step of 0.0
-        while True:
-            Zt = Z - a * G
+        f = f.tolist()
+        a = [_FIRST_STEP] * cfg.restarts  # each restart's current trial step; 0.0 once stopped
+        halvings = [0] * cfg.restarts  # in its current search
+        finite = [False] * cfg.restarts  # its current search met a finite loss
+        traces = [[(loss, 0.0)] for loss in f]  # (loss, step) at its start and each accepted step
+        running = list(range(cfg.restarts))
+        passes = 1
+        while running:
+            Zt = Z - np.array(a) * G
             if radius is not None:
                 Zt = _project_ball_cols(Zt, radius)
             ft, Gt = evaluate(Zt)
+            passes += 1
             S = Zt - Z
-            ok = running & np.isfinite(ft)
-            finite |= ok
-            ok &= ft <= f + _ARMIJO_C1 * np.minimum(np.add.reduce(G * S, 0), 0.0)
-            passes.append((ok, ft, a))
-            sy = np.add.reduce(S * (Gt - G), 0)
-            bb = np.divide(np.add.reduce(S * S, 0), sy, out=no_bb.copy(), where=sy > 0)
-            converged = f - ft <= _STOP_RTOL * (1.0 + np.abs(f))
-            Z = np.where(ok, Zt, Z)
-            G = np.where(ok, Gt, G)
-            f = np.where(ok, ft, f)
-            a = np.where(ok, np.minimum(bb, _MAX_GROWTH * a), 0.5 * a)
-            halvings = np.where(ok, 0, halvings + running)
-            finite &= ~ok
-            iterations += ok
-            failed = halvings > _MAX_BACKTRACKS  # its search ran out of halvings
-            stopped = failed | (ok & (converged | (iterations == cfg.steps_per_restart)))
-            if stopped.any():
-                if (failed & ~finite).any():
-                    bad = int(np.flatnonzero(failed & ~finite)[0])
-                    step = int(iterations[bad]) + 1
-                    raise DivergenceError(f"no finite trial loss at restart {bad}, step {step}",
-                                          restart=bad, step=step)
-                running &= ~stopped
-                if not running.any():
-                    break
-                a[stopped] = halvings[stopped] = 0  # it tries a zero step from now on
+            ft = ft.tolist()
+            gs = np.add.reduce(G * S, 0).tolist()
+            sy = np.add.reduce(S * (Gt - G), 0).tolist()
+            ss = np.add.reduce(S * S, 0).tolist()
+            accepted, still = [], []
+            for j in running:
+                fj, tj, aj = f[j], ft[j], a[j]
+                # 0.0 if gs >= 0 else gs: a NaN gs fails the test, as under np.minimum
+                if math.isfinite(tj) and tj <= fj + _ARMIJO_C1 * (0.0 if gs[j] >= 0.0 else gs[j]):
+                    accepted.append(j)
+                    traces[j].append((tj, aj))
+                    f[j], halvings[j], finite[j] = tj, 0, False
+                    bb = ss[j] / sy[j] if sy[j] > 0 else math.inf
+                    a[j] = _MAX_GROWTH * aj if _MAX_GROWTH * aj < bb else bb  # NaN bb stays NaN
+                    stop = (fj - tj <= _STOP_RTOL * (1.0 + abs(fj))
+                            or len(traces[j]) > cfg.steps_per_restart)
+                else:
+                    finite[j] = finite[j] or math.isfinite(tj)
+                    halvings[j] += 1
+                    a[j] = 0.5 * aj
+                    stop = halvings[j] > _MAX_BACKTRACKS  # its search ran out of halvings
+                    if stop and not finite[j]:
+                        step = len(traces[j])
+                        raise DivergenceError(f"no finite trial loss at restart {j}, "
+                                              f"step {step}", restart=j, step=step)
+                if stop:
+                    a[j] = 0.0  # it tries a zero step from now on
+                else:
+                    still.append(j)
+            running = still
+            if len(accepted) == cfg.restarts:
+                Z, G = Zt, Gt
+            elif accepted:
+                took = np.zeros(cfg.restarts, dtype=bool)
+                took[accepted] = True
+                Z, G = np.where(took, Zt, Z), np.where(took, Gt, G)
 
-    best = int(np.argmin(f))  # argmin returns the first (lowest) index on ties
-    trace = [(loss[best], step[best]) for took, loss, step in passes if took[best]]
+    best = f.index(min(f))  # the first (lowest) index on ties
+    trace = traces[best]
     z_hat = Z[:, best].copy()
     x_hat = forward(net, z_hat)
     r = A @ x_hat - y
@@ -195,13 +204,13 @@ def ls_decode(obs, ens, net, cfg):
         z_hat=z_hat,
         x_hat=x_hat,
         objective=objective,
-        loss_trace=[float(loss) for loss, _ in trace],
+        loss_trace=[loss for loss, _ in trace],
         restart_index=best,
-        iterations=int(iterations[best]),
+        iterations=len(trace) - 1,
         grad_norm=float(np.linalg.norm(G[:, best])),
-        step=float(trace[-1][1]),
-        restart_losses=f.tolist(),
-        passes=len(passes),
+        step=trace[-1][1],
+        restart_losses=f,
+        passes=passes,
     )
 
 
@@ -237,15 +246,13 @@ def _project_ball_cols(Z, radius):
 def hard_threshold(x, s):
     """Keep the s largest-magnitude entries, ties broken by lowest index."""
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    s = as_count(s, "sparsity s")
-    if s > n:
-        raise ValueError(f"sparsity must lie in [1, {n}], got {s}")
-    if s == n:
-        return x.copy()
-    order = np.argsort(-np.abs(x), kind="stable")
-    out = np.zeros_like(x)
-    keep = order[:s]
+    return _keep_largest(x, as_count(s, "sparsity s", most=x.shape[0]))
+
+
+def _keep_largest(x, s):
+    """``hard_threshold`` without its checks: a stable argsort on -|x|."""
+    keep = np.argsort(-np.abs(x), kind="stable")[:s]
+    out = np.zeros(x.shape)
     out[keep] = x[keep]
     return out
 
@@ -253,23 +260,29 @@ def hard_threshold(x, s):
 def biht_decode(obs, ens, s, iters=100):
     """Binary iterative hard thresholding baseline.
 
-    Iterates x <- H_s(x + (1/m) A^T (y - sign(Ax))) from zero and returns
-    the final iterate rescaled to unit norm; the output is exactly s-sparse.
-    If the final iterate is zero (every y_i = +1 leaves x = 0 fixed, as
-    sign(0) = +1), it returns H_s(A^T y / m) at unit norm instead: the first
-    step with sign(0) read as 0. Zeros if that is zero too. Raises
-    ValueError unless ``iters`` is an integer >= 1.
+    Iterates x <- H_s(x + (1/m) A^T (y - sign(Ax))) from zero, ``iters``
+    times or until an iterate repeats its predecessor byte for byte (a fixed
+    point of this deterministic map, which the remaining steps would keep),
+    and returns it at unit norm; the output is exactly s-sparse. If it is
+    zero (every y_i = +1 leaves x = 0 fixed, as sign(0) = +1), it returns
+    H_s(A^T y / m) at unit norm instead: the first step with sign(0) read as
+    0. Zeros if that is zero too. Raises ValueError before the first step
+    unless ``iters`` is an integer >= 1 and ``s`` one in [1, n].
     """
     iters = as_count(iters, "BIHT iters")
-    A = ens.A
-    y = obs.y
-    m = A.shape[0]
-    x = np.zeros(A.shape[1])
+    A, y = ens.A, obs.y
+    m, n = A.shape
+    s = as_count(s, "sparsity s", most=n)
+    x = np.zeros(n)
     for _ in range(iters):
-        x = hard_threshold(x + (1.0 / m) * (A.T @ (y - sign_pm1(A @ x))), s)
+        x_new = _keep_largest(x + (1.0 / m) * (A.T @ (y - sign_pm1(A @ x))), s)
+        # bytes, not ==: stopping where only a zero's sign differs could flip it
+        if x_new.tobytes() == x.tobytes():
+            break
+        x = x_new
     nrm = np.linalg.norm(x)
     if nrm == 0.0:
-        x = hard_threshold((1.0 / m) * (A.T @ y), s)
+        x = _keep_largest((1.0 / m) * (A.T @ y), s)
         nrm = np.linalg.norm(x)
     return x / nrm if nrm > 0.0 else x
 

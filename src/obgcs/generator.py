@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
+from .util import as_count
 
 ACTIVATIONS = ("identity", "relu")
 
@@ -194,12 +195,9 @@ def synth_generator(k, n, hidden_dims=(), seed=0, scale=1.0, final_activation="i
     latent by a > 0 scales the output by a, so the image is a cone that is
     closed under positive rescaling. Deterministic in ``seed``.
     """
-    k, n = int(k), int(n)
-    if k < 1 or n < 1:
-        raise ShapeError("latent and signal dimensions must be >= 1")
-    dims = [k] + [int(d) for d in hidden_dims] + [n]
-    if any(d < 1 for d in dims):
-        raise ShapeError(f"invalid hidden dims in {dims}")
+    dims = ([as_count(k, "k", ShapeError)]
+            + [as_count(d, "hidden_dims entry", ShapeError) for d in hidden_dims]
+            + [as_count(n, "n", ShapeError)])
     rng = np.random.default_rng(seed)
     weights = []
     biases = []

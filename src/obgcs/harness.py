@@ -82,7 +82,7 @@ class CellResult:
     converged: bool
 
 
-def _run_cell(grid, net, m, trial):
+def _run_cell(grid, net, cov, m, trial):
     """All requested decoders on one freshly sampled (ensemble, truth, y).
 
     A decoder that fails with an ObgcsError (it diverged, or a covariance
@@ -91,7 +91,6 @@ def _run_cell(grid, net, m, trial):
     recover), gives a converged=False row with NaN errors.
     """
     cell_seed = derive_seed(grid.base_seed, m, trial)
-    cov = CovarianceSpec.from_nu(net.signal_dim, grid.nu)
     ens = sample_ensemble(m, cov, grid.sigma, grid.q, cell_seed)
     try:
         x_star = sample_truth(net, cov, rng_for(grid.base_seed, m, trial, 1))
@@ -147,7 +146,8 @@ def run_grid(grid, progress=None):
     net = grid.make_generator()
     if "biht" in grid.decoders and grid.biht_s > net.signal_dim:
         raise ValueError(f"biht_s must be <= n = {net.signal_dim}, got {grid.biht_s}")
-    cells = [(grid, net, m, trial)
+    cov = CovarianceSpec.from_nu(net.signal_dim, grid.nu)  # one spec: its factor is cached
+    cells = [(grid, net, cov, m, trial)
              for m in grid.m_values for trial in range(grid.trials_per_cell)]
     results = []
     workers = grid.workers

@@ -7,13 +7,13 @@ convention sign(0) = +1 makes observations exactly reproducible.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NotSpdError, ShapeError
 from .generator import forward
-from .util import rng_for
+from .util import as_count, rng_for
 
 
 @dataclass
@@ -23,17 +23,19 @@ class CovarianceSpec:
     kind: str
     n: int
     nu: float = 0.0
+    _dense: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def identity(cls, n):
-        return cls(kind="identity", n=int(n))
+        return cls(kind="identity", n=as_count(n, "n"))
 
     @classmethod
     def toeplitz(cls, n, nu):
         nu = float(nu)
         if not -1.0 < nu < 1.0:
             raise ValueError(f"toeplitz correlation must lie in (-1, 1), got {nu}")
-        return cls(kind="toeplitz", n=int(n), nu=nu)
+        return cls(kind="toeplitz", n=as_count(n, "n"), nu=nu)
 
     @classmethod
     def from_nu(cls, n, nu):
@@ -41,18 +43,23 @@ class CovarianceSpec:
         return cls.identity(n) if nu == 0.0 else cls.toeplitz(n, nu)
 
     def dense(self):
-        """Materialize Sigma as a dense matrix."""
-        if self.kind == "identity":
-            return np.eye(self.n)
-        idx = np.arange(self.n)
-        return self.nu ** np.abs(idx[:, None] - idx[None, :])
+        """Sigma as a dense matrix, computed once and read-only."""
+        if self._dense is None:
+            idx = np.arange(self.n)
+            self._dense = (np.eye(self.n) if self.kind == "identity"
+                           else self.nu ** np.abs(idx[:, None] - idx[None, :]))
+            self._dense.flags.writeable = False
+        return self._dense
 
     def cholesky(self):
-        """Lower Cholesky factor of Sigma; raises NotSpdError on failure."""
-        try:
-            return np.linalg.cholesky(self.dense())
-        except np.linalg.LinAlgError as exc:
-            raise NotSpdError(f"covariance is not positive definite: {exc}") from exc
+        """Lower Cholesky factor of Sigma, computed once and read-only, or NotSpdError."""
+        if self._factor is None:
+            try:
+                self._factor = np.linalg.cholesky(self.dense())
+            except np.linalg.LinAlgError as exc:
+                raise NotSpdError(f"covariance is not positive definite: {exc}") from exc
+            self._factor.flags.writeable = False
+        return self._factor
 
     def min_eigenvalue(self):
         return float(np.linalg.eigvalsh(self.dense()).min())
@@ -123,9 +130,7 @@ def sample_ensemble(m, cov, sigma, q, seed):
     sub-stream 0 of the seed so observation noise (sub-stream 1) and flips
     (sub-stream 2) can be varied independently.
     """
-    m = int(m)
-    if m < 1:
-        raise ValueError("need m >= 1 measurements")
+    m = as_count(m, "m")
     chol = cov.cholesky()
     rng = rng_for(seed, 0)
     A = rng.standard_normal((m, cov.n))

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import CapacityError, ObgcsError, ShapeError
 from .generator import GeneratorNetwork, forward, forward_batch
+from .util import as_count
 
 # The most bits a build accepts. Up to it every row of the bit pipelines sums
 # to the same float in any order: the threshold rows add terms up to
@@ -269,9 +270,7 @@ def build_fitter(samples, cap_w, ell):
     W^2 ell, additionally bounded by 4W(ell+1) points, the number of ramp
     units the stage layout can host.
     """
-    cap_w, ell = int(cap_w), int(ell)
-    if cap_w < 1 or not 1 <= ell <= MAX_BITS:
-        raise ValueError(f"need cap_w >= 1 and 1 <= ell <= {MAX_BITS}")
+    cap_w, ell = as_count(cap_w, "cap_w"), as_count(ell, "ell", most=MAX_BITS)
     anchors = _anchors(samples)
     values = np.array([float(y) for _, y in samples])
     for v in values:
@@ -334,9 +333,7 @@ def build_bit_extractor(ell):
     The construction is certified by re-evaluating the exported weights over
     bit patterns at build time.
     """
-    ell = int(ell)
-    if not 1 <= ell <= MAX_BITS:
-        raise ValueError(f"need 1 <= ell <= {MAX_BITS}")
+    ell = as_count(ell, "ell", most=MAX_BITS)
     stack = _Stack(2, 8)
     if ell == 1:
         stack.add_layer(_threshold_pair(ell, 1, {0: 1.0}))
@@ -420,9 +417,9 @@ def build_indexed_memorizer(samples, cap_w, ell):
     one-bit table has no depth budget for the composition). Capacity is
     W^2 ell, additionally bounded by the 4W(2 ell - 2) ramp units of its stages.
     """
-    cap_w, ell = int(cap_w), int(ell)
-    if cap_w < 1 or not 2 <= ell <= MAX_BITS:
-        raise ValueError(f"need cap_w >= 1 and 2 <= ell <= {MAX_BITS}")
+    cap_w, ell = as_count(cap_w, "cap_w"), as_count(ell, "ell", most=MAX_BITS)
+    if ell < 2:
+        raise ValueError(f"need ell >= 2, got {ell}")
     anchors = _anchors(samples)
     rows = [np.asarray(bits, dtype=np.float64) for _, bits in samples]
     if any(r.shape != (ell,) or not np.all((r == 0.0) | (r == 1.0)) for r in rows):
@@ -525,9 +522,7 @@ def build_theorem_generator(targets, tau, latent_dim=1):
         raise CapacityError(f"tau={tau} needs {ell} bits per coordinate "
                             f"(> {MAX_BITS} accepted)")
     cap_w = int(math.ceil(math.sqrt(s * n / ell)))
-    k = int(latent_dim)
-    if k < 1:
-        raise ValueError("latent dimension must be >= 1")
+    k = as_count(latent_dim, "latent_dim")
 
     anchors = np.zeros((s, k))
     anchors[:, 0] = 1.0 / (np.arange(1, s + 1) * n)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import CapacityError, DegenerateConeError, NotSpdError, ShapeError
 from .generator import forward, forward_batch, lipschitz_upper_bound
+from .util import as_count
 
 _LATTICE_BUDGET = 2_000_000
 _CHUNK_ENTRIES = 1 << 16  # entries of one _min_dists product (512 KB; 2 MB timed slower)
@@ -109,11 +110,11 @@ def build_eps_net(k, r, epsilon):
     For larger k the lattice blows up, so ``_random_net`` is used; its
     coverage is checked on random samples, not proven.
     """
-    k = int(k)
+    k = as_count(k, "k")
     r = float(r)
     epsilon = float(epsilon)
-    if k < 1 or r <= 0:
-        raise ValueError("need k >= 1 and r > 0")
+    if not r > 0:
+        raise ValueError("need r > 0")
     if not 0 < epsilon <= 2 * r:
         raise ValueError("need 0 < epsilon <= 2r")
     if k > 8:
@@ -195,9 +196,7 @@ def check_srec(ens, net, gamma, delta, num_pairs, seed):
     ratio statistic (0/0); ``min_ratio`` is the smallest observed
     ((1/m)||A d||^2 + delta) / ||d||^2.
     """
-    num_pairs = int(num_pairs)
-    if num_pairs < 1:
-        raise ValueError("need at least one pair")
+    num_pairs = as_count(num_pairs, "num_pairs")
     rng = np.random.default_rng(seed)
     k = net.latent_dim
     z1 = _uniform_ball(rng, num_pairs, k, 1.0).T
@@ -274,9 +273,7 @@ def mean_width_of_directions(directions, num_gaussians, seed):
     D = np.asarray(directions, dtype=np.float64)
     if D.ndim != 2 or D.shape[0] < 1:
         raise DegenerateConeError("direction set is empty")
-    num = int(num_gaussians)
-    if num < 1:
-        raise ValueError("need num_gaussians >= 1")
+    num = as_count(num_gaussians, "num_gaussians")
     rng = np.random.default_rng(seed)
     maxima = []
     block = max(1, min(num, 20_000_000 // max(D.size, 1)))

@@ -21,13 +21,15 @@ def rng_for(*parts):
     return np.random.default_rng(np.random.SeedSequence([int(p) for p in parts]))
 
 
-def as_count(value, name):
-    """``value`` as an int; ValueError naming ``name`` unless it is an integer
-    (a bool or a float such as 2.5 or 2.0 is not) of at least 1."""
+def as_count(value, name, error=ValueError, most=None):
+    """``value`` as an int; ``error`` (a ValueError) naming ``name`` unless it is
+    an integer (a bool or a float such as 2.5 or 2.0 is not) in [1, ``most``]."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
     if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+        raise error(f"{name} must be >= 1, got {value}")
+    if most is not None and value > most:
+        raise error(f"{name} must be <= {most}, got {value}")
     return int(value)
 
 

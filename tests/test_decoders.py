@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obgcs import (CovarianceSpec, DivergenceError,
                    LsDecoderConfig, biht_decode, estimation_error,
@@ -10,8 +12,9 @@ from obgcs import (CovarianceSpec, DivergenceError,
                    synth_generator)
 from obgcs import decoders
 from obgcs.measurement import BinaryObservation, MeasurementEnsemble, sample_truth
-from obgcs.generator import (GeneratorNetwork, forward, forward_batch,
-                             latent_vjp_batch, lipschitz_upper_bound)
+from obgcs.generator import (GeneratorNetwork, forward, forward_batch, forward_with_preacts,
+                             latent_vjp_batch, lipschitz_upper_bound, vjp_from_preacts)
+from obgcs.measurement import sign_pm1
 from obgcs.util import derive_seed, rng_for
 from conftest import identity_generator
 
@@ -83,6 +86,116 @@ def reference_ls(obs, ens, net, cfg):
     return (forward(net, Z[:, best]), best, np.array(traces[best]), searches, backtracks,
             trials)
 
+
+
+def frozen_ls_decode(obs, ens, net, cfg):
+    """ls_decode as it was with its step bookkeeping on (R,) arrays: every
+    restart's state updated by np.where in every pass. Kept as the reference
+    the float bookkeeping must match bit for bit; it reads the module's step
+    constants at call time, as ls_decode does."""
+    A, y = ens.A, obs.y
+    m, n = A.shape
+    lam = cfg.lam if cfg.mode == "lagrangian" else 0.0
+    radius = cfg.radius if cfg.mode == "constrained" else None
+    data_term = decoders._gram_term(A, y) if m > n else decoders._residual_term(A, y)
+
+    def evaluate(Z):
+        X, preacts = forward_with_preacts(net, Z)
+        data_loss, cotangent = data_term(X)
+        return (data_loss + lam * np.add.reduce(Z * Z, 0),
+                vjp_from_preacts(net, preacts, cotangent) + 2.0 * lam * Z)
+
+    Z = np.random.default_rng(cfg.seed).standard_normal((net.latent_dim, cfg.restarts))
+    if radius is not None:
+        Z = decoders._project_ball_cols(Z, radius)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, G = evaluate(Z)
+        if not np.all(np.isfinite(f)):
+            bad = int(np.flatnonzero(~np.isfinite(f))[0])
+            raise DivergenceError("start", restart=bad, step=0)
+        a = np.full(cfg.restarts, decoders._FIRST_STEP)
+        halvings = np.zeros(cfg.restarts, dtype=int)
+        finite = np.zeros(cfg.restarts, dtype=bool)
+        iterations = np.zeros(cfg.restarts, dtype=int)
+        running = np.ones(cfg.restarts, dtype=bool)
+        no_bb = np.full(cfg.restarts, np.inf)
+        passes = [(running.copy(), f, np.zeros(cfg.restarts))]
+        while True:
+            Zt = Z - a * G
+            if radius is not None:
+                Zt = decoders._project_ball_cols(Zt, radius)
+            ft, Gt = evaluate(Zt)
+            S = Zt - Z
+            ok = running & np.isfinite(ft)
+            finite |= ok
+            ok &= ft <= f + decoders._ARMIJO_C1 * np.minimum(np.add.reduce(G * S, 0), 0.0)
+            passes.append((ok, ft, a))
+            sy = np.add.reduce(S * (Gt - G), 0)
+            bb = np.divide(np.add.reduce(S * S, 0), sy, out=no_bb.copy(), where=sy > 0)
+            converged = f - ft <= decoders._STOP_RTOL * (1.0 + np.abs(f))
+            Z = np.where(ok, Zt, Z)
+            G = np.where(ok, Gt, G)
+            f = np.where(ok, ft, f)
+            a = np.where(ok, np.minimum(bb, decoders._MAX_GROWTH * a), 0.5 * a)
+            halvings = np.where(ok, 0, halvings + running)
+            finite &= ~ok
+            iterations += ok
+            failed = halvings > decoders._MAX_BACKTRACKS
+            stopped = failed | (ok & (converged | (iterations == cfg.steps_per_restart)))
+            if stopped.any():
+                if (failed & ~finite).any():
+                    bad = int(np.flatnonzero(failed & ~finite)[0])
+                    raise DivergenceError("search", restart=bad, step=int(iterations[bad]) + 1)
+                running &= ~stopped
+                if not running.any():
+                    break
+                a[stopped] = halvings[stopped] = 0
+
+    best = int(np.argmin(f))
+    trace = [(loss[best], step[best]) for took, loss, step in passes if took[best]]
+    z_hat = Z[:, best].copy()
+    x_hat = forward(net, z_hat)
+    r = A @ x_hat - y
+    return decoders.DecoderResult(
+        z_hat=z_hat, x_hat=x_hat,
+        objective=float(0.5 * (r @ r) / m + lam * float(z_hat @ z_hat)),
+        loss_trace=[float(loss) for loss, _ in trace], restart_index=best,
+        iterations=int(iterations[best]), grad_norm=float(np.linalg.norm(G[:, best])),
+        step=float(trace[-1][1]), restart_losses=f.tolist(), passes=len(passes))
+
+
+def frozen_biht(obs, ens, s, iters=100):
+    """biht_decode as it was: all ``iters`` iterations, no fixed-point exit."""
+    A, y = ens.A, obs.y
+    m = A.shape[0]
+    x = np.zeros(A.shape[1])
+    for _ in range(iters):
+        x = hard_threshold(x + (1.0 / m) * (A.T @ (y - sign_pm1(A @ x))), s)
+    nrm = np.linalg.norm(x)
+    if nrm == 0.0:
+        x = hard_threshold((1.0 / m) * (A.T @ y), s)
+        nrm = np.linalg.norm(x)
+    return x / nrm if nrm > 0.0 else x
+
+
+RESULT_FIELDS = ("z_hat", "x_hat", "objective", "loss_trace", "restart_index", "iterations",
+                 "grad_norm", "step", "restart_losses", "passes")
+
+
+def assert_same_result(res, ref):
+    """Every DecoderResult field equal bit for bit, with its Python type."""
+    for name in RESULT_FIELDS:
+        got, want = getattr(res, name), getattr(ref, name)
+        assert type(got) is type(want), name
+        if isinstance(got, np.ndarray):
+            assert got.tobytes() == want.tobytes(), name
+        elif isinstance(got, list):
+            assert [type(v) for v in got] == [type(v) for v in want], name
+            assert [v.hex() for v in got] == [v.hex() for v in want], name
+        elif isinstance(got, float):
+            assert got.hex() == want.hex(), name
+        else:
+            assert got == want, name
 
 def parity_problem(m, seed, net=None, **cfg):
     if net is None:
@@ -445,6 +558,121 @@ class TestLsParity:
         assert 1 + trials.max() < 1 + searches + backtracks
         assert res.passes == len(calls)
 
+
+
+PARITY_NETS = [(5, [64]), (8, [64]), (5, [64, 64]), (16, [64]), (3, [8])]
+
+
+def matrix_problem(k, hidden, m, q, seed, **cfg):
+    """One decode at n=100 with nu=0.3, sigma=0.1, in run_grid's way."""
+    net = synth_generator(k=k, n=100, hidden_dims=hidden, seed=k)
+    cov = CovarianceSpec.from_nu(100, 0.3)
+    ens = sample_ensemble(m, cov, 0.1, q, seed)
+    obs = observe(ens, sample_truth(net, cov, rng_for(seed, 1)), seed)
+    return obs, ens, net, LsDecoderConfig(seed=seed + 2, **cfg)
+
+
+class TestFrozenReferenceParity:
+    @pytest.mark.parametrize("mode", ["lagrangian", "constrained"])
+    @pytest.mark.parametrize("k,hidden", PARITY_NETS)
+    def test_ls_matches_the_array_bookkeeping(self, k, hidden, mode):
+        # restarts x step cap x q, with m cycling through both sides of n:
+        # single and many restarts, capped and converged runs
+        combos = itertools.product((1, 3, 10), (7, 1000), (1.0, 0.97, 0.8))
+        for i, (restarts, steps, q) in enumerate(combos):
+            m = (20, 100, 1000)[i % 3]
+            obs, ens, net, cfg = matrix_problem(k, hidden, m, q, derive_seed(k, i),
+                                                mode=mode, restarts=restarts,
+                                                steps_per_restart=steps)
+            assert_same_result(ls_decode(obs, ens, net, cfg), frozen_ls_decode(obs, ens, net, cfg))
+
+    @pytest.mark.parametrize("constants", [
+        {"_MAX_BACKTRACKS": 0}, {"_MAX_BACKTRACKS": 2},
+        {"_MAX_BACKTRACKS": 0, "_FIRST_STEP": 1e-2, "_STOP_RTOL": 1e-2}])
+    def test_ls_matches_with_few_halvings(self, constants, monkeypatch):
+        # searches that run out beside others still going, read at call time
+        for name, value in constants.items():
+            monkeypatch.setattr(decoders, name, value)
+        for m, seed in ((10, 1), (40, 3), (120, 5)):
+            obs, ens, net, cfg = parity_problem(m, seed)
+            assert_same_result(ls_decode(obs, ens, net, cfg), frozen_ls_decode(obs, ens, net, cfg))
+
+    def test_ls_divergence_matches(self, monkeypatch):
+        obs, ens, net, cfg = parity_problem(120, 9)
+        monkeypatch.setattr(decoders, "_FIRST_STEP", 1e300)
+        errors = []
+        for decode in (ls_decode, frozen_ls_decode):
+            with pytest.raises(DivergenceError) as err:
+                decode(obs, ens, net, LsDecoderConfig(restarts=3, seed=30))
+            errors.append((err.value.restart, err.value.step))
+        assert errors[0] == errors[1] == (0, 1)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(k=st.integers(1, 6), m=st.integers(4, 60),
+           mode=st.sampled_from(["lagrangian", "constrained"]),
+           restarts=st.integers(1, 5), steps=st.integers(1, 20), seed=st.integers(0, 2**16))
+    def test_ls_matches_on_small_problems(self, k, m, mode, restarts, steps, seed):
+        # n = 30, so m runs on both sides of it (residual and Gram forms)
+        net = synth_generator(k=k, n=30, hidden_dims=[8], seed=seed)
+        ens = sample_ensemble(m, CovarianceSpec.identity(30), 0.1, 0.97, seed=seed + 1)
+        obs = observe(ens, forward(net, np.random.default_rng(seed).standard_normal(k)),
+                      seed=seed + 2)
+        cfg = LsDecoderConfig(mode=mode, restarts=restarts, steps_per_restart=steps,
+                              seed=seed + 3)
+        assert_same_result(ls_decode(obs, ens, net, cfg), frozen_ls_decode(obs, ens, net, cfg))
+
+    @pytest.mark.parametrize("q", [1.0, 0.97, 0.8])
+    def test_biht_matches_the_full_run(self, q):
+        for (k, hidden), m in itertools.product(PARITY_NETS, (20, 60, 100, 1000)):
+            obs, ens, _, _ = matrix_problem(k, hidden, m, q, derive_seed(k, m))
+            for s in (1, 5, 10, 100):
+                assert biht_decode(obs, ens, s=s).tobytes() == frozen_biht(obs, ens, s).tobytes()
+
+
+def biht_cell(m, trial, q=0.97):
+    """A small grid-shaped cell: k=3, n=20, hidden [8], nu=0.3, sigma=0.1."""
+    net = synth_generator(k=3, n=20, hidden_dims=[8], seed=0)
+    cov = CovarianceSpec.from_nu(20, 0.3)
+    seed = derive_seed(5, m, trial)
+    ens = sample_ensemble(m, cov, 0.1, q, seed)
+    return observe(ens, sample_truth(net, cov, rng_for(5, m, trial, 1)), seed), ens
+
+
+@pytest.fixture
+def biht_steps(monkeypatch):
+    """The BIHT iterations a decode runs, counted by its sign_pm1 calls."""
+    calls = []
+    monkeypatch.setattr(decoders, "sign_pm1", lambda v: calls.append(1) or sign_pm1(v))
+    return calls
+
+
+class TestBihtExit:
+    def test_stops_at_a_fixed_point(self, biht_steps):
+        # iterate 22 repeats iterate 21 byte for byte, and so would every later one
+        obs, ens = biht_cell(20, 0)
+        x = biht_decode(obs, ens, s=4)
+        assert len(biht_steps) == 22
+        assert x.tobytes() == frozen_biht(obs, ens, 4).tobytes()
+
+    def test_runs_every_iteration_without_a_repeat(self, biht_steps):
+        obs, ens = biht_cell(40, 0)
+        x = biht_decode(obs, ens, s=4)
+        assert len(biht_steps) == 100
+        assert x.tobytes() == frozen_biht(obs, ens, 4).tobytes()
+
+    def test_iters_below_the_fixed_point(self, biht_steps):
+        obs, ens = biht_cell(20, 0)
+        x = biht_decode(obs, ens, s=4, iters=10)
+        assert len(biht_steps) == 10
+        assert x.tobytes() == frozen_biht(obs, ens, 4, iters=10).tobytes()
+
+    @pytest.mark.parametrize("s,message", [(21, "sparsity s must be <= 20, got 21"),
+                                           (2.5, "sparsity s must be an integer, got 2.5")])
+    def test_bad_s_rejected_before_the_first_step(self, s, message, biht_steps):
+        obs, ens = biht_cell(20, 0)
+        with pytest.raises(ValueError, match=message):
+            biht_decode(obs, ens, s=s)
+        assert biht_steps == []
 
 class TestHardThreshold:
     def test_keeps_largest(self):

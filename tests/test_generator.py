@@ -243,6 +243,16 @@ class TestSynthGenerator:
         with pytest.raises(ShapeError):
             synth_generator(k=0, n=5)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"k": 2.9, "n": 5}, "k must be an integer, got 2.9"),
+        ({"k": 2, "n": 5.5}, "n must be an integer, got 5.5"),
+        ({"k": 2, "n": 5, "hidden_dims": [3.5]}, "hidden_dims entry must be an integer, got 3.5"),
+        ({"k": 2, "n": 5, "hidden_dims": [0]}, "hidden_dims entry must be >= 1, got 0")])
+    def test_non_count_dims_rejected(self, kwargs, message):
+        # int() used to turn k=2.9, n=5.5 into a [2, 5] net
+        with pytest.raises(ShapeError, match=message):
+            synth_generator(**kwargs)
+
 
 class TestArchitectureSummary:
     def test_counts(self, small_net):

@@ -120,6 +120,14 @@ class TestRunGrid:
         run_grid(tiny_grid(decoders=("ls", "pv"), biht_s=21))  # no BIHT, no check
         assert len(calls) == 2 * 2
 
+    def test_one_covariance_factor_per_grid(self, monkeypatch):
+        # every cell shares one spec, so its Cholesky factor is computed once
+        calls = []
+        real = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or real(a))
+        results = run_grid(tiny_grid(decoders=("ls", "biht", "pv"), biht_s=5))
+        assert len(results) == 2 * 2 * 3 and len(calls) == 1
+
     def test_csv_header_and_round_trip(self, tmp_path):
         path = tmp_path / "r.csv"
         res = run_grid(tiny_grid(output_path=str(path)))

@@ -24,6 +24,27 @@ class TestCovarianceSpec:
         with pytest.raises(ValueError):
             CovarianceSpec.toeplitz(4, 1.0)
 
+    @pytest.mark.parametrize("build", [CovarianceSpec.identity,
+                                       lambda n: CovarianceSpec.toeplitz(n, 0.3)])
+    @pytest.mark.parametrize("n,message", [(3.7, "n must be an integer, got 3.7"),
+                                           (0, "n must be >= 1, got 0")])
+    def test_non_count_size_rejected(self, build, n, message):
+        # int(3.7) used to give a 3-dimensional covariance
+        with pytest.raises(ValueError, match=message):
+            build(n)
+
+    def test_dense_and_factor_computed_once_and_read_only(self):
+        cov = CovarianceSpec.toeplitz(6, 0.3)
+        fresh = CovarianceSpec.toeplitz(6, 0.3)
+        assert cov.dense() is cov.dense() and cov.cholesky() is cov.cholesky()
+        for arr in (cov.dense(), cov.cholesky()):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 2.0
+        # the cache is not part of the spec: equality and repr are unchanged
+        assert cov == fresh and repr(cov) == repr(fresh) == \
+            "CovarianceSpec(kind='toeplitz', n=6, nu=0.3)"
+        np.testing.assert_array_equal(cov.cholesky(), np.linalg.cholesky(fresh.dense()))
+
 
 class TestSampleEnsemble:
     def test_deterministic_in_seed(self):
@@ -63,6 +84,11 @@ class TestSampleEnsemble:
     def test_m_at_least_one(self):
         with pytest.raises(ValueError):
             sample_ensemble(0, CovarianceSpec.identity(3), 0.0, 1.0, seed=0)
+
+    def test_non_integer_m_rejected(self):
+        # int(2.5) used to give a 2 x 3 ensemble
+        with pytest.raises(ValueError, match="m must be an integer, got 2.5"):
+            sample_ensemble(2.5, CovarianceSpec.identity(3), 0.1, 0.97, seed=0)
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.1])
     def test_noise_level_finite_and_nonnegative(self, sigma):

@@ -365,6 +365,26 @@ class TestMaxBits:
         with pytest.raises(ValueError):
             build_indexed_memorizer([(np.array([0.1]), [1] * 26)], 1, 26)
 
+    def test_count_arguments_name_their_field(self):
+        # cap_w, ell and latent_dim were truncated by int(): 2.5 built as 2
+        one = [(np.array([0.1]), 0.5)]
+        cases = [
+            (lambda: build_fitter(one, 2.5, 2), "cap_w must be an integer, got 2.5"),
+            (lambda: build_fitter(one, 1, 2.5), "ell must be an integer, got 2.5"),
+            (lambda: build_fitter(one, 1, 26), "ell must be <= 25, got 26"),
+            (lambda: build_bit_extractor(2.5), "ell must be an integer, got 2.5"),
+            (lambda: build_bit_extractor(0), "ell must be >= 1, got 0"),
+            (lambda: build_indexed_memorizer([(np.array([0.1]), [1, 0])], 1.5, 2),
+             "cap_w must be an integer, got 1.5"),
+            (lambda: build_indexed_memorizer([(np.array([0.1]), [1])], 1, 1),
+             "need ell >= 2, got 1"),
+            (lambda: build_theorem_generator(np.array([[0.3]]), 0.25, latent_dim=1.5),
+             "latent_dim must be an integer, got 1.5"),
+        ]
+        for build, message in cases:
+            with pytest.raises(ValueError, match=message):
+                build()
+
     def test_extractor_at_max_bits(self):
         mem = build_bit_extractor(memorizer.MAX_BITS)
         ell = mem.ell

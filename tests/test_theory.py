@@ -125,6 +125,23 @@ def _reference_net(monkeypatch, *args, **kwargs):
         return build_eps_net(*args, **kwargs).points
 
 
+class TestCountArguments:
+    # each was truncated by int(): a 2-D net, 2 pairs, 2 gaussians
+    def test_eps_net_dimension(self):
+        with pytest.raises(ValueError, match="k must be an integer, got 2.5"):
+            build_eps_net(2.5, 1.0, 0.5)
+
+    def test_srec_pairs(self):
+        net = synth_generator(k=2, n=6, hidden_dims=[4], seed=0)
+        ens = sample_ensemble(10, CovarianceSpec.identity(6), 0.0, 1.0, seed=1)
+        with pytest.raises(ValueError, match="num_pairs must be an integer, got 2.7"):
+            check_srec(ens, net, 0.1, 0.0, 2.7, seed=2)
+
+    def test_mean_width_gaussians(self):
+        with pytest.raises(ValueError, match="num_gaussians must be an integer, got 2.5"):
+            mean_width_of_directions(np.eye(2), 2.5, seed=0)
+
+
 class TestEpsNetParity:
     # (4, 0.5) has pitch 0.25 = epsilon / 2, so lattice neighbours tie with
     # the separation exactly
@@ -290,7 +307,7 @@ class TestMeanWidth:
 
     @pytest.mark.parametrize("num", [0, -3])
     def test_needs_one_gaussian(self, num):
-        with pytest.raises(ValueError, match="num_gaussians >= 1"):
+        with pytest.raises(ValueError, match=f"num_gaussians must be >= 1, got {num}"):
             mean_width_of_directions(np.eye(2), num, seed=0)
 
 
