@@ -1,44 +1,31 @@
 #!/usr/bin/env python3
 """Exact memorization with constructed ReLU networks.
 
-Walks through the three building blocks (value fitter, bit extractor, fused
-bit-table memorizer) and ends with the multi-output generator that
-reproduces ell-bit truncations of target vectors at spike anchors.
+Builds the two constructions: the bit-table memorizer, an interpolating
+fitter fused with a bit-selection pipeline, and the multi-output generator
+that reproduces ell-bit truncations of target vectors at spike anchors.
 All networks are plain layered affine+ReLU weights; queries below run
 through the exported weights.
 """
 
 import numpy as np
 
-from obgcs import (architecture_summary, bits_to_value, build_bit_extractor,
-                   build_fitter, build_indexed_memorizer,
-                   build_theorem_generator, extract_bit, recall_bit)
+from obgcs import (architecture_summary, build_indexed_memorizer,
+                   build_theorem_generator, recall_bit)
 
-# bit extractor: width 8, depth 2*ell, bit-exact by integer float arithmetic
-ext = build_bit_extractor(4)
-x = bits_to_value([1, 0, 1, 1])  # 0.1011 -> 0.6875
-print(f"bits of {x}: ", [int(extract_bit(ext, x, j)) for j in range(1, 5)])
-arch = architecture_summary(ext.net)
-print(f"extractor size: width {arch['max_width']} (= 8), "
-      f"depth {arch['affine_layers']} (= 2*4)\n")
-
-# fitter: width 4W+4, depth ell+2, exact interpolation of dyadic values
 rng = np.random.default_rng(0)
-anchors = rng.standard_normal((12, 3))  # full capacity W^2*ell = 12
-values = [bits_to_value(rng.integers(0, 2, 3).tolist()) for _ in range(12)]
-fit = build_fitter(list(zip(anchors, values)), 2, 3)
-residual = max(abs(float(fit.evaluate(z)[0]) - v) for z, v in zip(anchors, values))
-print(f"fitter on 12 anchors: worst residual {residual:.2e}, "
-      f"width {fit.width} (= 4*2+4), depth {fit.depth} (= 3+2)\n")
 
-# fused bit-table memorizer: width 4W+6, depth 3*ell+1, exact 0/1 outputs
+# bit-table memorizer: width 4W+6, depth 3*ell+1, exact 0/1 outputs
 bits = rng.integers(0, 2, (16, 4))
-anchors = rng.standard_normal((16, 2))
+anchors = rng.standard_normal((16, 2))  # full capacity W^2*ell = 16
 table = build_indexed_memorizer(list(zip(anchors, bits)), 2, 4)
 wrong = sum(recall_bit(table, z, j) != float(row[j - 1])
             for z, row in zip(anchors, bits) for j in range(1, 5))
+arch = architecture_summary(table.net)
 print(f"bit-table memorizer: {wrong} recall errors over 64 queries, "
-      f"width {table.width} (= 4*2+6), depth {table.depth} (= 3*4+1)\n")
+      f"width {arch['max_width']} (= 4*2+6), depth {arch['affine_layers']} (= 3*4+1)")
+print(f"  anchor 1 row {bits[0].tolist()} recalled as "
+      f"{[int(recall_bit(table, anchors[0], j)) for j in range(1, 5)]}\n")
 
 # anchor generator: s targets in [0,1]^n reproduced to ell bits at z = e1/(i n)
 targets = rng.random((5, 8))

@@ -21,10 +21,8 @@ from .harness import (CellResult, ExperimentGrid, fit_scaling,
 from .measurement import (BinaryObservation, CovarianceSpec, MeasurementEnsemble,
                           observe, sample_ensemble, scaling_constant, sigma_norm,
                           sign_pm1)
-from .memorizer import (MemorizerNet, bits_to_value, build_bit_extractor,
-                        build_fitter, build_indexed_memorizer,
-                        build_theorem_generator, extract_bit, recall_bit,
-                        truncate_to_bits, value_to_bits)
+from .memorizer import (MemorizerNet, build_indexed_memorizer,
+                        build_theorem_generator, recall_bit)
 from .serialization import (load_ensemble, load_generator, load_observation,
                             save_ensemble, save_generator, save_observation)
 from .theory import (EpsNet, MeanWidthEstimate, SrecReport, build_eps_net,

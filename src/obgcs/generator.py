@@ -40,8 +40,8 @@ class GeneratorNetwork:
     lipschitz_bound: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        dims = [int(d) for d in self.layer_dims]
-        if len(dims) < 2 or any(d < 1 for d in dims):
+        dims = [as_count(d, "layer_dims entry", ShapeError) for d in self.layer_dims]
+        if len(dims) < 2:
             raise ShapeError(f"layer_dims must hold >= 2 positive sizes, got {dims}")
         if self.final_activation not in ACTIVATIONS:
             raise ShapeError(f"unknown final activation {self.final_activation!r}")

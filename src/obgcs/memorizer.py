@@ -1,14 +1,12 @@
 """Constructive ReLU networks that memorize binary-coded samples exactly.
 
-Four constructions, each exported as plain layered affine+ReLU weights (the
+Two constructions, each exported as plain layered affine+ReLU weights (the
 generator module's network type) so that recall is always evaluated through
 the exported weights, never through side tables:
 
-* a fitter interpolating anchor points to dyadic values by piecewise-linear
-  nodal hats laid out across depth,
-* a bit extractor reading the j-th binary digit of an ell-bit number with
-  pure integer float arithmetic (hence bit-exact),
-* their fused composition recalling per-anchor bit tables, and
+* a bit-table memorizer: an interpolating fitter (piecewise-linear nodal
+  hats laid out across depth) fused with a bit-selection pipeline, recalling
+  bit j of anchor i's table row, and
 * a multi-output generator that reproduces ell-bit truncations of target
   vectors at scaled spike anchors, within a prescribed L2 tolerance.
 
@@ -41,30 +39,6 @@ from .util import as_count
 MAX_BITS = 25
 
 
-def bits_to_value(bits):
-    """Exact dyadic value sum_j 2^-j b_j (float64-exact for <= 52 bits)."""
-    acc = 0
-    for b in bits:
-        acc = (acc << 1) | int(b)
-    return math.ldexp(acc, -len(bits))
-
-
-def value_to_bits(value, ell):
-    """Inverse of bits_to_value; the value must be an exact ell-bit dyadic."""
-    ell, v = int(ell), float(value)
-    if not (0.0 <= v < 1.0 and math.ldexp(v, ell) % 1 == 0):
-        raise ValueError(f"{value} is not an exact {ell}-bit dyadic in [0, 1)")
-    i = int(math.ldexp(v, ell))
-    return [(i >> (ell - 1 - j)) & 1 for j in range(ell)]
-
-
-def truncate_to_bits(value, ell):
-    """Keep the first ell binary digits of a value in [0, 1] (1.0 maps to 1 - 2^-ell)."""
-    i = min(int(math.floor(math.ldexp(float(value), ell))), (1 << ell) - 1)
-    i = max(i, 0)
-    return [(i >> (ell - 1 - j)) & 1 for j in range(ell)]
-
-
 @dataclass
 class MemorizerNet:
     """A constructed network plus its declared size and recall metadata."""
@@ -72,7 +46,6 @@ class MemorizerNet:
     net: GeneratorNetwork
     width: int
     depth: int
-    construction: str  # fitter | extractor | composed | generator
     ell: int
     cap_w: int = 0
     anchors: np.ndarray | None = None
@@ -261,39 +234,7 @@ def _anchors(samples):
     return anchors
 
 
-def build_fitter(samples, cap_w, ell):
-    """Network of width 4W+4 and depth ell+2 interpolating dyadic samples.
-
-    ``samples`` is a list of (anchor, value) pairs with distinct anchors and
-    values of the exact ell-bit dyadic form. Interpolation is exact up to
-    float roundoff (certified below 1e-12 at build time). Capacity is
-    W^2 ell, additionally bounded by 4W(ell+1) points, the number of ramp
-    units the stage layout can host.
-    """
-    cap_w, ell = as_count(cap_w, "cap_w"), as_count(ell, "ell", most=MAX_BITS)
-    anchors = _anchors(samples)
-    values = np.array([float(y) for _, y in samples])
-    for v in values:
-        value_to_bits(v, ell)
-    count = anchors.shape[0]
-    if count > cap_w * cap_w * ell:
-        raise CapacityError(f"{count} samples exceed capacity W^2*ell = {cap_w * cap_w * ell}")
-
-    width = 4 * cap_w + 4
-    stack = _Stack(anchors.shape[1], width)
-    readout = _fitter_part(stack, anchors, values[:, None], max_chunk=4 * cap_w,
-                           num_layers=ell + 1)
-    net = stack.finish(readout)
-    mem = MemorizerNet(net=net, width=width, depth=ell + 2, construction="fitter",
-                       ell=ell, cap_w=cap_w, anchors=anchors)
-    worst = float(np.max(np.abs(forward_batch(net, anchors.T)[0] - values)))
-    if worst > 1e-12:
-        raise ObgcsError(f"interpolation residual {worst:.2e} exceeds 1e-12; "
-                         "anchor projections are too ill-conditioned")
-    return mem
-
-
-# ------------------------------------------------------- bit extractor (G2)
+# ------------------------------------------------------------ bit selection
 
 # unit slots that open every bit-selection layer
 P1, P2, E1, E2, E3, XP = range(6)
@@ -322,63 +263,6 @@ def _selection_rows(ell, t, x_row=None, j_idx=None):
     j = E2 if j_idx is None else j_idx
     return (_threshold_pair(ell, t, x_row)
             + [({j: 1.0}, 0.0), ({j: 1.0}, -1.0), ({j: 1.0}, -2.0), (dict(x_row), 0.0)])
-
-
-def build_bit_extractor(ell):
-    """Width-8, depth-2*ell network mapping (x, j) to the j-th bit of x.
-
-    Valid for x = sum_{j<=ell} 2^-j b_j and integer j in [1, ell]. All
-    internal quantities are integers or integers plus one half, exactly
-    representable in float64, so the returned bits are exactly 0.0 or 1.0.
-    The construction is certified by re-evaluating the exported weights over
-    bit patterns at build time.
-    """
-    ell = as_count(ell, "ell", most=MAX_BITS)
-    stack = _Stack(2, 8)
-    if ell == 1:
-        stack.add_layer(_threshold_pair(ell, 1, {0: 1.0}))
-        net = stack.finish({0: 1.0, 1: -1.0})
-    else:
-        # slots 6 and 7: the accumulator and the selected bit of the layer below,
-        # both dead (zero) in the first layer
-        AP, AND = 6, 7
-        and_row = ({P1: 1.0, P2: -1.0, E1: 1.0, E2: -2.0, E3: 1.0}, -1.0)
-        stack.add_layer(_selection_rows(ell, 1, {0: 1.0}, 1))
-        for t in range(2, ell + 1):
-            stack.add_layer(_selection_rows(ell, t) + [({AP: 1.0, AND: 1.0}, 0.0), and_row])
-        stack.add_layer([and_row, ({AP: 1.0, AND: 1.0}, 0.0)])
-        if ell == 2:
-            net = stack.finish({0: 1.0, 1: 1.0})
-        else:
-            stack.add_layer([({0: 1.0, 1: 1.0}, 0.0)])
-            for _ in range(ell - 3):
-                stack.add_layer([({0: 1.0}, 0.0)])
-            net = stack.finish({0: 1.0})
-    mem = MemorizerNet(net=net, width=8, depth=2 * ell, construction="extractor",
-                       ell=ell)
-    _certify_extractor(mem)
-    return mem
-
-
-def _certify_extractor(mem):
-    ell = mem.ell
-    words = np.arange(1 << ell) if ell <= 10 else \
-        np.random.default_rng(0xCE27).integers(0, 1 << ell, size=256)
-    # one column (x, j) per word and bit position, word-major
-    xs = np.repeat(np.ldexp(words.astype(np.float64), -ell), ell)
-    js = np.tile(np.arange(1, ell + 1), len(words))
-    want = ((np.repeat(words, ell) >> (ell - js)) & 1).astype(np.float64)
-    got = forward_batch(mem.net, np.stack([xs, js.astype(np.float64)]))[0]
-    bad = np.flatnonzero(got != want)
-    if bad.size:
-        i = bad[0]
-        raise ObgcsError(f"extractor certification failed at x={float(xs[i])}, "
-                         f"j={int(js[i])}: {float(got[i])} != {float(want[i])}")
-
-
-def extract_bit(mem, x, j):
-    """Convenience wrapper: evaluate an extractor at (x, j)."""
-    return float(mem.evaluate([float(x), float(j)])[0])
 
 
 # -------------------------------------------------- composed memorizer (G3)
@@ -437,8 +321,7 @@ def build_indexed_memorizer(samples, cap_w, ell):
                          num_layers=2 * ell - 2, carry_j=True)
     j_idx = stack.top_width - 1
     net = stack.finish(_extractor_part(stack, ell, x_row, j_idx))
-    mem = MemorizerNet(net=net, width=width, depth=3 * ell + 1,
-                       construction="composed", ell=ell, cap_w=cap_w,
+    mem = MemorizerNet(net=net, width=width, depth=3 * ell + 1, ell=ell, cap_w=cap_w,
                        anchors=anchors)
     # one column (z_i, j) per table entry, in row-major order of the table
     queries = np.vstack([np.repeat(anchors.T, ell, axis=1),
@@ -526,7 +409,7 @@ def build_theorem_generator(targets, tau, latent_dim=1):
 
     anchors = np.zeros((s, k))
     anchors[:, 0] = 1.0 / (np.arange(1, s + 1) * n)
-    # truncate_to_bits then bits_to_value on every entry, bit for bit (-0.0 gives 0.0)
+    # the first ell binary digits of every entry: 1.0 gives 1 - 2^-ell, -0.0 gives 0.0
     trunc_vals = np.ldexp(np.minimum(np.ldexp(targets, ell).astype(np.int64), (1 << ell) - 1),
                           -ell)
 
@@ -534,9 +417,8 @@ def build_theorem_generator(targets, tau, latent_dim=1):
     stack = _Stack(k, block_width, blocks=n)
     x_row = _fitter_part(stack, anchors, trunc_vals, max_chunk=4 * cap_w, num_layers=ell)
     net = stack.finish(_reassembly_part(stack, ell, x_row))
-    mem = MemorizerNet(net=net, width=block_width * n, depth=3 * ell + 2,
-                       construction="generator", ell=ell, cap_w=cap_w,
-                       anchors=anchors, targets_truncated=trunc_vals)
+    mem = MemorizerNet(net=net, width=block_width * n, depth=3 * ell + 2, ell=ell,
+                       cap_w=cap_w, anchors=anchors, targets_truncated=trunc_vals)
     outs = forward_batch(net, anchors.T)
     worst_inf = float(np.max(np.abs(outs - trunc_vals.T)))
     if worst_inf != 0.0:

@@ -1,7 +1,7 @@
 """Empirical validators for the analysis machinery behind the decoder.
 
-Everything here is a seeded Monte-Carlo check, not a proof: covering nets
-(proven for the k <= 8 lattice, sampled for the random net above it),
+Everything here is a seeded Monte-Carlo check, not a proof, except the
+covering nets, which are lattice nets proven to cover (built for k <= 8 only):
 restricted-eigenvalue sampling over generator images, random-projection
 distortion tests, Gaussian mean-width estimation, and concentration
 diagnostics for the empirical covariance.
@@ -96,10 +96,9 @@ def _lattice_points(k, pitch, radius):
 
 
 def build_eps_net(k, r, epsilon):
-    """An epsilon-net of the radius-r ball in R^k: a lattice net for k <= 8, a
-    random net above that.
+    """An epsilon-net of the radius-r ball in R^k, for k <= 8.
 
-    Only the lattice net is an epsilon-net by construction. It lays down an
+    The lattice net is an epsilon-net by construction. It lays down an
     axis-aligned grid of pitch epsilon/sqrt(k), whose cells have half-diagonal
     epsilon/2, intersects it with the slightly enlarged ball, projects
     everything back into the ball (projection onto a convex set can only
@@ -107,8 +106,8 @@ def build_eps_net(k, r, epsilon):
     epsilon/2 of an earlier survivor. Both halves of the argument leave total
     coverage at epsilon.
 
-    For larger k the lattice blows up, so ``_random_net`` is used; its
-    coverage is checked on random samples, not proven.
+    For larger k the lattice blows up, and no other net here is proven to
+    cover, so k > 8 is a CapacityError.
     """
     k = as_count(k, "k")
     r = float(r)
@@ -118,7 +117,8 @@ def build_eps_net(k, r, epsilon):
     if not 0 < epsilon <= 2 * r:
         raise ValueError("need 0 < epsilon <= 2r")
     if k > 8:
-        return _random_net(k, r, epsilon)
+        raise CapacityError(f"no proven epsilon-net for k={k}: the lattice net "
+                            "is built for k <= 8")
     pitch = epsilon / math.sqrt(k)
     pts = _lattice_points(k, pitch, r + 0.5 * epsilon)
     norms = np.linalg.norm(pts, axis=1)
@@ -158,23 +158,6 @@ def _greedy_prune(points, min_sep):
                     take[i + 1:] &= clear[i, i + 1:]
             kept, cols = np.vstack([kept, block[take]]), np.hstack([cols, block[take].T])
     return kept
-
-
-def _random_net(k, r, epsilon):
-    """A greedy spread-out subset of uniform candidates (seed 0), topped up
-    with every point of a fresh _CHECK_SAMPLES-point sample it misses until a
-    sample finds none. That is a sampled check of coverage, not a proof: a
-    point no sample hit may still lie farther than epsilon from the net."""
-    rng = np.random.default_rng(0)
-    candidates = _uniform_ball(rng, max(4000, 200 * k), k, r)
-    kept = _greedy_prune(candidates, 0.5 * epsilon)
-    for _ in range(50):
-        test = _uniform_ball(rng, _CHECK_SAMPLES, k, r)
-        bad = _min_dists(test, kept) > epsilon * 0.999
-        if not np.any(bad):
-            return EpsNet(points=kept, epsilon=epsilon, r=r)
-        kept = np.vstack([kept, test[bad]])
-    raise CapacityError("random net failed its sampled coverage check")
 
 
 @dataclass

@@ -197,6 +197,10 @@ class TestValidate:
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["check"] == "epsnet" and rec["pass"]
 
+    def test_epsnet_above_k8_exits_1(self, capsys):
+        assert main(["validate", "epsnet", "--k", "9"]) == 1
+        assert "error: no proven epsilon-net for k=9" in capsys.readouterr().err
+
     def test_srec_report(self, tmp_path, capsys):
         cfg = write(tmp_path / "v.cfg", "n = 30\npairs = 2000\n")
         assert main(["validate", "srec", "--seed", "1", "--k", "3",

@@ -254,6 +254,21 @@ class TestSynthGenerator:
             synth_generator(**kwargs)
 
 
+class TestLayerDims:
+    @pytest.mark.parametrize("dims,message", [
+        ([2.5, 3], "layer_dims entry must be an integer, got 2.5"),  # int() built [2, 3]
+        ([True, 3], "layer_dims entry must be an integer, got True"),
+        ([0, 3], "layer_dims entry must be >= 1, got 0"),
+    ])
+    def test_non_count_entry_rejected(self, dims, message):
+        with pytest.raises(ShapeError, match=message):
+            GeneratorNetwork(dims, [np.ones((3, 2))], [np.zeros(3)])
+
+    def test_single_entry_rejected(self):
+        with pytest.raises(ShapeError, match="layer_dims must hold >= 2 positive sizes"):
+            GeneratorNetwork([3], [], [])
+
+
 class TestArchitectureSummary:
     def test_counts(self, small_net):
         arch = architecture_summary(small_net)

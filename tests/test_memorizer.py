@@ -6,113 +6,10 @@ import numpy as np
 import pytest
 
 from obgcs import (CapacityError, GeneratorNetwork, ObgcsError, ShapeError,
-                   architecture_summary, bits_to_value, build_bit_extractor, build_fitter,
-                   build_indexed_memorizer, build_theorem_generator, extract_bit,
-                   forward, load_generator, recall_bit, save_generator,
-                   truncate_to_bits, value_to_bits)
+                   architecture_summary, build_indexed_memorizer, build_theorem_generator,
+                   forward, forward_batch, load_generator, recall_bit, save_generator)
 from obgcs import memorizer
 from conftest import dense_weight
-
-
-class TestBitCoding:
-    def test_round_trip(self):
-        for ell in (1, 3, 8, 20):
-            rng = np.random.default_rng(ell)
-            bits = rng.integers(0, 2, ell).tolist()
-            assert value_to_bits(bits_to_value(bits), ell) == bits
-
-    def test_known_value(self):
-        assert bits_to_value([1, 0, 1, 1]) == 0.6875  # 0.1011 in binary
-
-    def test_truncation(self):
-        assert bits_to_value(truncate_to_bits(1.0, 4)) == 1.0 - 2.0 ** -4
-        assert bits_to_value(truncate_to_bits(0.6875, 4)) == 0.6875
-        assert bits_to_value(truncate_to_bits(0.7, 2)) == 0.5
-
-
-class TestFitter:
-    def test_single_sample(self):
-        mem = build_fitter([(np.array([0.5]), 0.75)], 1, 2)
-        assert float(mem.evaluate([0.5])[0]) == pytest.approx(0.75, abs=1e-12)
-        assert mem.width == 8 and mem.depth == 4  # 4W+4, ell+2
-
-    def test_full_capacity_exact_interpolation(self):
-        rng = np.random.default_rng(42)
-        anchors = rng.standard_normal((12, 3))  # W=2, ell=3: W^2*ell = 12
-        values = [bits_to_value(rng.integers(0, 2, 3).tolist()) for _ in range(12)]
-        mem = build_fitter(list(zip(anchors, values)), 2, 3)
-        for z, v in zip(anchors, values):
-            assert abs(float(mem.evaluate(z)[0]) - v) <= 1e-12
-
-    def test_declared_size_formulas(self):
-        rng = np.random.default_rng(1)
-        anchors = rng.standard_normal((6, 2))
-        values = [bits_to_value(rng.integers(0, 2, 3).tolist()) for _ in range(6)]
-        mem = build_fitter(list(zip(anchors, values)), 2, 3)
-        assert mem.width == 4 * 2 + 4
-        assert mem.depth == 3 + 2
-        arch = architecture_summary(mem.net)
-        assert arch["affine_layers"] == mem.depth
-        assert arch["max_width"] == mem.width
-
-    def test_duplicate_anchors_rejected(self):
-        z = np.array([1.0, 2.0])
-        with pytest.raises(ValueError):
-            build_fitter([(z, 0.5), (z, 0.25)], 2, 2)
-
-    def test_anchors_equal_in_value_are_duplicates(self):
-        # -0.0 == 0.0 although their bytes differ
-        with pytest.raises(ValueError, match="duplicate anchors"):
-            build_fitter([([0.0, 1.0], 0.5), ([-0.0, 1.0], 0.25)], 2, 2)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_anchor_rejected(self, bad):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="anchors must be finite"):
-                build_fitter([([bad], 0.5), ([1.0], 0.25)], 2, 2)
-
-    def test_capacity_limit(self):
-        rng = np.random.default_rng(2)
-        too_many = [(rng.standard_normal(2), 0.5) for _ in range(13)]
-        with pytest.raises(CapacityError):
-            build_fitter(too_many, 2, 3)
-
-    def test_non_dyadic_value_rejected(self):
-        with pytest.raises(ValueError):
-            build_fitter([(np.array([0.1]), 1 / 3)], 1, 2)
-
-    @pytest.mark.parametrize("value", [1.0, np.nan, np.inf, 1e308])
-    def test_value_outside_the_unit_interval_rejected(self, value):
-        with pytest.raises(ValueError, match="is not an exact 2-bit dyadic"):
-            build_fitter([(np.array([0.1]), value)], 1, 2)
-
-
-class TestBitExtractor:
-    def test_known_bits(self):
-        mem = build_bit_extractor(4)
-        assert extract_bit(mem, 0.6875, 2) == 0.0  # 0.1011, second digit
-        assert extract_bit(mem, 0.6875, 4) == 1.0
-
-    def test_exhaustive_six_bits(self):
-        mem = build_bit_extractor(6)
-        for word in range(64):
-            x = math.ldexp(word, -6)
-            for j in range(1, 7):
-                assert extract_bit(mem, x, j) == float((word >> (6 - j)) & 1)
-
-    @pytest.mark.parametrize("ell", [1, 2, 3, 5, 8, 12])
-    def test_declared_size_formulas(self, ell):
-        mem = build_bit_extractor(ell)
-        arch = architecture_summary(mem.net)
-        assert mem.width == 8 and arch["max_width"] == 8
-        assert mem.depth == 2 * ell and arch["affine_layers"] == 2 * ell
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            build_bit_extractor(0)
-        with pytest.raises(ValueError):
-            build_bit_extractor(51)
 
 
 class TestIndexedMemorizer:
@@ -140,33 +37,29 @@ class TestIndexedMemorizer:
         for j in (1, 2, 3):
             assert recall_bit(mem, [0.3], j) == 0.0
 
-    def test_composition_consistency(self):
-        # evaluating the fused net equals extracting bits from the fitted value
-        rng = np.random.default_rng(9)
-        anchors = rng.standard_normal((8, 2))
-        bits = rng.integers(0, 2, (8, 4))
-        mem = build_indexed_memorizer(list(zip(anchors, bits)), 2, 4)
-        fit = build_fitter([(z, bits_to_value(row.tolist()))
-                            for z, row in zip(anchors, bits)], 2, 4)
-        ext = build_bit_extractor(4)
-        for z, row in zip(anchors, bits):
-            y = float(fit.evaluate(z)[0])
-            y_exact = bits_to_value(row.tolist())
-            assert abs(y - y_exact) < 1e-12
-            for j in range(1, 5):
-                assert recall_bit(mem, z, j) == extract_bit(ext, y_exact, j)
-
     def test_capacity_error(self):
         rng = np.random.default_rng(10)
         samples = [(rng.standard_normal(2), [0, 1]) for _ in range(9)]
         with pytest.raises(CapacityError):
             build_indexed_memorizer(samples, 1, 2)  # capacity W^2*ell = 2
 
+    def test_capacity_limit(self):
+        # one anchor past W^2*ell = 12, well inside the 4W(2 ell - 2) = 32 stage ramps
+        rng = np.random.default_rng(2)
+        too_many = [(rng.standard_normal(2), [0, 1, 0]) for _ in range(13)]
+        with pytest.raises(CapacityError, match="exceed capacity W\\^2\\*ell = 12"):
+            build_indexed_memorizer(too_many, 2, 3)
+
+    def test_duplicate_anchors_rejected(self):
+        z = np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match="duplicate anchors"):
+            build_indexed_memorizer([(z, [0, 1]), (z, [1, 1])], 2, 2)
+
     def test_anchors_equal_in_value_are_duplicates(self):
         with pytest.raises(ValueError, match="duplicate anchors"):
             build_indexed_memorizer([([0.0], [0, 1]), ([-0.0], [1, 1])], 1, 2)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_anchor_rejected(self, bad):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -178,6 +71,20 @@ class TestIndexedMemorizer:
         # [1.5, 0.9] may not be read as [1, 0]
         with pytest.raises(ValueError, match="2 bits valued 0/1"):
             build_indexed_memorizer([([0.0], row), ([1.0], [0, 1])], 1, 2)
+
+    @pytest.mark.parametrize("cap_w,ell", [(3, 5), (4, 8), (6, 12)])
+    def test_full_capacity_on_gaussian_anchors(self, cap_w, ell):
+        # W^2 ell generic anchors: the build's exact-recall certificate holds
+        # for every seed, and the exported weights agree with it
+        count = cap_w * cap_w * ell
+        queries_j = np.tile(np.arange(1.0, ell + 1), count)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            anchors = rng.standard_normal((count, 3))
+            bits = rng.integers(0, 2, (count, ell))
+            mem = build_indexed_memorizer(list(zip(anchors, bits)), cap_w, ell)
+            queries = np.vstack([np.repeat(anchors.T, ell, axis=1), queries_j])
+            assert np.array_equal(forward_batch(mem.net, queries)[0], bits.ravel())
 
 
 class TestTheoremGenerator:
@@ -214,6 +121,13 @@ class TestTheoremGenerator:
         np.testing.assert_allclose(mem.anchors[:, 0],
                                    [1.0 / 4.0, 1.0 / 8.0, 1.0 / 12.0])
         assert np.all(mem.anchors[:, 1] == 0.0)
+
+    def test_truncation_at_the_unit_interval_ends(self):
+        # 1.0 keeps ell ones (1 - 2^-ell), -0.0 comes out as +0.0
+        mem = build_theorem_generator(np.array([[1.0, -0.0, 0.3]]), 0.5)
+        want = np.array([1.0 - 2.0 ** -mem.ell, 0.0, math.floor(0.3 * 2 ** mem.ell) / 2 ** mem.ell])
+        for got in (mem.targets_truncated[0], mem.evaluate(mem.anchors[0])):
+            assert got.tobytes() == want.tobytes()
 
     def test_tau_out_of_range(self):
         with pytest.raises(ValueError):
@@ -316,12 +230,6 @@ def _perturb_one_output(monkeypatch, index):
 
 
 class TestCertificationCatchesAWrongOutput:
-    def test_extractor(self, monkeypatch):
-        # column 7 of the ell=3 check is word 2 (x = 0.25), j = 2, whose bit is 1
-        _perturb_one_output(monkeypatch, 7)
-        with pytest.raises(ObgcsError, match=r"x=0\.25, j=2: 2\.0 != 1\.0"):
-            build_bit_extractor(3)
-
     def test_indexed_memorizer(self, monkeypatch):
         rng = np.random.default_rng(19)
         anchors = rng.standard_normal((4, 2))
@@ -335,12 +243,6 @@ class TestCertificationCatchesAWrongOutput:
         _perturb_one_output(monkeypatch, 5)
         with pytest.raises(ObgcsError, match="not exact"):
             build_theorem_generator(np.random.default_rng(20).random((2, 3)), 0.5)
-
-    def test_fitter(self, monkeypatch):
-        _perturb_one_output(monkeypatch, 1)
-        samples = [(np.array([0.1 * i]), i / 8) for i in range(3)]
-        with pytest.raises(ObgcsError, match="interpolation residual 1.00e"):
-            build_fitter(samples, 1, 3)
 
 
 class TestMaxBits:
@@ -358,23 +260,17 @@ class TestMaxBits:
             build_theorem_generator(np.array([[0.3]]), 2.0 ** -24)
 
     def test_builders_taking_ell_reject_26(self):
-        with pytest.raises(ValueError):
-            build_bit_extractor(26)
-        with pytest.raises(ValueError):
-            build_fitter([(np.array([0.1]), 0.5)], 1, 26)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ell must be <= 25, got 26"):
             build_indexed_memorizer([(np.array([0.1]), [1] * 26)], 1, 26)
 
     def test_count_arguments_name_their_field(self):
         # cap_w, ell and latent_dim were truncated by int(): 2.5 built as 2
-        one = [(np.array([0.1]), 0.5)]
+        one = [(np.array([0.1]), [1, 0])]
         cases = [
-            (lambda: build_fitter(one, 2.5, 2), "cap_w must be an integer, got 2.5"),
-            (lambda: build_fitter(one, 1, 2.5), "ell must be an integer, got 2.5"),
-            (lambda: build_fitter(one, 1, 26), "ell must be <= 25, got 26"),
-            (lambda: build_bit_extractor(2.5), "ell must be an integer, got 2.5"),
-            (lambda: build_bit_extractor(0), "ell must be >= 1, got 0"),
-            (lambda: build_indexed_memorizer([(np.array([0.1]), [1, 0])], 1.5, 2),
+            (lambda: build_indexed_memorizer(one, 2.5, 2), "cap_w must be an integer, got 2.5"),
+            (lambda: build_indexed_memorizer(one, 1, 2.5), "ell must be an integer, got 2.5"),
+            (lambda: build_indexed_memorizer(one, 1, 0), "ell must be >= 1, got 0"),
+            (lambda: build_indexed_memorizer(one, 1.5, 2),
              "cap_w must be an integer, got 1.5"),
             (lambda: build_indexed_memorizer([(np.array([0.1]), [1])], 1, 1),
              "need ell >= 2, got 1"),
@@ -385,14 +281,15 @@ class TestMaxBits:
             with pytest.raises(ValueError, match=message):
                 build()
 
-    def test_extractor_at_max_bits(self):
-        mem = build_bit_extractor(memorizer.MAX_BITS)
-        ell = mem.ell
+    def test_indexed_memorizer_at_max_bits(self):
+        # full capacity W^2 ell = 25 at W = 1: every bit of every row, one query at a time
+        ell = memorizer.MAX_BITS
         rng = np.random.default_rng(21)
-        for word in rng.integers(0, 1 << ell, size=200):
-            j = int(rng.integers(1, ell + 1))
-            assert extract_bit(mem, math.ldexp(int(word), -ell), j) == \
-                float((int(word) >> (ell - j)) & 1)
+        anchors = rng.standard_normal((ell, 3))
+        bits = rng.integers(0, 2, (ell, ell))
+        mem = build_indexed_memorizer(list(zip(anchors, bits)), 1, ell)
+        for z, row in zip(anchors, bits):
+            assert [recall_bit(mem, z, j) for j in range(1, ell + 1)] == row.tolist()
 
 
 class TestExhaustiveRecallBudget:
@@ -412,13 +309,13 @@ def _distinct_anchors(count):
 
 
 @pytest.mark.parametrize("build", [
-    # W^2 ell = 128 >= 97, but 4W(ell+1) = 96 stages' ramps
-    lambda: build_fitter([(z, 0.25) for z in _distinct_anchors(97)], 8, 2),
     # W^2 ell = 128 >= 65, but 4W(2 ell - 2) = 64
     lambda: build_indexed_memorizer([(z, [0, 1]) for z in _distinct_anchors(65)], 8, 2),
+    # W^2 ell = 108 >= 97, but 4W(2 ell - 2) = 96
+    lambda: build_indexed_memorizer([(z, [0, 1, 1]) for z in _distinct_anchors(97)], 6, 3),
     # ell = 3, W = ceil(sqrt(200 / 3)) = 9: 200 > 4 W ell = 108
     lambda: build_theorem_generator(np.full((200, 1), 0.5), 0.5),
-], ids=["fitter", "composed", "generator"])
+], ids=["composed", "composed-ell3", "generator"])
 def test_stage_budget_is_a_capacity_error(build):
     with pytest.raises(CapacityError, match="interpolation stages"):
         build()
