@@ -34,7 +34,7 @@ print(f"observed {m} signs, {int(np.sum(obs.eta < 0))} adversarially flipped\n")
 decoders = {
     "latent least squares": lambda: ls_decode(
         obs, ens, net, LsDecoderConfig(seed=4)).x_hat,
-    "biht (s=50)": lambda: biht_decode(obs, ens, s=50, iters=100),
+    "biht (s=50)": lambda: biht_decode(obs, ens, s=50),
     "convex program (s=5)": lambda: pv_convex_decode(obs, ens, s_ell1=5.0),
 }
 print(f"{'decoder':<22} {'|x-cx*|':>8} {'cosine':>8} {'seconds':>8}")

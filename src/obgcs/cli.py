@@ -30,17 +30,17 @@ _REQUIRED = object()
 
 # key: (kind,) or (kind, default), a default only where the callee has none:
 # a key the config does not set is not passed on, so the callee's applies.
-_GEN = {"k": ("count", 5), "n": ("count", 100), "hidden_dims": ("counts",), "scale": ("float",)}
+_GEN = {"k": ("count", 5), "n": ("count", 100), "hidden_dims": ("counts",)}
 _FILES = {"gen": ("str", _REQUIRED), "ens": ("str", _REQUIRED), "obs": ("str", _REQUIRED),
           "decoder": ("str",)}
 _LS = {"mode": ("str",), "lambda": ("float",), "radius": ("float",), "restarts": ("count",),
        "steps": ("count",)}
-_BIHT = {"s": ("count", 10), "iters": ("count",)}
+_BIHT = {"s": ("count", 10)}
 _PV = {"s_ell1": ("float", 3.0)}
 _SWEEP = {"m_values": ("counts", [100, 200, 300]), "trials": ("count",), "decoders": ("strs",),
           "sigma": ("float",), "q": ("float",), "nu": ("float",), "ls_restarts": ("count",),
           "ls_steps": ("count",), "biht_s": ("count",), "pv_s": ("float",),
-          "workers": ("count",), "record_runtime": ("bool",)}
+          "workers": ("count",)}
 TABLES = {
     "synth-gen": _GEN,
     "measure": {"gen": ("str", _REQUIRED), "m": ("count", 100), "nu": ("float", 0.3),
@@ -64,12 +64,10 @@ TABLES = {
 # a file key and the keys it replaces; setting both is a usage error
 _ALTERNATIVES = {"grid": ("gen", (*_GEN, "gen_seed")), "memorize": ("targets", ("s", "n"))}
 
-_BOOL_WORDS = {"true": True, "yes": True, "on": True, "false": False, "no": False, "off": False}
 # kind: (read the text, accept what was read, what the text must be)
 _KINDS = {"int": (int, lambda v: True, "an integer"),
           "count": (int, lambda v: v >= 1, "an integer >= 1"),
           "float": (float, math.isfinite, "a finite number"),
-          "bool": (lambda text: _BOOL_WORDS[text.lower()], lambda v: True, "true or false"),
           "str": (str, lambda v: True, "a string")}
 
 
@@ -109,7 +107,7 @@ def _typed(text, kind, name):
         value = read(text)
         if ok(value):
             return value
-    except (KeyError, ValueError):
+    except ValueError:
         pass
     raise _UsageError(f"{name} must be {desc}, got {text!r}")
 
@@ -186,7 +184,7 @@ def _cmd_synth_gen(args, cfg):
 
 def _cmd_measure(args, cfg):
     net = load_generator(cfg["gen"])
-    cov = CovarianceSpec.from_nu(net.signal_dim, cfg["nu"])
+    cov = CovarianceSpec.toeplitz(net.signal_dim, cfg["nu"])
     ens = sample_ensemble(cfg["m"], cov, cfg["sigma"], cfg["q"], args.seed)
     obs = observe(ens, sample_truth(net, cov, rng_for(args.seed, 1)), args.seed)
     prefix = args.out or "measurement"

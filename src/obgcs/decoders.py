@@ -29,6 +29,7 @@ _MAX_BACKTRACKS = 60     # halvings before a search gives up
 # stop once f_old - f_new <= _STOP_RTOL * (1 + |f_old|): L-BFGS-B's default
 # moderate-accuracy factr = 1e7 (Zhu, Byrd, Lu & Nocedal, ACM TOMS 1997)
 _STOP_RTOL = 1e7 * float(np.finfo(float).eps)
+_BIHT_ITERS = 100        # BIHT steps at most; a fixed point stops it sooner
 
 
 @dataclass
@@ -257,24 +258,23 @@ def _keep_largest(x, s):
     return out
 
 
-def biht_decode(obs, ens, s, iters=100):
+def biht_decode(obs, ens, s):
     """Binary iterative hard thresholding baseline.
 
-    Iterates x <- H_s(x + (1/m) A^T (y - sign(Ax))) from zero, ``iters``
-    times or until an iterate repeats its predecessor byte for byte (a fixed
-    point of this deterministic map, which the remaining steps would keep),
-    and returns it at unit norm; the output is exactly s-sparse. If it is
-    zero (every y_i = +1 leaves x = 0 fixed, as sign(0) = +1), it returns
-    H_s(A^T y / m) at unit norm instead: the first step with sign(0) read as
-    0. Zeros if that is zero too. Raises ValueError before the first step
-    unless ``iters`` is an integer >= 1 and ``s`` one in [1, n].
+    Iterates x <- H_s(x + (1/m) A^T (y - sign(Ax))) from zero,
+    ``_BIHT_ITERS`` times or until an iterate repeats its predecessor byte
+    for byte (a fixed point of this deterministic map, which the remaining
+    steps would keep), and returns it at unit norm; the output is exactly
+    s-sparse. If it is zero (every y_i = +1 leaves x = 0 fixed, as
+    sign(0) = +1), it returns H_s(A^T y / m) at unit norm instead: the first
+    step with sign(0) read as 0. Zeros if that is zero too. Raises ValueError before the first step
+    unless ``s`` is an integer in [1, n].
     """
-    iters = as_count(iters, "BIHT iters")
     A, y = ens.A, obs.y
     m, n = A.shape
     s = as_count(s, "sparsity s", most=n)
     x = np.zeros(n)
-    for _ in range(iters):
+    for _ in range(_BIHT_ITERS):
         x_new = _keep_largest(x + (1.0 / m) * (A.T @ (y - sign_pm1(A @ x))), s)
         # bytes, not ==: stopping where only a zero's sign differs could flip it
         if x_new.tobytes() == x.tobytes():

@@ -188,8 +188,8 @@ def lipschitz_upper_bound(net):
     return net.lipschitz_bound
 
 
-def synth_generator(k, n, hidden_dims=(), seed=0, scale=1.0, final_activation="identity"):
-    """Random dense generator with Gaussian weights of std scale/sqrt(fan_in).
+def synth_generator(k, n, hidden_dims=(), seed=0, final_activation="identity"):
+    """Random dense generator with Gaussian weights of std 1/sqrt(fan_in).
 
     Biases are zero, which makes the map positively homogeneous: scaling the
     latent by a > 0 scales the output by a, so the image is a cone that is
@@ -202,7 +202,7 @@ def synth_generator(k, n, hidden_dims=(), seed=0, scale=1.0, final_activation="i
     weights = []
     biases = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(rng.standard_normal((fan_out, fan_in)) * (scale / np.sqrt(fan_in)))
+        weights.append(rng.standard_normal((fan_out, fan_in)) * (1.0 / np.sqrt(fan_in)))
         biases.append(np.zeros(fan_out))
     return GeneratorNetwork(dims, weights, biases, final_activation=final_activation)
 

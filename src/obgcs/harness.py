@@ -5,7 +5,7 @@ Cells are fully determined by (base_seed, m, trial): per-cell seeds come from
 numpy's SeedSequence entropy mixing of those integers, which is stable across
 platforms, so any cell can be reproduced in isolation and runs parallelize
 without affecting output. Results are sorted before writing, and wall times
-are zeroed in files by default so that repeated runs are byte-identical.
+are written as 0 so that repeated runs are byte-identical.
 """
 
 import math
@@ -45,7 +45,6 @@ class ExperimentGrid:
     biht_s: int = 10
     pv_s: float = 3.0
     workers: int | None = None
-    record_runtime: bool = False
 
     def __post_init__(self):
         self.m_values = [as_count(m, "m_values entry") for m in self.m_values]
@@ -146,7 +145,7 @@ def run_grid(grid, progress=None):
     net = grid.make_generator()
     if "biht" in grid.decoders and grid.biht_s > net.signal_dim:
         raise ValueError(f"biht_s must be <= n = {net.signal_dim}, got {grid.biht_s}")
-    cov = CovarianceSpec.from_nu(net.signal_dim, grid.nu)  # one spec: its factor is cached
+    cov = CovarianceSpec.toeplitz(net.signal_dim, grid.nu)  # one spec: its factor is cached
     cells = [(grid, net, cov, m, trial)
              for m in grid.m_values for trial in range(grid.trials_per_cell)]
     results = []
@@ -165,21 +164,20 @@ def run_grid(grid, progress=None):
                 progress(i + 1, len(cells))
     results.sort(key=lambda r: (r.m, r.decoder, r.trial))
     if grid.output_path:
-        write_csv(results, grid.output_path, record_runtime=grid.record_runtime)
+        write_csv(results, grid.output_path)
     return results
 
 
-def write_csv(results, path, record_runtime=False):
+def write_csv(results, path):
     """Write results under the documented header, floats at 17 significant
-    digits. Runtimes are written as 0 unless ``record_runtime`` so identical
-    runs produce byte-identical files."""
+    digits. Runtimes are written as 0 so identical runs produce
+    byte-identical files."""
     lines = [CSV_HEADER]
     for r in results:
-        runtime = r.runtime_s if record_runtime else 0.0
         lines.append(",".join([
             str(r.m), r.decoder, str(r.trial), str(r.seed),
             fmt17(r.l2_err), fmt17(r.cosine), fmt17(r.per_pixel),
-            fmt17(runtime), "true" if r.converged else "false",
+            "0", "true" if r.converged else "false",
         ]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -11,16 +11,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotSpdError, ShapeError
+from .errors import NonFiniteError, NotSpdError, ShapeError
 from .generator import forward
 from .util import as_count, rng_for
 
 
 @dataclass
 class CovarianceSpec:
-    """Row covariance of the sensing matrix: identity, or toeplitz nu^|i-j|."""
+    """Row covariance of the sensing matrix: toeplitz nu^|i-j|, the identity at nu = 0."""
 
-    kind: str
     n: int
     nu: float = 0.0
     _dense: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -28,26 +27,20 @@ class CovarianceSpec:
 
     @classmethod
     def identity(cls, n):
-        return cls(kind="identity", n=as_count(n, "n"))
+        return cls(n=as_count(n, "n"))
 
     @classmethod
     def toeplitz(cls, n, nu):
         nu = float(nu)
         if not -1.0 < nu < 1.0:
             raise ValueError(f"toeplitz correlation must lie in (-1, 1), got {nu}")
-        return cls(kind="toeplitz", n=as_count(n, "n"), nu=nu)
-
-    @classmethod
-    def from_nu(cls, n, nu):
-        """Identity when ``nu`` is 0, else toeplitz(``nu``)."""
-        return cls.identity(n) if nu == 0.0 else cls.toeplitz(n, nu)
+        return cls(n=as_count(n, "n"), nu=nu)
 
     def dense(self):
         """Sigma as a dense matrix, computed once and read-only."""
         if self._dense is None:
             idx = np.arange(self.n)
-            self._dense = (np.eye(self.n) if self.kind == "identity"
-                           else self.nu ** np.abs(idx[:, None] - idx[None, :]))
+            self._dense = self.nu ** np.abs(idx[:, None] - idx[None, :])
             self._dense.flags.writeable = False
         return self._dense
 
@@ -124,8 +117,8 @@ def sign_pm1(v):
 def sample_ensemble(m, cov, sigma, q, seed):
     """Draw A = Z C^T with Z iid standard normal and C the Cholesky factor.
 
-    Rows of A are then i.i.d. N(0, Sigma). For an identity covariance C is I,
-    so A is the draw Z itself (bitwise what Z @ I gives), with no product and
+    Rows of A are then i.i.d. N(0, Sigma). At nu = 0 C is I, so A is the
+    draw Z itself (bitwise what Z @ I gives), with no product and
     no second m x n array. Deterministic in ``seed``; the matrix uses
     sub-stream 0 of the seed so observation noise (sub-stream 1) and flips
     (sub-stream 2) can be varied independently.
@@ -134,7 +127,7 @@ def sample_ensemble(m, cov, sigma, q, seed):
     chol = cov.cholesky()
     rng = rng_for(seed, 0)
     A = rng.standard_normal((m, cov.n))
-    if cov.kind != "identity":
+    if cov.nu != 0.0:
         A = A @ chol.T
     return MeasurementEnsemble(A=A, cov=cov, sigma=float(sigma), q=float(q), seed=int(seed))
 
@@ -145,11 +138,13 @@ def observe(ens, x_star, seed):
     ``eps`` is N(0, sigma^2 I) from sub-stream 1 of ``seed`` and ``eta`` is
     +1 with probability q (else -1) from sub-stream 2, so the three
     randomness sources (matrix, noise, flips) are independent and any one can
-    be held fixed while the others vary.
+    be held fixed while the others vary. NonFiniteError if x* is not finite.
     """
     x_star = np.asarray(x_star, dtype=np.float64)
     if x_star.shape != (ens.n,):
         raise ShapeError(f"signal shape {x_star.shape} != {(ens.n,)}")
+    if not np.all(np.isfinite(x_star)):
+        raise NonFiniteError("x_star has non-finite entries")
     rng_eps = rng_for(seed, 1)
     rng_eta = rng_for(seed, 2)
     eps = ens.sigma * rng_eps.standard_normal(ens.m)

@@ -164,9 +164,8 @@ def load_generator(path):
 
 def save_ensemble(ens, path):
     cov = ens.cov
-    cov_meta = {"kind": cov.kind, "n": cov.n}
-    if cov.kind == "toeplitz":
-        cov_meta["nu"] = cov.nu
+    cov_meta = ({"kind": "toeplitz", "n": cov.n, "nu": cov.nu} if cov.nu != 0.0
+                else {"kind": "identity", "n": cov.n})
     meta = {"m": ens.m, "n": ens.n, "sigma": ens.sigma, "q": ens.q,
             "seed": ens.seed, "cov": cov_meta}
     _write(path, ENS_MAGIC, meta, [ens.A])

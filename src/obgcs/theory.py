@@ -164,9 +164,6 @@ def _greedy_prune(points, min_sep):
 class SrecReport:
     """Outcome of sampling the restricted-eigenvalue inequality over pairs."""
 
-    gamma: float
-    delta: float
-    pairs_tested: int
     violations: int
     min_ratio: float
 
@@ -177,8 +174,11 @@ def check_srec(ens, net, gamma, delta, num_pairs, seed):
 
     Pairs whose generator images are closer than 1e-9 are skipped in the
     ratio statistic (0/0); ``min_ratio`` is the smallest observed
-    ((1/m)||A d||^2 + delta) / ||d||^2.
+    ((1/m)||A d||^2 + delta) / ||d||^2. ValueError unless gamma and delta
+    are finite.
     """
+    if not (math.isfinite(gamma) and math.isfinite(delta)):
+        raise ValueError(f"gamma and delta must be finite, got {gamma} and {delta}")
     num_pairs = as_count(num_pairs, "num_pairs")
     rng = np.random.default_rng(seed)
     k = net.latent_dim
@@ -193,9 +193,7 @@ def check_srec(ens, net, gamma, delta, num_pairs, seed):
         min_ratio = float(np.min((lhs[valid] + delta) / d2[valid]))
     else:
         min_ratio = math.inf
-    return SrecReport(gamma=float(gamma), delta=float(delta),
-                      pairs_tested=num_pairs, violations=violations,
-                      min_ratio=min_ratio)
+    return SrecReport(violations=violations, min_ratio=min_ratio)
 
 
 def _inv_sqrt(mat):
@@ -241,9 +239,7 @@ class MeanWidthEstimate:
 
     omega_hat: float
     std_err: float
-    gaussians_used: int
     net_size: int
-    gamma_scale: float
     theoretical_bound: float = math.nan
 
 
@@ -271,8 +267,7 @@ def mean_width_of_directions(directions, num_gaussians, seed):
     bound = math.sqrt(2.0 * math.log(max(D.shape[0], 2)))
     return MeanWidthEstimate(omega_hat=float(omega),
                              std_err=math.sqrt(var / len(maxima)),
-                             gaussians_used=num, net_size=D.shape[0],
-                             gamma_scale=0.0, theoretical_bound=bound)
+                             net_size=D.shape[0], theoretical_bound=bound)
 
 
 def estimate_local_mean_width(net, z_bar, gamma_scale, num_gaussians, net_epsilon, seed):
@@ -304,9 +299,7 @@ def estimate_local_mean_width(net, z_bar, gamma_scale, num_gaussians, net_epsilo
     bound = math.sqrt(2.0 * k * math.log(arg)) if arg > 1.0 else 0.0
     bound += math.sqrt(net.signal_dim) * net_epsilon
     return MeanWidthEstimate(omega_hat=est.omega_hat, std_err=est.std_err,
-                             gaussians_used=est.gaussians_used,
-                             net_size=len(u_net), gamma_scale=float(gamma_scale),
-                             theoretical_bound=float(bound))
+                             net_size=len(u_net), theoretical_bound=float(bound))
 
 
 def concentration_diagnostics(ens, obs):

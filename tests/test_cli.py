@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obgcs import ExperimentGrid, cli, harness, run_grid
+from obgcs import (ExperimentGrid, GeneratorNetwork, cli, harness, load_generator, run_grid,
+                   save_generator)
 from obgcs.cli import TABLES, main, parse_config
 
 
@@ -27,15 +28,15 @@ class TestConfigParser:
     def test_types(self, tmp_path):
         # parse_config keeps each value's text; _settings reads it by the key's kind
         path = write(tmp_path / "c.cfg", (
-            "m_values = 100, 200,\ndecoders = ls\nrecord_runtime = yes\nsigma = 1\n"
+            "m_values = 100, 200,\ndecoders = ls\nsigma = 1\n"
             "# comment line\ntrials = 10  # trailing comment\ngen_seed = -4\n"))
         text = parse_config(path)
-        assert text == {"m_values": "100, 200,", "decoders": "ls", "record_runtime": "yes",
-                        "sigma": "1", "trials": "10", "gen_seed": "-4"}
+        assert text == {"m_values": "100, 200,", "decoders": "ls", "sigma": "1", "trials": "10",
+                        "gen_seed": "-4"}
         cfg = cli._settings(cli._build_parser().parse_args(["grid", "--config", path]))
         typed = {key: cfg[key] for key in text}
-        assert typed == {"m_values": [100, 200], "decoders": ["ls"], "record_runtime": True,
-                         "sigma": 1.0, "trials": 10, "gen_seed": -4}
+        assert typed == {"m_values": [100, 200], "decoders": ["ls"], "sigma": 1.0, "trials": 10,
+                         "gen_seed": -4}
         assert type(typed["sigma"]) is float and type(typed["trials"]) is int
 
     def test_rejects_garbage(self, tmp_path):
@@ -275,8 +276,6 @@ class TestKeyTables:
         (["synth-gen"], "k = abc\n", "k"),
         (["validate", "srec"], "runs = 0\n", "runs"),
         (["measure"], "gen = g.bin\nsigma = nan\n", "sigma"),
-        (["decode"], "gen = g.bin\nens = e.bin\nobs = o.bin\ndecoder = biht\niters = -5\n",
-         "iters"),
         (["grid"], "k = 3\nn = 16\ndecoders = biht\nbiht_iters = 0\n", "biht_iters"),
         (["grid"], "k = 3\nn = 16\nworkers = -3\n", "workers"),
         # keys no longer accepted: BIHT's step is fixed at 1/m, and a grid's LS
@@ -288,6 +287,13 @@ class TestKeyTables:
         # generators have no unit-sphere output
         (["synth-gen"], "k = 3\nunit_sphere = true\n", "unit_sphere"),
         (["grid"], "k = 3\nn = 16\nunit_sphere = false\n", "unit_sphere"),
+        # BIHT runs at most 100 iterations, synthetic weights have std
+        # 1/sqrt(fan_in), and the CSV's runtime_s column is always 0
+        (["decode"], "gen = g.bin\nens = e.bin\nobs = o.bin\ndecoder = biht\niters = 100\n",
+         "iters"),
+        (["synth-gen"], "k = 3\nscale = 0.5\n", "scale"),
+        (["grid"], "k = 3\nn = 16\nscale = 1\n", "scale"),
+        (["grid"], "k = 3\nn = 16\nrecord_runtime = true\n", "record_runtime"),
     ])
     def test_bad_key_exits_1_naming_file_and_key(self, tmp_path, capsys, command, text, key):
         cfg = write(tmp_path / "bad.cfg", text)
@@ -295,6 +301,8 @@ class TestKeyTables:
         assert main(command + ["--config", cfg, "--out", out, "--quiet"]) == 1
         err = capsys.readouterr().err
         assert cfg in err and repr(key) in err
+        if key in ("iters", "scale", "record_runtime"):
+            assert f"key {key!r} is not accepted by" in err
         assert not list(tmp_path.glob("out*"))
 
     @pytest.mark.parametrize("flags", [["--runs", "0"], ["--k", "0"], ["--m", "0"]])
@@ -346,22 +354,22 @@ class TestKeyTables:
 
     def test_grid_passes_every_key_to_experiment_grid(self, tmp_path):
         cfg = write(tmp_path / "g.cfg", (
-            "k = 3\nn = 16\nhidden_dims = 8\nscale = 0.5\ngen_seed = 4\n"
+            "k = 3\nn = 16\nhidden_dims = 8\ngen_seed = 4\n"
             "m_values = 40, 80\ntrials = 2\ndecoders = ls, biht\nls_steps = 50\n"
             "ls_restarts = 2\nbiht_s = 4\n"))
         cli_csv, api_csv = tmp_path / "cli.csv", tmp_path / "api.csv"
         assert main(["grid", "--config", cfg, "--seed", "7", "--out", str(cli_csv),
                      "--quiet"]) == 0
         run_grid(ExperimentGrid(
-            generator={"k": 3, "n": 16, "hidden_dims": [8], "scale": 0.5, "seed": 4},
+            generator={"k": 3, "n": 16, "hidden_dims": [8], "seed": 4},
             m_values=[40, 80], trials_per_cell=2, decoders=("ls", "biht"), base_seed=7,
             output_path=str(api_csv), ls_steps=50, ls_restarts=2, biht_s=4))
         assert cli_csv.read_bytes() == api_csv.read_bytes()
 
     def test_measure_on_zero_generator_exits_2_and_writes_nothing(self, tmp_path):
-        gcfg = write(tmp_path / "gen.cfg", "k = 3\nn = 20\nhidden_dims = 8\nscale = 0\n")
         gen = str(tmp_path / "zero.bin")
-        assert main(["synth-gen", "--config", gcfg, "--out", gen, "--quiet"]) == 0
+        save_generator(GeneratorNetwork([3, 8, 20], [np.zeros((8, 3)), np.zeros((20, 8))],
+                                        [np.zeros(8), np.zeros(20)]), gen)
         mcfg = write(tmp_path / "m.cfg", f"gen = {gen}\nm = 50\n")
         assert main(["measure", "--config", mcfg, "--out", str(tmp_path / "meas"),
                      "--quiet"]) == 2
@@ -426,8 +434,9 @@ class TestKeyTables:
         mcfg = write(tmp_path / "m.cfg", f"gen = {gen_file}\nm = 30\n")
         assert main(["measure", "--config", mcfg, "--out", prefix, "--quiet"]) == 0
         huge = str(tmp_path / "huge.bin")
-        gcfg = write(tmp_path / "huge.cfg", "k = 3\nn = 20\nhidden_dims = 8\nscale = 1e100\n")
-        assert main(["synth-gen", "--config", gcfg, "--out", huge, "--quiet"]) == 0
+        net = load_generator(gen_file)  # its weights times 1e100: |A G(z)|^2 overflows
+        save_generator(GeneratorNetwork(net.layer_dims, [1e100 * w for w in net.weights],
+                                        net.biases), huge)
         capsys.readouterr()
         dcfg = write(tmp_path / "d.cfg", (f"gen = {huge}\nens = {prefix}.ens.bin\n"
                                           f"obs = {prefix}.obs.bin\n"))

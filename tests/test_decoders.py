@@ -164,12 +164,12 @@ def frozen_ls_decode(obs, ens, net, cfg):
         step=float(trace[-1][1]), restart_losses=f.tolist(), passes=len(passes))
 
 
-def frozen_biht(obs, ens, s, iters=100):
-    """biht_decode as it was: all ``iters`` iterations, no fixed-point exit."""
+def frozen_biht(obs, ens, s):
+    """biht_decode as it was: all 100 iterations, no fixed-point exit."""
     A, y = ens.A, obs.y
     m = A.shape[0]
     x = np.zeros(A.shape[1])
-    for _ in range(iters):
+    for _ in range(100):
         x = hard_threshold(x + (1.0 / m) * (A.T @ (y - sign_pm1(A @ x))), s)
     nrm = np.linalg.norm(x)
     if nrm == 0.0:
@@ -225,7 +225,7 @@ def block_hidden_net(seed):
 def grid_cell(k, m, trial=0, base_seed=123):
     """One cell of run_grid at n=100, hidden [64], with its LS config."""
     net = synth_generator(k=k, n=100, hidden_dims=[64], seed=0)
-    cov = CovarianceSpec.from_nu(100, 0.3)
+    cov = CovarianceSpec.toeplitz(100, 0.3)
     cell_seed = derive_seed(base_seed, m, trial)
     ens = sample_ensemble(m, cov, 0.1, 0.97, cell_seed)
     x_star = sample_truth(net, cov, rng_for(base_seed, m, trial, 1))
@@ -349,13 +349,13 @@ class TestLsDecode:
     def test_divergence_names_restart_and_step(self, monkeypatch):
         ens = sample_ensemble(60, CovarianceSpec.identity(15), 0.0, 1.0, seed=28)
         obs = observe(ens, np.ones(15), seed=29)
-        # weights of scale 1e100 over two layers: |A G(z)|^2 overflows at any start
-        huge = synth_generator(k=3, n=15, hidden_dims=[8], seed=27, scale=1e100)
+        # a net's two layers of weights times 1e100: |A G(z)|^2 overflows at any start
+        net = synth_generator(k=3, n=15, hidden_dims=[8], seed=27)
+        huge = GeneratorNetwork(net.layer_dims, [1e100 * w for w in net.weights], net.biases)
         with pytest.raises(DivergenceError) as err:
             ls_decode(obs, ens, huge, LsDecoderConfig(restarts=2, seed=30))
         assert (err.value.restart, err.value.step) == (0, 0)
         # a finite start whose every trial point of the first search overflows
-        net = synth_generator(k=3, n=15, hidden_dims=[8], seed=27)
         monkeypatch.setattr(decoders, "_FIRST_STEP", 1e300)
         with pytest.raises(DivergenceError) as err:
             ls_decode(obs, ens, net, LsDecoderConfig(restarts=2, seed=30))
@@ -566,7 +566,7 @@ PARITY_NETS = [(5, [64]), (8, [64]), (5, [64, 64]), (16, [64]), (3, [8])]
 def matrix_problem(k, hidden, m, q, seed, **cfg):
     """One decode at n=100 with nu=0.3, sigma=0.1, in run_grid's way."""
     net = synth_generator(k=k, n=100, hidden_dims=hidden, seed=k)
-    cov = CovarianceSpec.from_nu(100, 0.3)
+    cov = CovarianceSpec.toeplitz(100, 0.3)
     ens = sample_ensemble(m, cov, 0.1, q, seed)
     obs = observe(ens, sample_truth(net, cov, rng_for(seed, 1)), seed)
     return obs, ens, net, LsDecoderConfig(seed=seed + 2, **cfg)
@@ -632,7 +632,7 @@ class TestFrozenReferenceParity:
 def biht_cell(m, trial, q=0.97):
     """A small grid-shaped cell: k=3, n=20, hidden [8], nu=0.3, sigma=0.1."""
     net = synth_generator(k=3, n=20, hidden_dims=[8], seed=0)
-    cov = CovarianceSpec.from_nu(20, 0.3)
+    cov = CovarianceSpec.toeplitz(20, 0.3)
     seed = derive_seed(5, m, trial)
     ens = sample_ensemble(m, cov, 0.1, q, seed)
     return observe(ens, sample_truth(net, cov, rng_for(5, m, trial, 1)), seed), ens
@@ -659,12 +659,6 @@ class TestBihtExit:
         x = biht_decode(obs, ens, s=4)
         assert len(biht_steps) == 100
         assert x.tobytes() == frozen_biht(obs, ens, 4).tobytes()
-
-    def test_iters_below_the_fixed_point(self, biht_steps):
-        obs, ens = biht_cell(20, 0)
-        x = biht_decode(obs, ens, s=4, iters=10)
-        assert len(biht_steps) == 10
-        assert x.tobytes() == frozen_biht(obs, ens, 4, iters=10).tobytes()
 
     @pytest.mark.parametrize("s,message", [(21, "sparsity s must be <= 20, got 21"),
                                            (2.5, "sparsity s must be an integer, got 2.5")])
@@ -701,7 +695,7 @@ class TestBiht:
         e1 = np.zeros(n)
         e1[0] = 1.0
         obs = observe(ens, e1, seed=10)
-        x_hat = biht_decode(obs, ens, s=1, iters=100)
+        x_hat = biht_decode(obs, ens, s=1)
         assert list(np.flatnonzero(x_hat)) == [0]
         assert float(x_hat @ e1) >= 0.99
 
@@ -710,7 +704,7 @@ class TestBiht:
         ens = sample_ensemble(200, CovarianceSpec.toeplitz(n, 0.3), 0.1, 0.95, seed=11)
         obs = observe(ens, np.random.default_rng(12).standard_normal(n), seed=13)
         for s in (1, 5, 30):
-            x_hat = biht_decode(obs, ens, s=s, iters=40)
+            x_hat = biht_decode(obs, ens, s=s)
             assert int(np.sum(x_hat != 0)) <= s
             assert np.linalg.norm(x_hat) == pytest.approx(1.0, rel=1e-12)
 
@@ -733,27 +727,13 @@ class TestBiht:
                                 eps=np.zeros(2))
         np.testing.assert_array_equal(biht_decode(obs, ens, s=1), [0.0, 0.0])
 
-    @pytest.mark.parametrize("iters", [0, -5])
-    def test_iterations_below_one_rejected(self, iters):
-        ens = sample_ensemble(20, CovarianceSpec.identity(4), 0.0, 1.0, seed=17)
-        obs = observe(ens, np.ones(4), seed=18)
-        with pytest.raises(ValueError, match="iters"):
-            biht_decode(obs, ens, s=2, iters=iters)
-
-    def test_non_integer_iterations_rejected(self):
-        # iters=1.5 used to run once
-        ens = sample_ensemble(20, CovarianceSpec.identity(4), 0.0, 1.0, seed=17)
-        obs = observe(ens, np.ones(4), seed=18)
-        with pytest.raises(ValueError, match="BIHT iters must be an integer, got 1.5"):
-            biht_decode(obs, ens, s=2, iters=1.5)
-
     def test_s_equals_n_reduces_to_sign_matching_iteration(self):
         n = 12
         ens = sample_ensemble(80, CovarianceSpec.identity(n), 0.0, 1.0, seed=14)
         obs = observe(ens, np.random.default_rng(15).standard_normal(n), seed=16)
-        x_hat = biht_decode(obs, ens, s=n, iters=3)
+        x_hat = biht_decode(obs, ens, s=n)
         x = np.zeros(n)
-        for _ in range(3):
+        for _ in range(100):
             x = x + (1.0 / ens.m) * (ens.A.T @ (obs.y - np.where(ens.A @ x >= 0, 1.0, -1.0)))
         np.testing.assert_allclose(x_hat, x / np.linalg.norm(x), atol=1e-12)
 

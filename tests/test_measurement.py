@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from obgcs import (CovarianceSpec, load_ensemble, load_observation,
+from obgcs import (CovarianceSpec, NonFiniteError, load_ensemble, load_observation,
                    observe, sample_ensemble, save_ensemble, save_observation,
                    scaling_constant, sigma_norm, sign_pm1)
 
@@ -16,9 +16,19 @@ class TestCovarianceSpec:
         assert sigma[0, 2] == pytest.approx(0.09)
         assert sigma[0, 0] == 1.0
 
-    def test_nu_zero_is_identity(self):
-        np.testing.assert_array_equal(CovarianceSpec.toeplitz(4, 0.0).dense(),
-                                      np.eye(4))
+    def test_nu_zero_is_identity(self, tmp_path):
+        # identity(n) is toeplitz(n, 0.0) byte for byte: matrix, factor, draw and file
+        ident, zero = CovarianceSpec.identity(7), CovarianceSpec.toeplitz(7, 0.0)
+        assert ident == zero and ident.dense().tobytes() == np.eye(7).tobytes()
+        assert ident.dense().tobytes() == zero.dense().tobytes()
+        assert ident.cholesky().tobytes() == zero.cholesky().tobytes()
+        ens = [sample_ensemble(9, cov, 0.1, 0.97, seed=4) for cov in (ident, zero)]
+        assert ens[0].A.tobytes() == ens[1].A.tobytes()
+        files = [tmp_path / "ident.ens.bin", tmp_path / "zero.ens.bin"]
+        for e, path in zip(ens, files):
+            save_ensemble(e, path)
+        assert files[0].read_bytes() == files[1].read_bytes()
+        assert b'"cov":{"kind":"identity","n":7}' in files[1].read_bytes()
 
     def test_nu_out_of_range(self):
         with pytest.raises(ValueError):
@@ -42,7 +52,7 @@ class TestCovarianceSpec:
                 arr[0, 0] = 2.0
         # the cache is not part of the spec: equality and repr are unchanged
         assert cov == fresh and repr(cov) == repr(fresh) == \
-            "CovarianceSpec(kind='toeplitz', n=6, nu=0.3)"
+            "CovarianceSpec(n=6, nu=0.3)"
         np.testing.assert_array_equal(cov.cholesky(), np.linalg.cholesky(fresh.dense()))
 
 
@@ -149,6 +159,15 @@ class TestObserve:
         obs = observe(ens, self.x, seed=5)
         assert np.all(np.abs(obs.y) == 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_truth_rejected(self, bad):
+        # a NaN x_star used to give all -1 signs and no error
+        ens = sample_ensemble(20, self.cov, 0.1, 0.9, seed=3)
+        x = self.x.copy()
+        x[2] = bad
+        with pytest.raises(NonFiniteError, match="x_star"):
+            observe(ens, x, seed=4)
+
     def test_scale_invariance_of_signs(self):
         ens = sample_ensemble(100, self.cov, 0.0, 1.0, seed=6)
         a = observe(ens, self.x, seed=7)
@@ -237,7 +256,7 @@ class TestSerialization:
         save_ensemble(ens, path)
         back = load_ensemble(path)
         np.testing.assert_array_equal(back.A, ens.A)
-        assert back.cov.kind == "toeplitz" and back.cov.nu == 0.3
+        assert back.cov.n == 5 and back.cov.nu == 0.3
         assert back.sigma == 0.1 and back.q == 0.97 and back.seed == 3
 
     def test_observation_round_trip(self, tmp_path):

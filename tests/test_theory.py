@@ -229,9 +229,18 @@ class TestSrec:
     def test_report_fields(self):
         ens = sample_ensemble(50, self.cov, 0.0, 1.0, seed=9)
         rep = check_srec(ens, self.net, 0.5, 0.1, 500, seed=10)
-        assert rep.pairs_tested == 500
-        assert rep.gamma == 0.5 and rep.delta == 0.1
-        assert rep.min_ratio > 0
+        assert rep.violations == 0 and rep.min_ratio > 0
+
+    @pytest.mark.parametrize("gamma, delta", [(math.nan, 0.1), (0.5, math.nan),
+                                              (math.inf, 0.1), (0.5, -math.inf)])
+    def test_non_finite_setting_rejected_before_sampling(self, monkeypatch, gamma, delta):
+        # a NaN gamma or delta used to report violations=0, a pass
+        calls = []
+        monkeypatch.setattr(theory, "forward_batch", lambda *args: calls.append(args))
+        ens = sample_ensemble(50, self.cov, 0.0, 1.0, seed=9)
+        with pytest.raises(ValueError, match="gamma and delta must be finite"):
+            check_srec(ens, self.net, gamma, delta, 200, seed=2)
+        assert calls == []
 
 
 class TestJl:
