@@ -52,8 +52,8 @@ class LsDecoderConfig:
     def __post_init__(self):
         if self.mode not in ("lagrangian", "constrained"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "lagrangian" and not self.lam >= 0:
-            raise ValueError(f"penalty weight must be >= 0, got {self.lam}")
+        if self.mode == "lagrangian" and not 0 <= self.lam < math.inf:
+            raise ValueError(f"penalty weight must be finite and >= 0, got {self.lam}")
         if self.mode == "constrained" and not self.radius > 0:
             raise ValueError(f"constraint radius must be > 0, got {self.radius}")
         self.restarts = as_count(self.restarts, "restarts")
@@ -115,10 +115,7 @@ def ls_decode(obs, ens, net, cfg):
     cheaper form. The returned ``objective`` is recomputed from the
     residual, so a near-zero loss is not lost to cancellation.
     """
-    y = obs.y
-    A = ens.A
-    if y.shape[0] != A.shape[0]:
-        raise ShapeError("observation length does not match measurement count")
+    A, y = ens.A, _signs_of(obs, ens)
     if net.signal_dim != A.shape[1]:
         raise ShapeError("generator output dimension does not match signal size")
     m, n = A.shape
@@ -215,6 +212,13 @@ def ls_decode(obs, ens, net, cfg):
     )
 
 
+def _signs_of(obs, ens):
+    """The observation's signs, after checking there is one per ensemble row."""
+    if obs.y.shape != (ens.A.shape[0],):
+        raise ShapeError("observation length does not match measurement count")
+    return obs.y
+
+
 def _residual_term(A, y):
     """Per-column (|A x - y|^2 / 2m, A^T (A x - y) / m), from the residual."""
     m = A.shape[0]
@@ -270,7 +274,7 @@ def biht_decode(obs, ens, s):
     step with sign(0) read as 0. Zeros if that is zero too. Raises ValueError before the first step
     unless ``s`` is an integer in [1, n].
     """
-    A, y = ens.A, obs.y
+    A, y = ens.A, _signs_of(obs, ens)
     m, n = A.shape
     s = as_count(s, "sparsity s", most=n)
     x = np.zeros(n)
@@ -317,7 +321,7 @@ def pv_convex_decode(obs, ens, s_ell1):
     s = float(s_ell1)
     if not s > 0:
         raise ValueError(f"L1 radius must be positive, got {s}")
-    g = (ens.A.T @ obs.y) / ens.m
+    g = (ens.A.T @ _signs_of(obs, ens)) / ens.m
     a = np.sort(np.abs(g))[::-1]
     if a[0] == 0.0:
         return np.zeros_like(g)

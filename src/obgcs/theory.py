@@ -1,7 +1,7 @@
 """Empirical validators for the analysis machinery behind the decoder.
 
 Everything here is a seeded Monte-Carlo check, not a proof, except the
-covering nets, which are lattice nets proven to cover (built for k <= 8 only):
+covering nets, lattices of pitch 2 epsilon/sqrt(k) proven to cover (k <= 8):
 restricted-eigenvalue sampling over generator images, random-projection
 distortion tests, Gaussian mean-width estimation, and concentration
 diagnostics for the empirical covariance.
@@ -18,7 +18,6 @@ from .util import as_count
 
 _LATTICE_BUDGET = 2_000_000
 _CHUNK_ENTRIES = 1 << 16  # entries of one _min_dists product (512 KB; 2 MB timed slower)
-_PRUNE_BLOCK = 32  # candidates _greedy_prune decides together
 _CHECK_SAMPLES = 10_000  # uniform ball points a coverage check measures
 
 
@@ -98,13 +97,13 @@ def _lattice_points(k, pitch, radius):
 def build_eps_net(k, r, epsilon):
     """An epsilon-net of the radius-r ball in R^k, for k <= 8.
 
-    The lattice net is an epsilon-net by construction. It lays down an
-    axis-aligned grid of pitch epsilon/sqrt(k), whose cells have half-diagonal
-    epsilon/2, intersects it with the slightly enlarged ball, projects
-    everything back into the ball (projection onto a convex set can only
-    shrink distances to interior points), and prunes points lying within
-    epsilon/2 of an earlier survivor. Both halves of the argument leave total
-    coverage at epsilon.
+    The net is the axis-aligned grid of pitch 2 epsilon/sqrt(k) inside the
+    radius-(r + epsilon) ball, its points outside the radius-r ball projected
+    onto the sphere. A grid cell's half-diagonal is epsilon, so each x in the
+    ball lies within epsilon of a grid point p, and |p| <= r + epsilon;
+    projection onto the ball moves p no farther from x. Points on one ray can
+    meet or nearly meet on the sphere (8 pairs 1e-9 apart at k=4,
+    epsilon=0.5); a net with repeats still covers, so they stay.
 
     For larger k the lattice blows up, and no other net here is proven to
     cover, so k > 8 is a CapacityError.
@@ -119,45 +118,13 @@ def build_eps_net(k, r, epsilon):
     if k > 8:
         raise CapacityError(f"no proven epsilon-net for k={k}: the lattice net "
                             "is built for k <= 8")
-    pitch = epsilon / math.sqrt(k)
-    pts = _lattice_points(k, pitch, r + 0.5 * epsilon)
+    # 1e-9 below 2 epsilon/sqrt(k): at exactly that, cell corners measured epsilon (1 + 1.1e-14)
+    pitch = 2.0 * epsilon / math.sqrt(k) * (1.0 - 1e-9)
+    pts = _lattice_points(k, pitch, r + epsilon)
     norms = np.linalg.norm(pts, axis=1)
     outside = norms > r
     pts[outside] *= (r / norms[outside])[:, None]
-    return EpsNet(points=_greedy_prune(pts, 0.5 * epsilon), epsilon=epsilon, r=r)
-
-
-def _greedy_prune(points, min_sep):
-    """Keep each point, in order, unless it lies within min_sep of a point
-    kept before it.
-
-    Blocks of _PRUNE_BLOCK candidates meet only the kept points inside their
-    bounding box widened by min_sep (rounded outward). A pair gets its squared
-    distance, the row sum a one-by-one loop takes, only if it is closer than
-    min_sep in every coordinate; the block's survivors then settle in order.
-    """
-    sep2 = min_sep * min_sep
-    # kept as rows for the distances, and as columns for a fast box test
-    kept, cols = np.empty((0, points.shape[1])), np.empty((points.shape[1], 0))
-    for start in range(0, points.shape[0], _PRUNE_BLOCK):
-        block = points[start:start + _PRUNE_BLOCK]
-        lo = np.nextafter(block.min(axis=0) - min_sep, -np.inf)[:, None]
-        hi = np.nextafter(block.max(axis=0) + min_sep, np.inf)[:, None]
-        near = kept[np.all((cols >= lo) & (cols <= hi), axis=0)]
-        close = np.ones((block.shape[0], near.shape[0]), dtype=bool)
-        for c in range(points.shape[1]):
-            close &= np.abs(block[:, c, None] - near[:, c]) < min_sep
-        cand, other = np.nonzero(close)  # C-ordered row gathers fix numpy's summation order
-        hit = cand[np.sum((block[cand] - near[other]) ** 2, axis=-1) < sep2]
-        block = np.delete(block, hit, axis=0)
-        if block.shape[0]:
-            clear = np.sum((block[:, None] - block) ** 2, axis=-1) >= sep2
-            take = np.ones(block.shape[0], dtype=bool)
-            for i in range(block.shape[0]):
-                if take[i]:
-                    take[i + 1:] &= clear[i, i + 1:]
-            kept, cols = np.vstack([kept, block[take]]), np.hstack([cols, block[take].T])
-    return kept
+    return EpsNet(points=pts, epsilon=epsilon, r=r)
 
 
 @dataclass
@@ -208,8 +175,11 @@ def check_jl(ens, point_set, epsilon):
 
     Measures max over point pairs of |ratio - 1| where ratio compares image
     distance to original distance; passes when every ratio lies in
-    [1-epsilon, 1+epsilon]. Pairs at identical points are skipped.
+    [1-epsilon, 1+epsilon]. Pairs at identical points are skipped. ValueError
+    unless epsilon is finite.
     """
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     T = np.asarray(point_set, dtype=np.float64)
     if T.ndim != 2 or T.shape[0] < 2:
         raise ShapeError("need a (count, n) point set with count >= 2")
@@ -277,10 +247,10 @@ def estimate_local_mean_width(net, z_bar, gamma_scale, num_gaussians, net_epsilo
     (G(u) - G(z_bar)) / ||G(u) - G(z_bar)|| whose length clears gamma_scale,
     and Monte-Carlo estimates E sup <g, v>. The reported theoretical bound is
     sqrt(2k log(16 L / (gamma epsilon))) + sqrt(n) epsilon with L the
-    generator's Lipschitz upper bound.
+    generator's Lipschitz upper bound. ValueError unless 0 < gamma_scale < inf.
     """
-    if gamma_scale <= 0 or net_epsilon <= 0 or num_gaussians < 2:
-        raise ValueError("gamma_scale, net_epsilon must be positive; need >= 2 gaussians")
+    if not 0 < gamma_scale < math.inf or net_epsilon <= 0 or num_gaussians < 2:
+        raise ValueError("gamma_scale must be finite and > 0, net_epsilon > 0; need >= 2 gaussians")
     k = net.latent_dim
     u_net = build_eps_net(k, 1.0, net_epsilon)
     images = forward_batch(net, u_net.points.T)

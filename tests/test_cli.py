@@ -429,6 +429,24 @@ class TestKeyTables:
                      "--quiet"]) == 1
         assert "error: truncated file: signs expects" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("decoder", ["ls", "biht", "pv"])
+    def test_decode_with_mismatched_observation_exits_1(self, tmp_path, gen_file, capsys,
+                                                         decoder):
+        # biht used to broadcast a 1-sign observation over 30 rows and exit 0
+        for prefix, m in (("a", 30), ("b", 1)):
+            mcfg = write(tmp_path / f"{prefix}.cfg", f"gen = {gen_file}\nm = {m}\n")
+            assert main(["measure", "--config", mcfg, "--out", str(tmp_path / prefix),
+                         "--quiet"]) == 0
+        dcfg = write(tmp_path / "d.cfg", (f"gen = {gen_file}\nens = {tmp_path / 'a'}.ens.bin\n"
+                                          f"obs = {tmp_path / 'b'}.obs.bin\n"
+                                          f"decoder = {decoder}\n"))
+        capsys.readouterr()
+        assert main(["decode", "--config", dcfg, "--out", str(tmp_path / "d.json"),
+                     "--quiet"]) == 1
+        assert ("error: observation length does not match measurement count"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "d.json").exists()
+
     def test_decode_with_overflowing_generator_exits_2(self, tmp_path, gen_file, capsys):
         prefix = str(tmp_path / "meas")
         mcfg = write(tmp_path / "m.cfg", f"gen = {gen_file}\nm = 30\n")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obgcs import (CovarianceSpec, DivergenceError,
-                   LsDecoderConfig, biht_decode, estimation_error,
+                   LsDecoderConfig, ShapeError, biht_decode, estimation_error,
                    hard_threshold, ls_decode, observe, project_l1_ball,
                    pv_convex_decode, sample_ensemble, scaling_constant,
                    synth_generator)
@@ -249,6 +249,11 @@ class TestLsDecode:
         # a NaN radius used to fail every norms > radius test and decode unconstrained
         with pytest.raises(ValueError, match=f"{fault} must be .*, got nan"):
             LsDecoderConfig(**kwargs)
+
+    def test_infinite_penalty_rejected(self):
+        # it used to pass, and ls_decode reported a DivergenceError at restart 0, step 0
+        with pytest.raises(ValueError, match="penalty weight must be finite and >= 0, got inf"):
+            LsDecoderConfig(lam=math.inf)
 
     @pytest.mark.parametrize("field", ["restarts", "steps_per_restart"])
     @pytest.mark.parametrize("value", [2.5, 2.0, True])
@@ -644,6 +649,23 @@ def biht_steps(monkeypatch):
     calls = []
     monkeypatch.setattr(decoders, "sign_pm1", lambda v: calls.append(1) or sign_pm1(v))
     return calls
+
+
+class TestObservationLength:
+    @pytest.mark.parametrize("decode", [
+        lambda obs, ens: ls_decode(obs, ens, identity_generator(10), LsDecoderConfig()),
+        lambda obs, ens: biht_decode(obs, ens, 3),
+        lambda obs, ens: pv_convex_decode(obs, ens, 2.0),
+    ], ids=["ls", "biht", "pv"])
+    @pytest.mark.parametrize("m_obs", [1, 31])
+    def test_mismatch_rejected(self, decode, m_obs):
+        # biht used to broadcast one sign over all 30 rows; other lengths
+        # failed in numpy's broadcasting or matmul
+        cov = CovarianceSpec.identity(10)
+        ens = sample_ensemble(30, cov, 0.0, 1.0, seed=1)
+        obs = observe(sample_ensemble(m_obs, cov, 0.0, 1.0, seed=2), np.eye(10)[0], seed=3)
+        with pytest.raises(ShapeError, match="observation length does not match measurement count"):
+            decode(obs, ens)
 
 
 class TestBihtExit:

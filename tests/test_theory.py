@@ -109,20 +109,9 @@ def _recursive_lattice(k, pitch, radius):
     return np.array(out) if out else np.zeros((0, k))
 
 
-def _loop_prune(points, min_sep):
-    """The greedy prune as a one-candidate-at-a-time loop (the reference)."""
-    kept = np.empty((0, points.shape[1]))
-    sep2 = min_sep * min_sep
-    for p in points:
-        if kept.shape[0] == 0 or np.min(np.sum((kept - p) ** 2, axis=1)) >= sep2:
-            kept = np.vstack([kept, p[None, :]])
-    return kept
-
-
 def _reference_net(monkeypatch, *args, **kwargs):
     with monkeypatch.context() as patch:
         patch.setattr(theory, "_lattice_points", _recursive_lattice)
-        patch.setattr(theory, "_greedy_prune", _loop_prune)
         return build_eps_net(*args, **kwargs).points
 
 
@@ -144,8 +133,6 @@ class TestCountArguments:
 
 
 class TestEpsNetParity:
-    # (4, 0.5) has pitch 0.25 = epsilon / 2, so lattice neighbours tie with
-    # the separation exactly
     @pytest.mark.parametrize("k,eps", [(1, 0.5), (2, 0.5), (3, 0.6), (4, 0.5),
                                        (4, 0.8), (5, 0.6), (5, 0.9)])
     def test_lattice_net_bytes(self, monkeypatch, k, eps):
@@ -153,33 +140,18 @@ class TestEpsNetParity:
         got = build_eps_net(k, 1.0, eps).points
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("block", [1, 7, 1 << 30])
-    def test_block_size_does_not_change_the_net(self, monkeypatch, block):
-        want = [_reference_net(monkeypatch, k, 1.0, eps) for k, eps in [(2, 0.5), (3, 0.6)]]
-        monkeypatch.setattr(theory, "_PRUNE_BLOCK", block)
-        got = [build_eps_net(k, 1.0, eps).points for k, eps in [(2, 0.5), (3, 0.6)]]
-        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-
-    @pytest.mark.parametrize("block", [1, 32])
-    def test_pair_at_exactly_min_sep_is_kept(self, monkeypatch, block):
-        # 0.375^2 + 0.5^2 == 0.625^2 exactly, and no coordinate gap reaches 0.625
-        points = np.array([[0.0, 0.0], [0.375, 0.5], [0.375, 0.25]])
-        monkeypatch.setattr(theory, "_PRUNE_BLOCK", block)
-        kept = theory._greedy_prune(points, 0.625)
-        assert kept.tobytes() == points[:2].tobytes() == _loop_prune(points, 0.625).tobytes()
-
     def test_lattice_budget_raises_before_allocating(self, monkeypatch):
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError, match="use a larger epsilon"):
-                build_eps_net(8, 1.0, 0.2)
+                build_eps_net(8, 1.0, 0.1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20  # the full lattice would hold billions of points
-        monkeypatch.setattr(theory, "_LATTICE_BUDGET", 100)  # (3, 0.6) has 251 candidates
+        monkeypatch.setattr(theory, "_LATTICE_BUDGET", 100)  # (4, 0.5) has 425 candidates
         with pytest.raises(CapacityError, match="use a larger epsilon"):
-            build_eps_net(3, 1.0, 0.6)
+            build_eps_net(4, 1.0, 0.5)
 
     def test_build_peak_memory(self):
         tracemalloc.start()
@@ -188,8 +160,32 @@ class TestEpsNetParity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(net) == 3755
+        assert len(net) == 1093
         assert peak < 8 * 2 ** 20
+
+
+class TestEpsNetCoverage:
+    # the ticks are multiples of epsilon/sqrt(k), half the unshrunk pitch, so
+    # they hold the cell corners: without the pitch's 1e-9 shrink these read
+    # epsilon (1 + 1.7e-13) through _min_dists and epsilon (1 + 1.1e-15) directly
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("r", [0.5, 1.0, 1.7])
+    def test_aligned_grid_within_epsilon(self, k, r):
+        for eps in np.linspace(0.05, 2 * r, 40):
+            net = build_eps_net(k, r, eps).points
+            half = eps / math.sqrt(k)
+            ticks = np.arange(-math.floor(r / half), math.floor(r / half) + 1) * half
+            grid = np.stack(np.meshgrid(*[ticks] * k, indexing="ij"), -1).reshape(-1, k)
+            grid = grid[np.linalg.norm(grid, axis=1) <= r]
+            direct = np.sqrt(np.sum((grid[:, None] - net[None]) ** 2, axis=2)).min(axis=1)
+            assert theory._min_dists(grid, net).max() <= eps
+            assert direct.max() <= eps
+
+    def test_k7_builds_and_covers(self):
+        # its pitch-epsilon/sqrt(7) lattice used to exceed _LATTICE_BUDGET
+        net = build_eps_net(7, 1.0, 0.5)
+        assert len(net) == 69779
+        assert net.covering_radius_sampled(seed=0) <= 0.5
 
 
 class TestSrec:
@@ -266,6 +262,17 @@ class TestJl:
         out = check_jl(ens, T, 0.5)
         assert math.isfinite(out["max_distortion"])
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected_before_projecting(self, monkeypatch, eps):
+        # NaN used to read pass: False and inf pass: True
+        calls = []
+        monkeypatch.setattr(theory, "_inv_sqrt", lambda *args: calls.append(args))
+        ens = sample_ensemble(50, CovarianceSpec.identity(20), 0.0, 1.0, seed=1)
+        T = np.random.default_rng(2).standard_normal((4, 20))
+        with pytest.raises(ValueError, match=f"epsilon must be finite, got {eps}"):
+            check_jl(ens, T, eps)
+        assert calls == []
+
     def test_single_row_collapses(self):
         n = 20
         cov = CovarianceSpec.identity(n)
@@ -309,6 +316,17 @@ class TestMeanWidth:
         with pytest.raises(DegenerateConeError):
             estimate_local_mean_width(net, np.zeros(2), gamma_scale=1e9,
                                       num_gaussians=100, net_epsilon=0.5, seed=5)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma_rejected_before_the_net(self, monkeypatch, gamma):
+        # both used to raise DegenerateConeError, naming an empty cone
+        calls = []
+        monkeypatch.setattr(theory, "build_eps_net", lambda *args: calls.append(args))
+        net = synth_generator(k=2, n=10, hidden_dims=[4], seed=4)
+        with pytest.raises(ValueError, match="gamma_scale must be finite and > 0"):
+            estimate_local_mean_width(net, np.zeros(2), gamma_scale=gamma,
+                                      num_gaussians=100, net_epsilon=0.5, seed=5)
+        assert calls == []
 
     @pytest.mark.parametrize("num", [0, -3])
     def test_needs_one_gaussian(self, num):
