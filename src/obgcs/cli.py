@@ -293,7 +293,13 @@ def _cmd_validate(args, cfg):
 def _cmd_memorize(args, cfg):
     if "targets" in cfg:
         with open(cfg["targets"], encoding="utf-8") as fh:
-            targets = np.atleast_2d(np.asarray(json.load(fh), dtype=np.float64))
+            data = json.load(fh)
+        try:  # a JSON object, or one inside the array, is no number
+            if not isinstance(data, list):
+                raise TypeError
+            targets = np.atleast_2d(np.asarray(data, dtype=np.float64))
+        except TypeError:
+            raise ValueError(f"{cfg['targets']}: targets must be a JSON array of numbers") from None
     else:
         targets = rng_for(args.seed, 7).random((cfg["s"], cfg["n"]))
     mem = memorizer.build_theorem_generator(targets, cfg["tau"],
@@ -340,7 +346,8 @@ def _build_parser():
     return parser
 
 
-_USAGE_ERRORS = (_UsageError, ValueError, KeyError, FileNotFoundError)
+# OSError: a path that cannot be opened (missing, a directory, no permission)
+_USAGE_ERRORS = (_UsageError, ValueError, KeyError, OSError)
 # every ValueError (NotSpdError, NonFiniteError, LinAlgError) is caught above
 _NUMERIC_ERRORS = (ZeroDivisionError, ObgcsError)
 

@@ -8,6 +8,8 @@ without affecting output. Results are sorted before writing, and wall times
 are written as 0 so that repeated runs are byte-identical.
 """
 
+import contextlib
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ import numpy as np
 
 from .decoders import (LsDecoderConfig, biht_decode, estimation_error, ls_decode,
                        pv_convex_decode)
-from .errors import ObgcsError
+from .errors import NonFiniteError, ObgcsError
 from .generator import synth_generator
 from .measurement import CovarianceSpec, observe, sample_ensemble, sample_truth
 from .serialization import load_generator
@@ -86,14 +88,15 @@ def _run_cell(grid, net, cov, m, trial):
 
     A decoder that fails with an ObgcsError (it diverged, or a covariance
     norm it needs is not defined) or returns a zero vector, and every decoder
-    of a cell whose sampled truth has zero covariance norm (nothing to
-    recover), gives a converged=False row with NaN errors.
+    of a cell whose sampled truth has a zero or non-finite covariance norm
+    (nothing to recover, or the generator overflowed), gives a
+    converged=False row with NaN errors.
     """
     cell_seed = derive_seed(grid.base_seed, m, trial)
     ens = sample_ensemble(m, cov, grid.sigma, grid.q, cell_seed)
     try:
         x_star = sample_truth(net, cov, rng_for(grid.base_seed, m, trial, 1))
-    except ZeroDivisionError:
+    except (ZeroDivisionError, NonFiniteError):
         x_star = None
     else:
         obs = observe(ens, x_star, cell_seed)
@@ -129,10 +132,6 @@ def _decode(grid, name, obs, ens, net, m, trial):
     return pv_convex_decode(obs, ens, s_ell1=grid.pv_s)
 
 
-def _run_cell_star(args):
-    return _run_cell(*args)
-
-
 def run_grid(grid, progress=None):
     """Run every (m, trial) cell; returns CellResults sorted by (m, decoder, trial).
 
@@ -148,18 +147,15 @@ def run_grid(grid, progress=None):
     cov = CovarianceSpec.toeplitz(net.signal_dim, grid.nu)  # one spec: its factor is cached
     cells = [(grid, net, cov, m, trial)
              for m in grid.m_values for trial in range(grid.trials_per_cell)]
-    results = []
-    workers = grid.workers
-    if workers is not None and workers > 1:
+    pool, run = contextlib.nullcontext(), map
+    if grid.workers is not None and grid.workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, batch in enumerate(pool.map(_run_cell_star, cells, chunksize=1)):
-                results.extend(batch)
-                if progress:
-                    progress(i + 1, len(cells))
-    else:
-        for i, cell in enumerate(cells):
-            results.extend(_run_cell(*cell))
+        pool = ProcessPoolExecutor(max_workers=grid.workers)
+        run = functools.partial(pool.map, chunksize=1)
+    results = []
+    with pool:
+        for i, batch in enumerate(run(_run_cell, *zip(*cells))):
+            results.extend(batch)
             if progress:
                 progress(i + 1, len(cells))
     results.sort(key=lambda r: (r.m, r.decoder, r.trial))

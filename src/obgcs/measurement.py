@@ -155,9 +155,12 @@ def observe(ens, x_star, seed):
 
 def sample_truth(net, cov, rng):
     """Ground truth x* = G(z) / |G(z)|_Sigma with z ~ N(0, I_k) drawn from ``rng``;
-    ZeroDivisionError when G(z) is 0 or that norm is not positive."""
+    NonFiniteError when that norm is not finite (G(z) overflowed), and
+    ZeroDivisionError when it is not positive (G(z) is 0)."""
     x = forward(net, rng.standard_normal(net.latent_dim))
     nrm = sigma_norm(cov, x)
+    if not nrm < math.inf:
+        raise NonFiniteError(f"sampled ground truth has covariance norm {nrm}")
     if not nrm > 0.0:
         raise ZeroDivisionError(f"sampled ground truth has covariance norm {nrm}")
     return x / nrm

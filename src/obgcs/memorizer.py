@@ -163,10 +163,11 @@ def _fitter_part(stack, anchors, values, max_chunk, num_layers, carry_j=False):
 
     ``values`` is a (count, blocks) array, one column of anchor values per
     block of the stack. Each stage hosts one chunk of consecutive (in
-    projected order) anchors as a nodal-hat bump; an accumulator channel
-    folds finished bumps forward. Stages beyond the last chunk pass state
-    through. With ``carry_j`` the final input coordinate rides along through
-    every layer.
+    projected order) anchors as a nodal-hat bump on the t channel and folds
+    the bump below into the accumulator; the first stage reads t off the
+    input and has nothing to fold, and the readout folds the last bump.
+    Stages beyond the last chunk pass state through. With ``carry_j`` the
+    final input coordinate rides along at the top unit of every layer.
     """
     count = anchors.shape[0]
     chunks = [(i, min(i + max_chunk, count)) for i in range(0, count, max_chunk)]
@@ -182,44 +183,20 @@ def _fitter_part(stack, anchors, values, max_chunk, num_layers, carry_j=False):
     vals_sorted = values[order]
 
     k = stack.input_dim - (1 if carry_j else 0)
-    pend_ramps = None  # (indices, gammas) awaiting fold into the accumulator
+    t_row, t_bias, acc = {i: w[i] for i in range(k)}, shift, {}
     for s in range(num_layers):
-        rows = []
-        first = s == 0
-        if first:
-            tc = {i: w[i] for i in range(k)}
-            rows.append((tc, shift))                      # t channel
-            rows.append(({}, 0.0))                        # accumulator = 0
-        else:
-            rows.append(({0: 1.0}, 0.0))                  # pass t
-            acc = {1: 1.0}
-            if pend_ramps is not None:
-                for idx, g in zip(*pend_ramps):
-                    acc[idx] = g
-            rows.append((acc, 0.0))                       # fold previous bump
+        rows = [(t_row, t_bias), (acc, 0.0)]
+        acc = {1: 1.0}  # the next accumulator: this one plus this stage's bump
         if s < len(chunks):
-            lo, hi = chunks[s]
-            knots, gammas = _interpolant_knots(ts_sorted, vals_sorted, lo, hi)
-            ramp_idx = []
-            for knot in knots:
-                if first:
-                    rows.append(({i: w[i] for i in range(k)}, shift - knot))
-                else:
-                    rows.append(({0: 1.0}, -knot))
-                ramp_idx.append(len(rows) - 1)
-            pend_ramps = (ramp_idx, gammas)
-        else:
-            pend_ramps = None
+            knots, gammas = _interpolant_knots(ts_sorted, vals_sorted, *chunks[s])
+            for knot, g in zip(knots, gammas):
+                acc[len(rows)] = g
+                rows.append((t_row, t_bias - knot))
         if carry_j:
-            # the j channel rides at the top index of every layer
-            j_src = stack.input_dim - 1 if first else stack.top_width - 1
-            rows.append(({j_src: 1.0}, 0.0))
+            rows.append(({stack.top_width - 1: 1.0}, 0.0))
         stack.add_layer(rows)
-    readout = {1: 1.0}
-    if pend_ramps is not None:
-        for idx, g in zip(*pend_ramps):
-            readout[idx] = g
-    return readout
+        t_row, t_bias = {0: 1.0}, 0.0
+    return acc
 
 
 def _anchors(samples):
@@ -250,40 +227,32 @@ def _threshold_pair(ell, t, x_row):
     return [(row, -math.ldexp(1.0, ell + 1 - t) + offset) for offset in (1.5, 0.5)]
 
 
-def _selection_rows(ell, t, x_row=None, j_idx=None):
-    """The rows P1..XP of bit t: threshold pair, ramps relu(j - 0, 1, 2), residual x.
-
-    The first layer reads x from ``x_row`` and j from unit ``j_idx``; later
-    layers (the defaults) read the residual x minus the bit just decided,
-    and the j ramp E2 = relu(j - 1) of the layer below.
-    """
-    if x_row is None:
-        step = math.ldexp(1.0, -(t - 1))
-        x_row = {XP: 1.0, P1: -step, P2: step}
-    j = E2 if j_idx is None else j_idx
-    return (_threshold_pair(ell, t, x_row)
-            + [({j: 1.0}, 0.0), ({j: 1.0}, -1.0), ({j: 1.0}, -2.0), (dict(x_row), 0.0)])
-
-
 # -------------------------------------------------- composed memorizer (G3)
 
 def _extractor_part(stack, ell, x_row, j_idx):
     """Append an exactified bit-selection pipeline reading x from an affine
     row over the current top layer and j from unit ``j_idx``.
 
-    Uses saturation pairs so every selected-bit contribution is exactly 0.0
-    or 1.0 even when x carries interpolation dust below the half-grid
-    margin; accumulator rows touch two units only, keeping them order-exact.
-    Returns the readout row dict. Appends ell+2 layers.
+    Layer t decides bit t off x and j, which later layers read as x minus
+    the bit just decided and E2 = relu(j - 1), and carries the accumulator
+    and the AND of bit t-1. Saturation pairs make every selected-bit
+    contribution exactly 0.0 or 1.0 even when x carries interpolation dust
+    below the half-grid margin; accumulator rows touch two units only,
+    keeping them order-exact. Returns the readout row dict. Appends ell+2 layers.
     """
     # slots after the selection rows, dead (zero) in the first layer: 6 ap, 7 a1, 8 a2, 9 as
     AP, A1, A2, AS = range(6, 10)
     and_pair = [({P1: 2.0, P2: -2.0, E1: 2.0, E2: -4.0, E3: 2.0}, bias) for bias in (-2.5, -3.5)]
     saturated_and = ({A1: 1.0, A2: -1.0}, 0.0)
     accumulate = ({AP: 1.0, AS: 1.0}, 0.0)  # two-term, exact
-    stack.add_layer(_selection_rows(ell, 1, x_row, j_idx))
-    for t in range(2, ell + 1):
-        stack.add_layer(_selection_rows(ell, t) + [accumulate] + and_pair + [saturated_and])
+    carried = []
+    for t in range(1, ell + 1):
+        stack.add_layer(_threshold_pair(ell, t, x_row)
+                        + [({j_idx: 1.0}, bias) for bias in (0.0, -1.0, -2.0)]
+                        + [(x_row, 0.0)] + carried)
+        step = math.ldexp(1.0, -t)
+        x_row, j_idx = {XP: 1.0, P1: -step, P2: step}, E2
+        carried = [accumulate] + and_pair + [saturated_and]
     stack.add_layer(and_pair + [saturated_and, accumulate])  # a1, a2 of bit ell; as of ell-1
     stack.add_layer([
         ({0: 1.0, 1: -1.0}, 0.0),   # saturated last bit
@@ -347,8 +316,9 @@ def recall_bit(mem, z, j):
 def _reassembly_part(stack, ell, x_row):
     """Append layers re-extracting and re-summing ell bits of an affine x.
 
-    Two layers per bit (threshold pair, then residual update plus a
-    saturation pair) and one final merge layer; 2*ell+1 layers in all. The
+    Two layers per bit (threshold pair on x, then residual update plus a
+    saturation pair), each bit after the first carrying the sum of the bits
+    before it, and one final merge layer; 2*ell+1 layers in all. The
     running sum only ever adds an exact power of two times an exactly
     saturated bit through two-term rows, so the final unit holds the exact
     ell-bit truncation of x whenever x's dust is below the half-grid margin.
@@ -356,8 +326,9 @@ def _reassembly_part(stack, ell, x_row):
     """
     # A-layer slots: 0 p1, 1 p2, 2 xp, 3 acc, 4 bsat(prev)
     # B-layer slots: 0 xnext, 1 q1, 2 q2, 3 accm
-    stack.add_layer(_threshold_pair(ell, 1, x_row) + [(dict(x_row), 0.0)])
+    carried = []
     for t in range(1, ell + 1):
+        stack.add_layer(_threshold_pair(ell, t, x_row) + [(x_row, 0.0)] + carried)
         step = math.ldexp(1.0, -t)
         stack.add_layer([
             ({2: 1.0, 0: -step, 1: step}, 0.0),   # residual minus extracted bit
@@ -365,16 +336,9 @@ def _reassembly_part(stack, ell, x_row):
             ({0: 2.0, 1: -2.0}, -1.5),
             ({3: 1.0, 4: math.ldexp(1.0, -(t - 1))}, 0.0),  # fold previous bit
         ])
-        if t < ell:
-            stack.add_layer(_threshold_pair(ell, t + 1, {0: 1.0}) + [
-                ({0: 1.0}, 0.0),
-                ({3: 1.0}, 0.0),
-                ({1: 1.0, 2: -1.0}, 0.0),         # saturated bit t
-            ])
-    stack.add_layer([
-        ({3: 1.0}, 0.0),            # accumulated bits 1..ell-1
-        ({1: 1.0, 2: -1.0}, 0.0),   # saturated bit ell
-    ])
+        x_row = {0: 1.0}
+        carried = [({3: 1.0}, 0.0), ({1: 1.0, 2: -1.0}, 0.0)]  # sum of bits < t, bit t
+    stack.add_layer(carried)
     return {0: 1.0, 1: math.ldexp(1.0, -ell)}
 
 

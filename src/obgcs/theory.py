@@ -77,20 +77,31 @@ def _min_dists(points, net):
 def _lattice_points(k, pitch, radius):
     """All lattice points (multiples of pitch) with norm <= radius, in
     lexicographic order: each pass extends every coordinate prefix by the
-    multiples of pitch its remaining squared-norm budget allows."""
-    pts, norm2 = np.zeros((1, 0)), np.zeros(1)
-    for _ in range(k):
-        budget = radius * radius - norm2
-        top = np.floor(np.sqrt(np.maximum(budget, 0.0)) / pitch).astype(np.int64)
-        counts = np.where(budget >= 0, 2 * top + 1, 0)
-        total = int(counts.sum())
-        if total > _LATTICE_BUDGET:
-            raise CapacityError(f"the k={k} lattice of pitch {pitch:.3g} exceeds "
-                                f"{_LATTICE_BUDGET} points; use a larger epsilon")
-        first = np.repeat(np.cumsum(counts) - counts + top, counts)
-        coord = (np.arange(total) - first) * pitch
-        pts = np.hstack([np.repeat(pts, counts, axis=0), coord[:, None]])
-        norm2 = np.repeat(norm2, counts) + coord ** 2
+    multiples of pitch its remaining squared-norm budget allows.
+
+    More than _LATTICE_BUDGET points is a CapacityError, decided before any
+    coordinates are built: by a volume bound (the cubes of side pitch around
+    the points cover the ball whose radius is the cube half-diagonal short of
+    ``radius``, so there are at least its volume / pitch^k points), then by
+    a first sweep that extends the prefix norms alone.
+    """
+    inner = max(radius - pitch * math.sqrt(k) / 2, 0.0)
+    least = math.pi ** (k / 2) / math.gamma(k / 2 + 1) * (inner / pitch) ** k
+    for build in (False, True):
+        pts, norm2 = np.zeros((1, 0)), np.zeros(1)
+        for _ in range(k):
+            budget = radius * radius - norm2
+            top = np.floor(np.sqrt(np.maximum(budget, 0.0)) / pitch).astype(np.int64)
+            counts = np.where(budget >= 0, 2 * top + 1, 0)
+            total = int(counts.sum())
+            if max(total, least) > _LATTICE_BUDGET:
+                raise CapacityError(f"the k={k} lattice of pitch {pitch:.3g} exceeds "
+                                    f"{_LATTICE_BUDGET} points; use a larger epsilon")
+            first = np.repeat(np.cumsum(counts) - counts + top, counts)
+            coord = (np.arange(total) - first) * pitch
+            if build:
+                pts = np.hstack([np.repeat(pts, counts, axis=0), coord[:, None]])
+            norm2 = np.repeat(norm2, counts) + coord ** 2
     return pts
 
 

@@ -68,6 +68,34 @@ class TestExitCodes:
     def test_missing_file(self):
         assert main(["fit", "--in", "/nonexistent.csv"]) == 1
 
+    @pytest.mark.parametrize("command, text", [
+        (["synth-gen"], None), (["measure"], None), (["decode"], None), (["grid"], None),
+        (["fit"], None), (["memorize"], None),
+        (["measure"], "gen = {d}\n"),
+        (["decode"], "gen = {g}\nens = {d}\nobs = {d}\n"),
+        (["decode"], "gen = {d}\nens = {d}\nobs = {d}\n"),
+        (["grid"], "gen = {d}\n"),
+        (["fit"], "in = {d}\n"),
+        (["memorize"], "targets = {d}\n"),
+    ])
+    def test_directory_as_input_exits_1(self, tmp_path, gen_file, capsys, command, text):
+        # IsADirectoryError used to escape main: only FileNotFoundError was caught
+        cfg = tmp_path if text is None else write(
+            tmp_path / "c.cfg", text.format(d=tmp_path, g=gen_file))
+        assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "o"),
+                               "--quiet"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [{"a": 1}, [{"a": 1}], 0.5])
+    def test_targets_not_an_array_of_numbers_exit_1(self, tmp_path, capsys, data):
+        # np.asarray raised TypeError on {"a": 1}, and a bare number was one target
+        tfile = tmp_path / "t.json"
+        tfile.write_text(json.dumps(data))
+        cfg = write(tmp_path / "m.cfg", f"targets = {tfile}\n")
+        assert main(["memorize", "--config", cfg, "--out", str(tmp_path / "m.bin"),
+                     "--quiet"]) == 1
+        assert "must be a JSON array of numbers" in capsys.readouterr().err
+
     @pytest.mark.parametrize("row, fault", [
         ("10,ls,1,2,0.5,0.9,0.1,0", "not enough values to unpack"),
         ("10,ls,1,2,abc,0.9,0.1,0,true", "could not convert string to float: 'abc'"),

@@ -154,6 +154,21 @@ class TestRunGrid:
         assert [(r.m, r.decoder, r.trial, r.converged) for r in back] == \
             [(r.m, r.decoder, r.trial, False) for r in res]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_generator_gives_unconverged_rows(self, tmp_path):
+        # G(z) = (3e400, ...) overflows for every z: the truth x* = inf/inf
+        # would be NaN, so each cell is recorded unconverged, not fatal
+        net = GeneratorNetwork([2, 3, 4], [np.full((3, 2), 1e200), np.full((4, 3), 1e200)],
+                               [np.full(3, 1e200), np.zeros(4)])
+        gen_path, csv_path = tmp_path / "big.bin", tmp_path / "r.csv"
+        save_generator(net, gen_path)
+        res = run_grid(tiny_grid(generator=str(gen_path), decoders=("ls", "biht", "pv"),
+                                 m_values=[10, 20], biht_s=2, output_path=str(csv_path)))
+        assert len(res) == 2 * 2 * 3
+        assert not any(r.converged for r in res)
+        assert all(math.isnan(r.l2_err) and math.isnan(r.cosine) for r in res)
+        assert [r.converged for r in read_csv(csv_path)] == [False] * len(res)
+
     def test_metrics_are_sane(self):
         for r in run_grid(tiny_grid()):
             assert r.converged

@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from obgcs import (CovarianceSpec, NonFiniteError, load_ensemble, load_observation,
-                   observe, sample_ensemble, save_ensemble, save_observation,
-                   scaling_constant, sigma_norm, sign_pm1)
+from obgcs import (CovarianceSpec, GeneratorNetwork, NonFiniteError, load_ensemble,
+                   load_observation, observe, sample_ensemble, save_ensemble,
+                   save_observation, scaling_constant, sigma_norm, sign_pm1)
+from obgcs.measurement import sample_truth
 
 
 class TestCovarianceSpec:
@@ -208,6 +209,16 @@ class TestObserve:
         ob = observe(ens_b, self.x, seed=14)
         np.testing.assert_array_equal(oa.eta, ob.eta)
         np.testing.assert_allclose(2.0 * oa.eps, ob.eps, rtol=1e-12)
+
+
+class TestSampleTruth:
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_output_raises(self):
+        # G(z) = (2e400, ...) overflows: the truth came out inf/inf = NaN
+        net = GeneratorNetwork([1, 2, 4], [np.zeros((2, 1)), np.full((4, 2), 1e200)],
+                               [np.full(2, 1e200), np.zeros(4)])
+        with pytest.raises(NonFiniteError, match="covariance norm inf"):
+            sample_truth(net, CovarianceSpec.toeplitz(4, 0.3), np.random.default_rng(3))
 
 
 class TestScalingConstant:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -215,6 +216,19 @@ class TestTheoremGenerator:
         assert all(w.ndim == 2 for w in mem.net.weights)
         for anchor, trunc in zip(mem.anchors, mem.targets_truncated):
             np.testing.assert_array_equal(mem.evaluate(anchor), trunc)
+
+    @pytest.mark.parametrize("s,n,tau,latent_dim,digest", [
+        (5, 8, 0.25, 1, "8ddd098e55bd3bc64f8c2e4bc7f33bf27a5d88e81a902882f451f45e82800364"),
+        (20, 32, 0.1, 1, "bd7732fea48d20e18da51342525d914cb38504148bca043f00a26d8faafd9fe6"),
+        (3, 4, 0.25, 2, "551c06fa22d1cc836d30b98e4de26ab3e3470c90baeddbe2117b7075da39a1f6"),
+    ])
+    def test_weights_keep_their_bytes(self, s, n, tau, latent_dim, digest):
+        # spike anchors lie on e1, so every weight is computed exactly on any
+        # BLAS: a rewrite of the layer pipelines must keep these digests
+        mem = build_theorem_generator(np.random.default_rng(s + n).random((s, n)), tau,
+                                      latent_dim=latent_dim)
+        arrays = mem.net.weights + mem.net.biases
+        assert hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest() == digest
 
 
 def _perturb_one_output(monkeypatch, index):

@@ -140,15 +140,21 @@ class TestEpsNetParity:
         got = build_eps_net(k, 1.0, eps).points
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    def test_lattice_budget_raises_before_allocating(self, monkeypatch):
+    # (8, 0.1) would hold billions of points; (8, 0.2) built its last-but-one
+    # pass first and peaked at 213 MB, (8, 0.3) at 194 MB. The volume bound
+    # refuses (8, 0.2) outright; (8, 0.3) needs the counting sweep (85 MB)
+    @pytest.mark.parametrize("eps,mb", [(0.1, 64), (0.2, 100), (0.3, 100)])
+    def test_lattice_budget_raises_before_allocating(self, eps, mb):
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError, match="use a larger epsilon"):
-                build_eps_net(8, 1.0, 0.1)
+                build_eps_net(8, 1.0, eps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2 ** 20  # the full lattice would hold billions of points
+        assert peak < mb * 2 ** 20
+
+    def test_lattice_budget_counts_the_points(self, monkeypatch):
         monkeypatch.setattr(theory, "_LATTICE_BUDGET", 100)  # (4, 0.5) has 425 candidates
         with pytest.raises(CapacityError, match="use a larger epsilon"):
             build_eps_net(4, 1.0, 0.5)
