@@ -11,7 +11,7 @@ through the exported weights.
 import numpy as np
 
 from obgcs import (architecture_summary, build_indexed_memorizer,
-                   build_theorem_generator, recall_bit)
+                   build_theorem_generator, forward, recall_bit)
 
 rng = np.random.default_rng(0)
 
@@ -32,7 +32,7 @@ targets = rng.random((5, 8))
 gen = build_theorem_generator(targets, tau=0.25)
 print(f"anchor generator: ell={gen.ell}, width {gen.width}, depth {gen.depth}")
 for i, (anchor, target) in enumerate(zip(gen.anchors, targets)):
-    out = gen.evaluate(anchor)
+    out = forward(gen.net, anchor)
     inf_gap = float(np.max(np.abs(out - gen.targets_truncated[i])))
     l2_gap = float(np.linalg.norm(out - target))
     print(f"  anchor {i + 1} (z1 = {anchor[0]:.4f}): truncation gap {inf_gap}, "

@@ -20,7 +20,7 @@ import numpy as np
 from . import harness, memorizer, theory
 from .decoders import LsDecoderConfig, biht_decode, estimation_error, ls_decode, pv_convex_decode
 from .errors import ObgcsError
-from .generator import lipschitz_upper_bound, synth_generator
+from .generator import forward_batch, lipschitz_upper_bound, synth_generator
 from .measurement import CovarianceSpec, observe, sample_ensemble, sample_truth
 from .serialization import (load_ensemble, load_generator, load_observation,
                             save_ensemble, save_generator, save_observation)
@@ -53,7 +53,7 @@ TABLES = {
     "validate srec": {"k": ("count", 4), "n": ("count", 50), "m": ("count",),
                       "runs": ("count", 20), "delta": ("float", 0.1), "pairs": ("count", 10_000)},
     "validate jl": {"n": ("count", 50), "m": ("count",), "runs": ("count", 20),
-                    "points": ("count", 40), "epsilon": ("float", 0.5), "nu": ("float", 0.3)},
+                    "points": ("count", 40), "epsilon": ("positive", 0.5), "nu": ("float", 0.3)},
     "validate meanwidth": {"k": ("count", 4), "n": ("count", 50), "gamma": ("float", 0.05),
                            "num_gaussians": ("count", 2000), "net_epsilon": ("float", 0.5)},
     "validate concentration": {"n": ("count", 20), "m": ("count", 100_000), "runs": ("count", 20)},
@@ -68,6 +68,7 @@ _ALTERNATIVES = {"grid": ("gen", (*_GEN, "gen_seed")), "memorize": ("targets", (
 _KINDS = {"int": (int, lambda v: True, "an integer"),
           "count": (int, lambda v: v >= 1, "an integer >= 1"),
           "float": (float, math.isfinite, "a finite number"),
+          "positive": (float, lambda v: 0 < v < math.inf, "a finite number > 0"),
           "str": (str, lambda v: True, "a string")}
 
 
@@ -236,16 +237,25 @@ def _cmd_fit(args, cfg):
     return 0
 
 
+def _derived_m(value, rounding, source):
+    """``rounding(value)``, an m worked out from ``source``, which must be a count."""
+    if not (math.isfinite(value) and rounding(value) >= 1):
+        raise _UsageError(f"m derived from {source} is {value}, not a count >= 1")
+    return rounding(value)
+
+
 def _cmd_validate(args, cfg):
     check, seed = args.check, args.seed
     record = {"check": check, "seed": seed}
     if check == "srec":
         k, delta, pairs = cfg["k"], cfg["delta"], cfg["pairs"]
         net = synth_generator(k=k, n=cfg["n"], hidden_dims=[4 * k], seed=0)
-        lip = lipschitz_upper_bound(net)
-        m = cfg["m"] if "m" in cfg else round(5 * k * math.log(lip / delta))
+        if "m" not in cfg and not delta > 0:
+            raise _UsageError(f"delta must be > 0 when m is derived from it, got {delta}")
+        m = cfg.get("m") or _derived_m(
+            5 * k * math.log(lipschitz_upper_bound(net) / delta), round, "delta")
         cov = CovarianceSpec.identity(cfg["n"])
-        gamma = 0.5 * math.sqrt(cov.min_eigenvalue())
+        gamma = 0.5  # sqrt(lambda_min(I)) / 2
         ok = [theory.check_srec(sample_ensemble(m, cov, 0.0, 1.0, derive_seed(seed, run)), net,
                                 gamma, delta, pairs, derive_seed(seed, run, 1)).violations == 0
               for run in range(cfg["runs"])]
@@ -253,7 +263,8 @@ def _cmd_validate(args, cfg):
         need = 0.95
     elif check == "jl":
         size, epsilon, n = cfg["points"], cfg["epsilon"], cfg["n"]
-        m = cfg["m"] if "m" in cfg else math.ceil(8 * math.log(size) / epsilon ** 2)
+        m = cfg.get("m") or _derived_m(8 * math.log(size) / epsilon / epsilon, math.ceil,
+                                       "points and epsilon")
         cov = CovarianceSpec.toeplitz(n, cfg["nu"])
         ok = [theory.check_jl(sample_ensemble(m, cov, 0.0, 1.0, derive_seed(seed, run, 1)),
                               rng_for(seed, run).standard_normal((size, n)), epsilon)["pass"]
@@ -306,8 +317,8 @@ def _cmd_memorize(args, cfg):
                                             **_passed(cfg, ("k",), {"k": "latent_dim"}))
     out = args.out or "memorizer.bin"
     save_generator(mem.net, out)
-    worst = max(float(np.linalg.norm(mem.evaluate(a) - t))
-                for a, t in zip(mem.anchors, targets))
+    worst = max(float(np.linalg.norm(x - t))
+                for x, t in zip(forward_batch(mem.net, mem.anchors.T).T, targets))
     print(dumps17({"path": out, "ell": mem.ell, "width": mem.width, "depth": mem.depth,
                    "tau": cfg["tau"], "max_anchor_l2_error": worst,
                    "targets": list(targets.shape)}))
@@ -348,8 +359,8 @@ def _build_parser():
 
 # OSError: a path that cannot be opened (missing, a directory, no permission)
 _USAGE_ERRORS = (_UsageError, ValueError, KeyError, OSError)
-# every ValueError (NotSpdError, NonFiniteError, LinAlgError) is caught above
-_NUMERIC_ERRORS = (ZeroDivisionError, ObgcsError)
+# every ValueError is caught above; ArithmeticError: a zero or overflowing norm
+_NUMERIC_ERRORS = (ArithmeticError, ObgcsError)
 
 
 def main(argv=None):

@@ -348,8 +348,7 @@ def estimation_error(x_hat, x_star, sigma, q):
     """Error metrics against the scaled ground truth c * x_star.
 
     Returns ``l2_err_vs_c_xstar`` = ||x_hat - c x*||, ``per_pixel`` = that
-    divided by sqrt(n), ``per_pixel_normalized`` = || x_hat/||x_hat|| -
-    x*/||x*|| || / sqrt(n) (scale-free variant), and the cosine similarity.
+    divided by sqrt(n), and the cosine similarity.
     """
     x_hat = np.asarray(x_hat, dtype=np.float64)
     x_star = np.asarray(x_star, dtype=np.float64)
@@ -359,12 +358,9 @@ def estimation_error(x_hat, x_star, sigma, q):
     ns = np.linalg.norm(x_star)
     if nh == 0.0 or ns == 0.0:
         raise ZeroDivisionError("cosine undefined for a zero-norm vector")
-    c = scaling_constant(sigma, q)
-    n = x_hat.shape[0]
-    l2 = float(np.linalg.norm(x_hat - c * x_star))
+    l2 = float(np.linalg.norm(x_hat - scaling_constant(sigma, q) * x_star))
     return {
         "l2_err_vs_c_xstar": l2,
         "cosine": float((x_hat @ x_star) / (nh * ns)),
-        "per_pixel": l2 / math.sqrt(n),
-        "per_pixel_normalized": float(np.linalg.norm(x_hat / nh - x_star / ns)) / math.sqrt(n),
+        "per_pixel": l2 / math.sqrt(x_hat.shape[0]),
     }

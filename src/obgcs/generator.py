@@ -30,7 +30,8 @@ class GeneratorNetwork:
     ``blocks * rows == layer_dims[i+1]`` and ``blocks * cols == layer_dims[i]``:
     the block-diagonal matrix whose b-th diagonal block is ``weights[i][b]``
     (output units ``b*rows ...``, input units ``b*cols ...``). It is applied
-    block by block and never materialised densely.
+    block by block and never materialised densely; a matrix is read as one
+    block, and a one-block stack is stored as its matrix.
     """
 
     layer_dims: list
@@ -51,18 +52,16 @@ class GeneratorNetwork:
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             w = np.asarray(w, dtype=np.float64)
             b = np.asarray(b, dtype=np.float64)
-            want = (dims[i + 1], dims[i])
-            if w.ndim == 3:
-                if (w.shape[0] * w.shape[1], w.shape[0] * w.shape[2]) != want:
-                    raise ShapeError(
-                        f"layer {i}: weight blocks {w.shape} do not tile {want}")
-            elif w.shape != want:
-                raise ShapeError(f"layer {i}: weight shape {w.shape} != {want}")
+            stack = w[None] if w.ndim == 2 else w  # a matrix is one block
+            blocks, rows, cols = stack.shape if stack.ndim == 3 else (0, 0, 0)
+            if (blocks * rows, blocks * cols) != (dims[i + 1], dims[i]):
+                raise ShapeError(f"layer {i}: weight shape {w.shape} does not tile "
+                                 f"{(dims[i + 1], dims[i])}")
             if b.shape != (dims[i + 1],):
                 raise ShapeError(f"layer {i}: bias shape {b.shape} != {(dims[i + 1],)}")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ShapeError(f"layer {i}: non-finite entries")
-            ws.append(w)
+            ws.append(stack[0] if blocks == 1 else stack)
             bs.append(b)
         self.layer_dims = dims
         self.weights = ws
@@ -149,10 +148,8 @@ def latent_vjp(net, z, cotangent):
 
 def latent_vjp_batch(net, zs, cotangents):
     """Column-wise transpose-Jacobian products for (k, batch) and (n, batch)."""
-    zs = np.asarray(zs, dtype=np.float64)
+    zs = _as_latent_batch(net, zs)
     vs = np.asarray(cotangents, dtype=np.float64)
-    if zs.ndim != 2 or zs.shape[0] != net.latent_dim:
-        raise ShapeError("latent batch must be (k, batch)")
     if vs.shape != (net.signal_dim, zs.shape[1]):
         raise ShapeError("cotangent batch must be (n, batch)")
     return vjp_from_preacts(net, _preacts(net, zs), vs)
@@ -182,10 +179,20 @@ def lipschitz_upper_bound(net):
     # exact largest singular values (SVD): an iterative estimate converges
     # from below and would make the product fall short of the true bound; a
     # block-diagonal matrix's norm is its largest block's
-    net.lipschitz_bound = float(np.prod([
-        np.linalg.norm(w, 2) if w.ndim == 2 else np.linalg.norm(w, 2, axis=(1, 2)).max()
-        for w in net.weights]))
+    net.lipschitz_bound = float(np.prod([np.linalg.norm(w, 2, axis=(-2, -1)).max()
+                                         for w in net.weights]))
     return net.lipschitz_bound
+
+
+def dense_rows(w):
+    """A weight's dense matrix, one block row at a time in one reused array."""
+    blocks = w.reshape(-1, *w.shape[-2:])
+    _, rows, cols = blocks.shape
+    chunk = np.zeros((rows, len(blocks) * cols))
+    for i, block in enumerate(blocks):
+        chunk[:, i * cols:(i + 1) * cols] = block
+        yield chunk
+        chunk[:, i * cols:(i + 1) * cols] = 0.0
 
 
 def synth_generator(k, n, hidden_dims=(), seed=0, final_activation="identity"):

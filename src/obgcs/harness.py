@@ -18,7 +18,7 @@ import numpy as np
 
 from .decoders import (LsDecoderConfig, biht_decode, estimation_error, ls_decode,
                        pv_convex_decode)
-from .errors import NonFiniteError, ObgcsError
+from .errors import ObgcsError
 from .generator import synth_generator
 from .measurement import CovarianceSpec, observe, sample_ensemble, sample_truth
 from .serialization import load_generator
@@ -96,7 +96,7 @@ def _run_cell(grid, net, cov, m, trial):
     ens = sample_ensemble(m, cov, grid.sigma, grid.q, cell_seed)
     try:
         x_star = sample_truth(net, cov, rng_for(grid.base_seed, m, trial, 1))
-    except (ZeroDivisionError, NonFiniteError):
+    except ArithmeticError:  # a zero or overflowing norm
         x_star = None
     else:
         obs = observe(ens, x_star, cell_seed)

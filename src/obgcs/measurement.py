@@ -54,9 +54,6 @@ class CovarianceSpec:
             self._factor.flags.writeable = False
         return self._factor
 
-    def min_eigenvalue(self):
-        return float(np.linalg.eigvalsh(self.dense()).min())
-
 
 @dataclass
 class MeasurementEnsemble:
@@ -155,12 +152,13 @@ def observe(ens, x_star, seed):
 
 def sample_truth(net, cov, rng):
     """Ground truth x* = G(z) / |G(z)|_Sigma with z ~ N(0, I_k) drawn from ``rng``;
-    NonFiniteError when that norm is not finite (G(z) overflowed), and
+    OverflowError when that norm is not finite (G(z) overflowed), and
     ZeroDivisionError when it is not positive (G(z) is 0)."""
-    x = forward(net, rng.standard_normal(net.latent_dim))
-    nrm = sigma_norm(cov, x)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        x = forward(net, rng.standard_normal(net.latent_dim))
+        nrm = sigma_norm(cov, x)
     if not nrm < math.inf:
-        raise NonFiniteError(f"sampled ground truth has covariance norm {nrm}")
+        raise OverflowError(f"sampled ground truth has covariance norm {nrm}")
     if not nrm > 0.0:
         raise ZeroDivisionError(f"sampled ground truth has covariance norm {nrm}")
     return x / nrm

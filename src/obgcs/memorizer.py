@@ -1,14 +1,16 @@
 """Constructive ReLU networks that memorize binary-coded samples exactly.
 
 Two constructions, each exported as plain layered affine+ReLU weights (the
-generator module's network type) so that recall is always evaluated through
-the exported weights, never through side tables:
+generator module's network type):
 
 * a bit-table memorizer: an interpolating fitter (piecewise-linear nodal
   hats laid out across depth) fused with a bit-selection pipeline, recalling
   bit j of anchor i's table row, and
 * a multi-output generator that reproduces ell-bit truncations of target
   vectors at scaled spike anchors, within a prescribed L2 tolerance.
+
+Recall always runs the exported weights through the generator module's
+``forward`` or ``forward_batch``; this module has no evaluator of its own.
 
 Depth is counted in affine transformations (weight matrices); width is the
 largest hidden layer, and every hidden layer is allocated at the declared
@@ -51,10 +53,6 @@ class MemorizerNet:
     anchors: np.ndarray | None = None
     targets_truncated: np.ndarray | None = None
 
-    def evaluate(self, x):
-        """Run the exported weights on an input vector."""
-        return forward(self.net, np.atleast_1d(np.asarray(x, dtype=np.float64)))
-
 
 # --------------------------------------------------------------- layer stack
 
@@ -94,15 +92,13 @@ class _Stack:
 
         Layer 0 is the row stack of the blocks, since they all read the same
         input; every later layer is block-diagonal, held as its (blocks, rows,
-        cols) stack, or as a plain matrix when there is one block.
+        cols) stack.
         """
         R = np.zeros((self.blocks, 1, self.width))
         for idx, val in readout.items():
             R[:, 0, idx] = val
         W0 = self.layers[0][0]
         weights = [W0.reshape(-1, W0.shape[2])] + [W for W, _ in self.layers[1:]] + [R]
-        if self.blocks == 1:
-            weights[1:] = [W[0] for W in weights[1:]]
         biases = [b.ravel() for _, b in self.layers] + [np.zeros(self.blocks)]
         dims = [self.input_dim] + [b.size for b in biases]
         return GeneratorNetwork(dims, weights, biases)
@@ -307,8 +303,7 @@ def build_indexed_memorizer(samples, cap_w, ell):
 
 def recall_bit(mem, z, j):
     """Convenience wrapper: evaluate a composed memorizer at (z, j)."""
-    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    return float(mem.evaluate(np.concatenate([z, [float(j)]]))[0])
+    return float(forward(mem.net, np.append(np.asarray(z, dtype=np.float64), float(j)))[0])
 
 
 # ------------------------------------------------- anchor generator (G, Thm)

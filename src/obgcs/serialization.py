@@ -21,7 +21,7 @@ import os
 import numpy as np
 
 from .errors import DimensionMismatchError, MalformedFileError, NonFiniteError, ObgcsError
-from .generator import GeneratorNetwork
+from .generator import GeneratorNetwork, dense_rows
 from .measurement import BinaryObservation, CovarianceSpec, MeasurementEnsemble
 
 GEN_MAGIC = b"OBGCS-GEN v1"
@@ -108,12 +108,9 @@ def _m_n(meta):
 # ---------------------------------------------------------------- generators
 
 def save_generator(net, path):
-    """Write a generator container, whatever the path's suffix.
-
-    Block-diagonal (3-D) layers are written as their dense matrices, one
-    block row at a time, so the file is the same as for the dense net.
-    ``normalize_output`` is always false: the v1 format keeps the field.
-    """
+    """Write a generator container, whatever the path's suffix; block-diagonal
+    layers as their dense rows (``dense_rows``), so the file is the dense net's.
+    ``normalize_output`` is always false: the v1 format keeps the field."""
     meta = {"layer_dims": list(net.layer_dims), "activation": net.final_activation,
             "normalize_output": False}
     _write(path, GEN_MAGIC, meta, _generator_blocks(net))
@@ -121,22 +118,8 @@ def save_generator(net, path):
 
 def _generator_blocks(net):
     for w, b in zip(net.weights, net.biases):
-        yield from _dense_row_chunks(w)
+        yield from dense_rows(w)
         yield b
-
-
-def _dense_row_chunks(w):
-    """The rows of a weight's dense matrix, one block row per chunk for a
-    (blocks, rows, cols) block-diagonal weight."""
-    if w.ndim == 2:
-        yield w
-        return
-    blocks, rows, cols = w.shape
-    chunk = np.zeros((rows, blocks * cols))
-    for i in range(blocks):
-        chunk[:, i * cols:(i + 1) * cols] = w[i]
-        yield chunk
-        chunk[:, i * cols:(i + 1) * cols] = 0.0
 
 
 def _generator_layout(meta):

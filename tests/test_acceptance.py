@@ -97,7 +97,7 @@ def test_c3_memorizer_exactness():
                          for j in range(1, ell + 1))
     targets = np.random.default_rng(5).random((5, 8))
     gen = build_theorem_generator(targets, 0.25)
-    gaps = [float(np.linalg.norm(gen.evaluate(a) - t))
+    gaps = [float(np.linalg.norm(forward(gen.net, a) - t))
             for a, t in zip(gen.anchors, targets)]
     w = math.ceil(math.sqrt(5 * 8 / gen.ell))
     arch = architecture_summary(gen.net)
@@ -163,7 +163,7 @@ def test_c6_srec_and_jl():
     delta = 1e-3
     m = round(5 * k * math.log(lip / delta))
     cov = CovarianceSpec.identity(n)
-    gamma = 0.5 * math.sqrt(cov.min_eigenvalue())
+    gamma = 0.5  # sqrt(lambda_min(I)) / 2
     clean = 0
     for run in range(100):
         ens = sample_ensemble(m, cov, 0.0, 1.0, seed=run)

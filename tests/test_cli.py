@@ -241,6 +241,44 @@ class TestValidate:
     def test_unknown_check_rejected(self):
         assert main(["validate", "nonsense"]) == 1
 
+    @pytest.mark.parametrize("check,flags,text,keys", [
+        ("jl", ["--runs", "2"], "n = 10\npoints = 10\n",
+         {"m", "points", "epsilon", "runs", "pass_rate"}),
+        ("meanwidth", [], "k = 2\nn = 10\nnum_gaussians = 100\n",
+         {"omega_hat", "std_err", "net_size", "bound"}),
+        ("concentration", ["--runs", "2", "--m", "2000"], "n = 10\n",
+         {"m", "n", "bound", "runs", "pass_rate"}),
+    ])
+    def test_small_check_passes_with_its_documented_record(self, tmp_path, capsys, check,
+                                                           flags, text, keys):
+        cfg = write(tmp_path / "v.cfg", text)
+        outs = []
+        for _ in range(2):
+            assert main(["validate", check, "--seed", "4", "--config", cfg, *flags]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        rec = json.loads(outs[0])
+        assert set(rec) == {"check", "seed", "pass", *keys}
+        assert rec["check"] == check and rec["seed"] == 4 and rec["pass"] is True
+
+    @pytest.mark.parametrize("check,text,message", [
+        # delta = 0 divided by zero (exit 2), -0.1 gave "math domain error",
+        # 1e-320 an uncaught OverflowError from round(inf); epsilon = 0 exited 2
+        ("srec", "delta = 0\n", "delta must be > 0 when m is derived from it"),
+        ("srec", "delta = -0.1\n", "delta must be > 0 when m is derived from it"),
+        ("srec", "delta = 1e-320\n", "m derived from delta is inf"),
+        ("srec", "delta = 1e6\n", "m derived from delta is -"),
+        ("jl", "epsilon = 0\n", "key 'epsilon' must be a finite number > 0, got '0'"),
+        ("jl", "epsilon = -0.5\nm = 50\n", "key 'epsilon' must be a finite number > 0"),
+        ("jl", "epsilon = 1e-200\n", "m derived from points and epsilon is inf"),
+        ("jl", "points = 1\n", "m derived from points and epsilon is 0.0"),
+    ])
+    def test_bad_setting_exits_1_naming_the_key(self, tmp_path, capsys, check, text, message):
+        cfg = write(tmp_path / "v.cfg", text)
+        assert main(["validate", check, "--config", cfg, "--runs", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
 
 class TestMemorize:
     def test_builds_and_reports(self, tmp_path, capsys):
@@ -401,6 +439,22 @@ class TestKeyTables:
         mcfg = write(tmp_path / "m.cfg", f"gen = {gen}\nm = 50\n")
         assert main(["measure", "--config", mcfg, "--out", str(tmp_path / "meas"),
                      "--quiet"]) == 2
+        assert not list(tmp_path.glob("meas*"))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_measure_on_overflowing_generator_exits_2_and_writes_nothing(self, tmp_path,
+                                                                         capsys, seed):
+        # G(z) overflows: seed 1 gave an inf norm and exited 1 with a numpy
+        # RuntimeWarning, seed 2 a norm of 0.0 and exited 2
+        gen = str(tmp_path / "big.bin")
+        save_generator(GeneratorNetwork([2, 3, 4], [np.full((3, 2), 1e200),
+                                                    np.full((4, 3), 1e200)],
+                                        [np.full(3, 1e200), np.zeros(4)]), gen)
+        mcfg = write(tmp_path / "m.cfg", f"gen = {gen}\nm = 20\n")
+        assert main(["measure", "--config", mcfg, "--seed", str(seed), "--out",
+                     str(tmp_path / "meas"), "--quiet"]) == 2
+        assert "numerical failure: sampled ground truth has covariance norm" in \
+            capsys.readouterr().err
         assert not list(tmp_path.glob("meas*"))
 
     def test_negative_seed_exits_1(self, tmp_path, gen_file, capsys):

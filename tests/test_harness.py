@@ -154,10 +154,10 @@ class TestRunGrid:
         assert [(r.m, r.decoder, r.trial, r.converged) for r in back] == \
             [(r.m, r.decoder, r.trial, False) for r in res]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_generator_gives_unconverged_rows(self, tmp_path):
         # G(z) = (3e400, ...) overflows for every z: the truth x* = inf/inf
-        # would be NaN, so each cell is recorded unconverged, not fatal
+        # would be NaN, so each cell is recorded unconverged, not fatal, and
+        # no numpy warning escapes
         net = GeneratorNetwork([2, 3, 4], [np.full((3, 2), 1e200), np.full((4, 3), 1e200)],
                                [np.full(3, 1e200), np.zeros(4)])
         gen_path, csv_path = tmp_path / "big.bin", tmp_path / "r.csv"

@@ -212,12 +212,12 @@ class TestObserve:
 
 
 class TestSampleTruth:
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_output_raises(self):
-        # G(z) = (2e400, ...) overflows: the truth came out inf/inf = NaN
+        # G(z) = (2e400, ...) overflows: the truth came out inf/inf = NaN; an
+        # ArithmeticError, as a zero norm is, and no numpy warning on the way
         net = GeneratorNetwork([1, 2, 4], [np.zeros((2, 1)), np.full((4, 2), 1e200)],
                                [np.full(2, 1e200), np.zeros(4)])
-        with pytest.raises(NonFiniteError, match="covariance norm inf"):
+        with pytest.raises(OverflowError, match="covariance norm inf"):
             sample_truth(net, CovarianceSpec.toeplitz(4, 0.3), np.random.default_rng(3))
 
 

@@ -101,7 +101,7 @@ class TestTheoremGenerator:
         targets = rng.random((3, 4))
         mem = build_theorem_generator(targets, 0.25)
         for anchor, target, trunc in zip(mem.anchors, targets, mem.targets_truncated):
-            out = mem.evaluate(anchor)
+            out = forward(mem.net, anchor)
             assert float(np.max(np.abs(out - trunc))) == 0.0
             assert float(np.linalg.norm(out - target)) <= 0.25
 
@@ -127,7 +127,7 @@ class TestTheoremGenerator:
         # 1.0 keeps ell ones (1 - 2^-ell), -0.0 comes out as +0.0
         mem = build_theorem_generator(np.array([[1.0, -0.0, 0.3]]), 0.5)
         want = np.array([1.0 - 2.0 ** -mem.ell, 0.0, math.floor(0.3 * 2 ** mem.ell) / 2 ** mem.ell])
-        for got in (mem.targets_truncated[0], mem.evaluate(mem.anchors[0])):
+        for got in (mem.targets_truncated[0], forward(mem.net, mem.anchors[0])):
             assert got.tobytes() == want.tobytes()
 
     def test_tau_out_of_range(self):
@@ -154,7 +154,7 @@ class TestTheoremGenerator:
         path = tmp_path / "mem.bin"
         save_generator(mem.net, path)
         loaded = load_generator(path)
-        out_a = mem.evaluate(mem.anchors[0])
+        out_a = forward(mem.net, mem.anchors[0])
         out_b = forward(loaded, mem.anchors[0])
         np.testing.assert_array_equal(out_a, out_b)
 
@@ -215,7 +215,7 @@ class TestTheoremGenerator:
         mem = build_theorem_generator(np.random.default_rng(20).random((4, 1)), 0.25)
         assert all(w.ndim == 2 for w in mem.net.weights)
         for anchor, trunc in zip(mem.anchors, mem.targets_truncated):
-            np.testing.assert_array_equal(mem.evaluate(anchor), trunc)
+            np.testing.assert_array_equal(forward(mem.net, anchor), trunc)
 
     @pytest.mark.parametrize("s,n,tau,latent_dim,digest", [
         (5, 8, 0.25, 1, "8ddd098e55bd3bc64f8c2e4bc7f33bf27a5d88e81a902882f451f45e82800364"),
@@ -267,7 +267,7 @@ class TestMaxBits:
         mem = build_theorem_generator(targets, 2.0 ** -23)
         assert mem.ell == memorizer.MAX_BITS == 25
         for anchor, trunc in zip(mem.anchors, mem.targets_truncated):
-            np.testing.assert_array_equal(mem.evaluate(anchor), trunc)
+            np.testing.assert_array_equal(forward(mem.net, anchor), trunc)
 
     def test_theorem_generator_beyond_max_bits_raises(self):
         with pytest.raises(CapacityError, match="26 bits"):

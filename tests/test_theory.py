@@ -204,7 +204,7 @@ class TestSrec:
     def test_no_violations_at_scaled_m(self):
         delta = 1e-3
         m = round(5 * self.k * math.log(self.lip / delta))
-        gamma = 0.5 * math.sqrt(self.cov.min_eigenvalue())
+        gamma = 0.5  # sqrt(lambda_min(I)) / 2
         clean = 0
         for run in range(25):
             ens = sample_ensemble(m, self.cov, 0.0, 1.0, seed=run)
