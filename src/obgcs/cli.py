@@ -54,10 +54,10 @@ TABLES = {
                       "runs": ("count", 20), "delta": ("float", 0.1), "pairs": ("count", 10_000)},
     "validate jl": {"n": ("count", 50), "m": ("count",), "runs": ("count", 20),
                     "points": ("count", 40), "epsilon": ("positive", 0.5), "nu": ("float", 0.3)},
-    "validate meanwidth": {"k": ("count", 4), "n": ("count", 50), "gamma": ("float", 0.05),
-                           "num_gaussians": ("count", 2000), "net_epsilon": ("float", 0.5)},
+    "validate meanwidth": {"k": ("count", 4), "n": ("count", 50), "gamma": ("positive", 0.05),
+                           "num_gaussians": ("count", 2000), "net_epsilon": ("positive", 0.5)},
     "validate concentration": {"n": ("count", 20), "m": ("count", 100_000), "runs": ("count", 20)},
-    "validate epsnet": {"k": ("count", 4), "r": ("float", 1.0), "epsilon": ("float", 0.5)},
+    "validate epsnet": {"k": ("count", 4), "r": ("positive", 1.0), "epsilon": ("positive", 0.5)},
     "memorize": {"targets": ("str",), "s": ("count", 5), "n": ("count", 8),
                  "tau": ("float", 0.25), "k": ("count",)},
 }
@@ -273,6 +273,9 @@ def _cmd_validate(args, cfg):
         need = 0.9
     elif check == "meanwidth":
         k = cfg["k"]
+        if cfg["net_epsilon"] > 2:
+            raise _UsageError(f"net_epsilon must be <= 2, the unit ball's diameter, "
+                              f"got {cfg['net_epsilon']}")
         net = synth_generator(k=k, n=cfg["n"], hidden_dims=[4 * k], seed=0)
         est = theory.estimate_local_mean_width(net, np.zeros(k), cfg["gamma"],
                                                cfg["num_gaussians"], cfg["net_epsilon"], seed)
@@ -290,6 +293,9 @@ def _cmd_validate(args, cfg):
         record.update(m=m, n=n, bound=bound)
         need = 0.95
     else:
+        if cfg["epsilon"] > 2 * cfg["r"]:
+            raise _UsageError(f"epsilon must be <= 2 r, the ball's diameter, "
+                              f"got {cfg['epsilon']} with r = {cfg['r']}")
         net = theory.build_eps_net(cfg["k"], cfg["r"], cfg["epsilon"])
         cover = net.covering_radius_sampled(seed=seed)
         record.update({"k": cfg["k"], "r": cfg["r"], "epsilon": cfg["epsilon"], "count": len(net),

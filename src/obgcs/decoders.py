@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, ShapeError
-from .generator import forward, forward_with_preacts, vjp_from_preacts
+from .generator import forward, forward_with_preacts, split_output_layer, vjp_from_preacts
 from .measurement import scaling_constant, sign_pm1
 from .util import as_count
 
@@ -112,23 +112,28 @@ def ls_decode(obs, ens, net, cfg):
     quadratic in x = G(z): when m > n a one-off O(m n^2) build of
     H = A^T A / m, b = A^T y / m and c = |y|^2 / m makes every trial
     O(n^2 R), independent of m; when m <= n the residual A x - y is the
-    cheaper form. The returned ``objective`` is recomputed from the
-    residual, so a near-zero loss is not lost to cancellation.
+    cheaper form. When m > n and the net ends in an identity layer
+    x = W h + b whose input width d is below n (``split_output_layer``),
+    the quadratic is taken in h instead: a one-off O(n^2 d) fold into
+    P = W^T H W makes every trial O(d^2 R), and the passes run the net
+    only up to its last ReLU. The returned
+    ``objective`` is recomputed from the residual, so a near-zero loss is
+    not lost to cancellation.
     """
     A, y = ens.A, _signs_of(obs, ens)
     if net.signal_dim != A.shape[1]:
         raise ShapeError("generator output dimension does not match signal size")
-    m, n = A.shape
+    m = A.shape[0]
     k = net.latent_dim
     lam = cfg.lam if cfg.mode == "lagrangian" else 0.0
     radius = cfg.radius if cfg.mode == "constrained" else None
-    data_term = _gram_term(A, y) if m > n else _residual_term(A, y)
+    body, data_term = _data_term(net, A, y)
 
     def evaluate(Z):
-        X, preacts = forward_with_preacts(net, Z)
+        X, preacts = forward_with_preacts(body, Z)
         data_loss, cotangent = data_term(X)
         return (data_loss + lam * np.add.reduce(Z * Z, 0),
-                vjp_from_preacts(net, preacts, cotangent) + 2.0 * lam * Z)
+                vjp_from_preacts(body, preacts, cotangent) + 2.0 * lam * Z)
 
     rng = np.random.default_rng(cfg.seed)
     Z = rng.standard_normal((k, cfg.restarts))
@@ -229,16 +234,37 @@ def _residual_term(A, y):
     return term
 
 
-def _gram_term(A, y):
-    """The same pair as ``_residual_term`` from H = A^T A / m, b = A^T y / m."""
-    m = A.shape[0]
-    H = (A.T @ A) / m
-    b = (A.T @ y) / m
-    c = float(y @ y) / m
+def _data_term(net, A, y):
+    """The net an LS pass runs and the data term on its output, as the pair
+    ``(net', term)``: the data loss at z and its cotangent are
+    ``term(net'(z))``. The residual form when m <= n; else the Gram form,
+    in x = G(z) or, when ``split_output_layer`` splits the net as
+    x = W h + b, in its last hidden activation h: then the quadratic's
+    P = W^T H W, q = W^T (g - H b) and c' = c - 2 g^T b + b^T H b, and a
+    pass skips the output layer.
+    """
+    m, n = A.shape
+    if m <= n:
+        return net, _residual_term(A, y)
+    H, g, c = (A.T @ A) / m, (A.T @ y) / m, float(y @ y) / m
+    split = split_output_layer(net)
+    if split is None:
+        return net, _gram_term(H, g, c)
+    body, W, b = split
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite fold fails at the start
+        Hb = H @ b
+        return body, _gram_term(W.T @ (H @ W), W.T @ (g - Hb),
+                                c - 2.0 * float(g @ b) + float(b @ Hb))
+
+
+def _gram_term(H, g, c):
+    """The same pair as ``_residual_term`` from the quadratic
+    (x^T H x - 2 g^T x + c) / 2, with H = A^T A / m, g = A^T y / m and
+    c = |y|^2 / m."""
 
     def term(X):
         HX = H @ X
-        return 0.5 * (np.add.reduce(X * HX, 0) - 2.0 * (b @ X) + c), HX - b[:, None]
+        return 0.5 * (np.add.reduce(X * HX, 0) - 2.0 * (g @ X) + c), HX - g[:, None]
     return term
 
 

@@ -195,6 +195,21 @@ def dense_rows(w):
         chunk[:, i * cols:(i + 1) * cols] = 0.0
 
 
+def split_output_layer(net):
+    """The net as G(z) = W h(z) + b: ``(body, W, b)``, with ``body`` the net
+    up to its last ReLU (its output h has width d) and ``W`` the dense (n, d)
+    output weight, whatever its form. None unless the final activation is
+    the identity, there is a hidden layer, and d < n: only then is a
+    quadratic form in h smaller than the same form in x.
+    """
+    d, n = net.layer_dims[-2:]
+    if net.final_activation != "identity" or len(net.weights) < 2 or d >= n:
+        return None
+    body = GeneratorNetwork(net.layer_dims[:-1], net.weights[:-1], net.biases[:-1],
+                            final_activation="relu")
+    return body, np.vstack([rows.copy() for rows in dense_rows(net.weights[-1])]), net.biases[-1]
+
+
 def synth_generator(k, n, hidden_dims=(), seed=0, final_activation="identity"):
     """Random dense generator with Gaussian weights of std 1/sqrt(fan_in).
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DegenerateConeError, NotSpdError, ShapeError
-from .generator import forward, forward_batch, lipschitz_upper_bound
+from .generator import forward, forward_batch, lipschitz_upper_bound, split_output_layer
 from .util import as_count
 
 _LATTICE_BUDGET = 2_000_000
@@ -154,6 +154,12 @@ def check_srec(ens, net, gamma, delta, num_pairs, seed):
     ratio statistic (0/0); ``min_ratio`` is the smallest observed
     ((1/m)||A d||^2 + delta) / ||d||^2. ValueError unless gamma and delta
     are finite.
+
+    When ``split_output_layer`` splits the net as x = W h + b, both sides
+    are quadratic forms in dh = h1 - h2, the bias cancelling:
+    (1/m)||A d||^2 = dh^T (W^T H W) dh with H = A^T A / m, and
+    ||d||^2 = dh^T (W^T W) dh. The pairs then never reach the n-wide output
+    or an m x pairs product.
     """
     if not (math.isfinite(gamma) and math.isfinite(delta)):
         raise ValueError(f"gamma and delta must be finite, got {gamma} and {delta}")
@@ -162,9 +168,17 @@ def check_srec(ens, net, gamma, delta, num_pairs, seed):
     k = net.latent_dim
     z1 = _uniform_ball(rng, num_pairs, k, 1.0).T
     z2 = _uniform_ball(rng, num_pairs, k, 1.0).T
-    diff = forward_batch(net, z1) - forward_batch(net, z2)
-    d2 = np.sum(diff * diff, axis=0)
-    lhs = np.sum((ens.A @ diff) ** 2, axis=0) / ens.m
+    split = split_output_layer(net)
+    if split is None:
+        diff = forward_batch(net, z1) - forward_batch(net, z2)
+        d2 = np.sum(diff * diff, axis=0)
+        lhs = np.sum((ens.A @ diff) ** 2, axis=0) / ens.m
+    else:  # x1 - x2 = W (h1 - h2): the bias cancels
+        body, W, _ = split
+        dh = forward_batch(body, z1) - forward_batch(body, z2)
+        AW = ens.A @ W
+        d2 = np.sum(dh * ((W.T @ W) @ dh), axis=0)
+        lhs = np.sum(dh * ((AW.T @ AW / ens.m) @ dh), axis=0)
     violations = int(np.sum(lhs < gamma * d2 - delta))
     valid = d2 >= 1e-18
     if np.any(valid):
@@ -258,10 +272,15 @@ def estimate_local_mean_width(net, z_bar, gamma_scale, num_gaussians, net_epsilo
     (G(u) - G(z_bar)) / ||G(u) - G(z_bar)|| whose length clears gamma_scale,
     and Monte-Carlo estimates E sup <g, v>. The reported theoretical bound is
     sqrt(2k log(16 L / (gamma epsilon))) + sqrt(n) epsilon with L the
-    generator's Lipschitz upper bound. ValueError unless 0 < gamma_scale < inf.
+    generator's Lipschitz upper bound. ValueError naming the parameter
+    unless 0 < gamma_scale < inf, net_epsilon > 0 and num_gaussians >= 2.
     """
-    if not 0 < gamma_scale < math.inf or net_epsilon <= 0 or num_gaussians < 2:
-        raise ValueError("gamma_scale must be finite and > 0, net_epsilon > 0; need >= 2 gaussians")
+    if not 0 < gamma_scale < math.inf:
+        raise ValueError(f"gamma_scale must be finite and > 0, got {gamma_scale}")
+    if not net_epsilon > 0:
+        raise ValueError(f"net_epsilon must be > 0, got {net_epsilon}")
+    if not num_gaussians >= 2:
+        raise ValueError(f"num_gaussians must be >= 2, got {num_gaussians}")
     k = net.latent_dim
     u_net = build_eps_net(k, 1.0, net_epsilon)
     images = forward_batch(net, u_net.points.T)

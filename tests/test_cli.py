@@ -279,6 +279,25 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize("check,text,message", [
+        # each named the library's parameter or its combined condition instead:
+        # gamma_scale for gamma, "0 < epsilon <= 2r" or "r > 0" for the rest
+        ("meanwidth", "gamma = 0\n", "key 'gamma' must be a finite number > 0, got '0'"),
+        ("meanwidth", "net_epsilon = 0\n", "key 'net_epsilon' must be a finite number > 0"),
+        ("meanwidth", "net_epsilon = 5\n", "net_epsilon must be <= 2, the unit ball's diameter"),
+        ("meanwidth", "num_gaussians = 1\n", "num_gaussians must be >= 2, got 1"),
+        ("epsnet", "epsilon = 0\n", "key 'epsilon' must be a finite number > 0, got '0'"),
+        ("epsnet", "r = 0\n", "key 'r' must be a finite number > 0, got '0'"),
+        ("epsnet", "epsilon = 3\n", "epsilon must be <= 2 r, the ball's diameter, got 3.0"),
+        ("epsnet", "r = 0.1\n", "got 0.5 with r = 0.1"),
+    ])
+    def test_bad_net_setting_exits_1_naming_the_key(self, tmp_path, capsys, check, text,
+                                                    message):
+        cfg = write(tmp_path / "v.cfg", text)
+        assert main(["validate", check, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
 
 class TestMemorize:
     def test_builds_and_reports(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -6,14 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obgcs import (CovarianceSpec, DivergenceError,
-                   LsDecoderConfig, ShapeError, biht_decode, estimation_error,
-                   hard_threshold, ls_decode, observe, project_l1_ball,
+                   LsDecoderConfig, ShapeError, biht_decode, build_theorem_generator,
+                   estimation_error, hard_threshold, ls_decode, observe, project_l1_ball,
                    pv_convex_decode, sample_ensemble, scaling_constant,
                    synth_generator)
 from obgcs import decoders
 from obgcs.measurement import BinaryObservation, MeasurementEnsemble, sample_truth
 from obgcs.generator import (GeneratorNetwork, forward, forward_batch, forward_with_preacts,
-                             latent_vjp_batch, lipschitz_upper_bound, vjp_from_preacts)
+                             latent_vjp_batch, lipschitz_upper_bound, split_output_layer,
+                             vjp_from_preacts)
 from obgcs.measurement import sign_pm1
 from obgcs.util import derive_seed, rng_for
 from conftest import identity_generator
@@ -94,16 +96,16 @@ def frozen_ls_decode(obs, ens, net, cfg):
     the float bookkeeping must match bit for bit; it reads the module's step
     constants at call time, as ls_decode does."""
     A, y = ens.A, obs.y
-    m, n = A.shape
+    m = A.shape[0]
     lam = cfg.lam if cfg.mode == "lagrangian" else 0.0
     radius = cfg.radius if cfg.mode == "constrained" else None
-    data_term = decoders._gram_term(A, y) if m > n else decoders._residual_term(A, y)
+    body, data_term = decoders._data_term(net, A, y)
 
     def evaluate(Z):
-        X, preacts = forward_with_preacts(net, Z)
+        X, preacts = forward_with_preacts(body, Z)
         data_loss, cotangent = data_term(X)
         return (data_loss + lam * np.add.reduce(Z * Z, 0),
-                vjp_from_preacts(net, preacts, cotangent) + 2.0 * lam * Z)
+                vjp_from_preacts(body, preacts, cotangent) + 2.0 * lam * Z)
 
     Z = np.random.default_rng(cfg.seed).standard_normal((net.latent_dim, cfg.restarts))
     if radius is not None:
@@ -218,6 +220,28 @@ def block_hidden_net(seed):
     weights = [rng.standard_normal((24, 4)) / 2.0,
                rng.standard_normal((3, 8, 8)) / np.sqrt(8),
                rng.standard_normal((40, 24)) / np.sqrt(24)]
+    biases = [0.1 * rng.standard_normal(d) for d in (24, 24, 40)]
+    return GeneratorNetwork([4, 24, 24, 40], weights, biases)
+
+
+def biased_output_net(seed):
+    """4 -> 24 -> 40 with non-zero biases on both layers."""
+    rng = np.random.default_rng(seed)
+    return GeneratorNetwork([4, 24, 40], [rng.standard_normal((24, 4)) / 2.0,
+                                          rng.standard_normal((40, 24)) / np.sqrt(24)],
+                            [0.3 * rng.standard_normal(24), 0.3 * rng.standard_normal(40)])
+
+
+def two_hidden_net(seed):
+    """4 -> 16 -> 24 -> 40 with an identity output."""
+    return synth_generator(k=4, n=40, hidden_dims=[16, 24], seed=seed)
+
+
+def block_output_net(seed):
+    """4 -> 24 -> 24 -> 40 whose output weight is eight 5x3 diagonal blocks."""
+    rng = np.random.default_rng(seed)
+    weights = [rng.standard_normal((24, 4)) / 2.0, rng.standard_normal((24, 24)) / np.sqrt(24),
+               rng.standard_normal((8, 5, 3)) / np.sqrt(3)]
     biases = [0.1 * rng.standard_normal(d) for d in (24, 24, 40)]
     return GeneratorNetwork([4, 24, 24, 40], weights, biases)
 
@@ -369,6 +393,17 @@ class TestLsDecode:
         monkeypatch.setattr(decoders, "_FIRST_STEP", 1e9)
         res = ls_decode(obs, ens, net, LsDecoderConfig(restarts=2, seed=30))
         assert np.isfinite(res.objective) and res.iterations >= 1
+
+    def test_overflowing_fold_is_a_divergence_without_a_warning(self):
+        # weights of 1e160 overflow W^T H W itself, before the first pass
+        ens = sample_ensemble(60, CovarianceSpec.identity(15), 0.0, 1.0, seed=28)
+        net = synth_generator(k=3, n=15, hidden_dims=[8], seed=27)
+        huge = GeneratorNetwork(net.layer_dims, [1e160 * w for w in net.weights], net.biases)
+        assert split_output_layer(huge) is not None
+        with pytest.raises(DivergenceError) as err:
+            ls_decode(observe(ens, np.ones(15), seed=29), ens, huge,
+                      LsDecoderConfig(restarts=2, seed=30))
+        assert (err.value.restart, err.value.step) == (0, 0)
 
     def test_divergence_in_a_later_search_names_its_step(self, monkeypatch):
         # tiny first steps are accepted; from the third pass every output is
@@ -542,6 +577,21 @@ class TestLsParity:
         assert res.restart_index == best_ref
         np.testing.assert_allclose(res.x_hat, x_ref, rtol=0, atol=1e-8)
 
+    @pytest.mark.parametrize("mode", ["lagrangian", "constrained"])
+    @pytest.mark.parametrize("make_net", [biased_output_net, two_hidden_net, block_output_net])
+    @pytest.mark.parametrize("m,seed", [(41, 4), (120, 5), (600, 8)])
+    def test_folded_gram_form_matches_residual_form(self, m, seed, make_net, mode):
+        # the passes run the net up to its last ReLU against W^T H W. Not at
+        # seeds 3 and 6: there two_hidden_net's endpoint moves by up to 2e-4
+        # under any change of rounding (5e-5 in the unfolded Gram form)
+        obs, ens, net, cfg = parity_problem(m, seed, net=make_net(seed), mode=mode)
+        assert split_output_layer(net) is not None
+        res = ls_decode(obs, ens, net, cfg)
+        x_ref, best_ref, trace_ref, *_ = reference_ls(obs, ens, net, cfg)
+        assert res.restart_index == best_ref
+        np.testing.assert_allclose(res.x_hat, x_ref, rtol=0, atol=1e-8)
+        assert res.loss_trace[-1] == pytest.approx(trace_ref[-1], rel=0, abs=1e-10)
+
     @pytest.mark.parametrize("m", [25, 120])
     def test_one_generator_pass_per_step(self, m, monkeypatch):
         # one batched pass per trial point of the restart that tries most:
@@ -563,6 +613,54 @@ class TestLsParity:
         assert 1 + trials.max() < 1 + searches + backtracks
         assert res.passes == len(calls)
 
+
+
+def result_digest(res):
+    """SHA-256 over every DecoderResult field's bytes."""
+    h = hashlib.sha256()
+    for name in RESULT_FIELDS:
+        value = getattr(res, name)
+        if isinstance(value, np.ndarray):
+            h.update(value.tobytes())
+        elif isinstance(value, list):
+            h.update(" ".join(v.hex() for v in value).encode())
+        else:
+            h.update((value.hex() if isinstance(value, float) else str(value)).encode())
+    return h.hexdigest()
+
+
+# Decodes the output-layer fold must leave alone, pinned bit for bit (numpy's
+# bundled OpenBLAS on x86-64; another BLAS may round differently): three nets
+# split_output_layer does not split, at m > n, and C1's net at m <= n.
+UNFOLDED = {
+    "c2_relu_output": (
+        lambda: synth_generator(k=5, n=100, hidden_dims=[64], final_activation="relu"), 300,
+        "444b03d05957c662dd3b4009ebae3700f7d6d7f4d2edeb8469d3145964566ed2"),
+    "no_hidden_layer": (
+        lambda: GeneratorNetwork([4, 40], [np.random.default_rng(3).standard_normal((40, 4))],
+                                 [0.1 * np.ones(40)]), 120,
+        "1a0abec08de0e0b20de3456c00e07712fb201f858526b61338c76142772a4d17"),
+    "theorem_generator": (
+        lambda: build_theorem_generator(np.random.default_rng(5).random((5, 8)), 0.25).net, 60,
+        "9375f00820e5083bfbec5ade988a97caaf526fa7258c4c12aee5cb21ea9b519c"),
+    "c1_residual_form": (
+        lambda: synth_generator(k=5, n=100, hidden_dims=[64]), 80,
+        "ba7fe4b4930c81c06658d9813ee12aece72e099236cc22b98d40ca639d28b4a0"),
+}
+
+
+class TestUnfoldedDecodes:
+    @pytest.mark.parametrize("name", list(UNFOLDED))
+    def test_result_bytes_are_pinned(self, name):
+        make_net, m, digest = UNFOLDED[name]
+        net = make_net()
+        n = net.signal_dim
+        assert split_output_layer(net) is None or m <= n
+        cov = CovarianceSpec.toeplitz(n, 0.3)
+        ens = sample_ensemble(m, cov, 0.1, 0.97, 11)
+        obs = observe(ens, sample_truth(net, cov, rng_for(11, 1)), 11)
+        cfg = LsDecoderConfig(restarts=5, steps_per_restart=200, seed=13)
+        assert result_digest(ls_decode(obs, ens, net, cfg)) == digest
 
 
 PARITY_NETS = [(5, [64]), (8, [64]), (5, [64, 64]), (16, [64]), (3, [8])]

@@ -5,6 +5,7 @@ from obgcs import (GeneratorNetwork, MalformedFileError, ShapeError,
                    architecture_summary, forward, forward_batch, latent_vjp,
                    latent_vjp_batch, lipschitz_upper_bound, load_generator,
                    save_generator, synth_generator)
+from obgcs.generator import split_output_layer
 from conftest import dense_weight, preacts_away_from_kinks
 
 
@@ -155,6 +156,34 @@ class TestBlockDiagonalWeights:
         with pytest.raises(ShapeError):
             GeneratorNetwork([3, 12, 10], [np.ones((12, 3)), np.ones(shape)],
                              [np.zeros(12), np.zeros(10)])
+
+
+class TestSplitOutputLayer:
+    def test_body_and_dense_output_layer_rebuild_the_net(self):
+        # 3 -> 8 -> 8 -> 12, block-diagonal hidden and output weights, d = 8 < n = 12
+        rng = np.random.default_rng(7)
+        weights = [rng.standard_normal((8, 3)), rng.standard_normal((2, 4, 4)),
+                   rng.standard_normal((4, 3, 2))]
+        biases = [0.1 * rng.standard_normal(d) for d in (8, 8, 12)]
+        net = GeneratorNetwork([3, 8, 8, 12], weights, biases)
+        body, W, b = split_output_layer(net)
+        assert body.layer_dims == [3, 8, 8] and body.final_activation == "relu"
+        np.testing.assert_array_equal(W, dense_weight(weights[2]))
+        np.testing.assert_array_equal(b, biases[2])
+        Z, V = rng.standard_normal((3, 5)), rng.standard_normal((12, 5))
+        np.testing.assert_allclose(W @ forward_batch(body, Z) + b[:, None],
+                                   forward_batch(net, Z), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(latent_vjp_batch(body, Z, W.T @ V),
+                                   latent_vjp_batch(net, Z, V), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("net", [
+        synth_generator(k=3, n=12, hidden_dims=[8], final_activation="relu"),
+        synth_generator(k=3, n=12),                     # no hidden layer
+        synth_generator(k=3, n=12, hidden_dims=[12]),   # d = n
+        synth_generator(k=3, n=12, hidden_dims=[4, 20]),  # d > n
+    ])
+    def test_other_nets_are_not_split(self, net):
+        assert split_output_layer(net) is None
 
 
 class TestLipschitzBound:

@@ -6,10 +6,11 @@ import pytest
 
 from obgcs import theory
 
-from obgcs import (CapacityError, CovarianceSpec, DegenerateConeError,
+from obgcs import (CapacityError, CovarianceSpec, DegenerateConeError, GeneratorNetwork,
                    build_eps_net, check_jl, check_srec, concentration_diagnostics,
-                   estimate_local_mean_width, lipschitz_upper_bound,
+                   estimate_local_mean_width, forward_batch, lipschitz_upper_bound,
                    mean_width_of_directions, observe, sample_ensemble, synth_generator)
+from obgcs.generator import split_output_layer
 
 
 class TestEpsNet:
@@ -245,6 +246,54 @@ class TestSrec:
         assert calls == []
 
 
+def direct_srec_terms(ens, net, num_pairs, seed):
+    """check_srec's (1/m)|A (x1 - x2)|^2 and |x1 - x2|^2 per pair, from the
+    net's outputs and the product A @ (x1 - x2), as before the fold."""
+    rng = np.random.default_rng(seed)
+    z1 = theory._uniform_ball(rng, num_pairs, net.latent_dim, 1.0).T
+    z2 = theory._uniform_ball(rng, num_pairs, net.latent_dim, 1.0).T
+    diff = forward_batch(net, z1) - forward_batch(net, z2)
+    return np.sum((ens.A @ diff) ** 2, axis=0) / ens.m, np.sum(diff * diff, axis=0)
+
+
+def biased_net():
+    rng = np.random.default_rng(12)
+    return GeneratorNetwork([4, 16, 50], [rng.standard_normal((16, 4)) / 2.0,
+                                          rng.standard_normal((50, 16)) / 4.0],
+                            [0.3 * rng.standard_normal(16), 0.3 * rng.standard_normal(50)])
+
+
+def block_output_net():
+    """4 -> 16 -> 50 whose output weight is two 25x8 diagonal blocks."""
+    rng = np.random.default_rng(13)
+    return GeneratorNetwork([4, 16, 50], [rng.standard_normal((16, 4)) / 2.0,
+                                          rng.standard_normal((2, 25, 8)) / np.sqrt(8)],
+                            [0.1 * rng.standard_normal(16), 0.1 * rng.standard_normal(50)])
+
+
+class TestSrecFold:
+    @pytest.mark.parametrize("make_net,folds", [
+        (lambda: synth_generator(k=4, n=50, hidden_dims=[16], seed=0), True),
+        (biased_net, True),
+        (lambda: synth_generator(k=4, n=50, hidden_dims=[16], seed=0,
+                                 final_activation="relu"), False),
+        (block_output_net, True)])
+    def test_matches_the_direct_form(self, make_net, folds):
+        net = make_net()
+        assert (split_output_layer(net) is not None) == folds
+        ens = sample_ensemble(30, CovarianceSpec.identity(50), 0.0, 1.0, seed=3)
+        delta = 1e-3
+        lhs, d2 = direct_srec_terms(ens, net, 2000, seed=4)
+        ratios = (lhs + delta) / d2
+        # halfway between the smallest and the median ratio: a real share violates
+        gamma = 0.5 * (ratios.min() + np.median(ratios))
+        want = int(np.sum(lhs < gamma * d2 - delta))
+        assert want >= 20
+        rep = check_srec(ens, net, gamma, delta, 2000, seed=4)
+        assert rep.violations == want
+        assert rep.min_ratio == pytest.approx(float(ratios.min()), rel=1e-12, abs=0)
+
+
 class TestJl:
     def test_passes_at_scaled_m(self):
         n, size, eps = 50, 40, 0.5
@@ -333,6 +382,16 @@ class TestMeanWidth:
             estimate_local_mean_width(net, np.zeros(2), gamma_scale=gamma,
                                       num_gaussians=100, net_epsilon=0.5, seed=5)
         assert calls == []
+
+    @pytest.mark.parametrize("setting,message", [
+        ({"net_epsilon": 0.0}, "net_epsilon must be > 0, got 0.0"),
+        ({"net_epsilon": math.nan}, "net_epsilon must be > 0, got nan"),
+        ({"num_gaussians": 1}, "num_gaussians must be >= 2, got 1")])
+    def test_each_bad_setting_named_alone(self, setting, message):
+        net = synth_generator(k=2, n=10, hidden_dims=[4], seed=4)
+        kwargs = {"gamma_scale": 0.05, "num_gaussians": 100, "net_epsilon": 0.5, **setting}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimate_local_mean_width(net, np.zeros(2), seed=5, **kwargs)
 
     @pytest.mark.parametrize("num", [0, -3])
     def test_needs_one_gaussian(self, num):
