@@ -11,8 +11,8 @@ from .decoders import (DecoderResult, LsDecoderConfig, biht_decode,
                        estimation_error, hard_threshold, ls_decode,
                        project_l1_ball, pv_convex_decode)
 from .errors import (CapacityError, DegenerateConeError, DimensionMismatchError,
-                     DivergenceError, MalformedFileError, NonFiniteError,
-                     NotSpdError, ObgcsError, ShapeError)
+                     DivergenceError, MalformedFileError, NonFiniteError, ObgcsError,
+                     ShapeError)
 from .generator import (GeneratorNetwork, architecture_summary, forward,
                         forward_batch, latent_vjp, latent_vjp_batch,
                         lipschitz_upper_bound, synth_generator)

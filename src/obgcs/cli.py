@@ -38,13 +38,13 @@ _LS = {"mode": ("str",), "lambda": ("float",), "radius": ("float",), "restarts":
 _BIHT = {"s": ("count", 10)}
 _PV = {"s_ell1": ("float", 3.0)}
 _SWEEP = {"m_values": ("counts", [100, 200, 300]), "trials": ("count",), "decoders": ("strs",),
-          "sigma": ("float",), "q": ("float",), "nu": ("float",), "ls_restarts": ("count",),
-          "ls_steps": ("count",), "biht_s": ("count",), "pv_s": ("float",),
-          "workers": ("count",)}
+          "sigma": ("nonnegative",), "q": ("probability",), "nu": ("correlation",),
+          "ls_restarts": ("count",), "ls_steps": ("count",), "biht_s": ("count",),
+          "pv_s": ("float",), "workers": ("count",)}
 TABLES = {
     "synth-gen": _GEN,
-    "measure": {"gen": ("str", _REQUIRED), "m": ("count", 100), "nu": ("float", 0.3),
-                "sigma": ("float", 0.1), "q": ("float", 0.97)},
+    "measure": {"gen": ("str", _REQUIRED), "m": ("count", 100), "nu": ("correlation", 0.3),
+                "sigma": ("nonnegative", 0.1), "q": ("probability", 0.97)},
     "decode ls": {**_FILES, **_LS},
     "decode biht": {**_FILES, **_BIHT},
     "decode pv": {**_FILES, **_PV},
@@ -53,7 +53,8 @@ TABLES = {
     "validate srec": {"k": ("count", 4), "n": ("count", 50), "m": ("count",),
                       "runs": ("count", 20), "delta": ("float", 0.1), "pairs": ("count", 10_000)},
     "validate jl": {"n": ("count", 50), "m": ("count",), "runs": ("count", 20),
-                    "points": ("count", 40), "epsilon": ("positive", 0.5), "nu": ("float", 0.3)},
+                    "points": ("count", 40), "epsilon": ("positive", 0.5),
+                    "nu": ("correlation", 0.3)},
     "validate meanwidth": {"k": ("count", 4), "n": ("count", 50), "gamma": ("positive", 0.05),
                            "num_gaussians": ("count", 2000), "net_epsilon": ("positive", 0.5)},
     "validate concentration": {"n": ("count", 20), "m": ("count", 100_000), "runs": ("count", 20)},
@@ -69,6 +70,9 @@ _KINDS = {"int": (int, lambda v: True, "an integer"),
           "count": (int, lambda v: v >= 1, "an integer >= 1"),
           "float": (float, math.isfinite, "a finite number"),
           "positive": (float, lambda v: 0 < v < math.inf, "a finite number > 0"),
+          "nonnegative": (float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+          "probability": (float, lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+          "correlation": (float, lambda v: -1 < v < 1, "a number in (-1, 1)"),
           "str": (str, lambda v: True, "a string")}
 
 

@@ -21,10 +21,6 @@ class NonFiniteError(ObgcsError, ValueError):
     """NaN or infinity encountered where finite values are required."""
 
 
-class NotSpdError(ObgcsError, ValueError):
-    """A covariance matrix is not symmetric positive definite."""
-
-
 class CapacityError(ObgcsError, ValueError):
     """A construction was asked for more than its size budget supports."""
 

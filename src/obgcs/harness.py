@@ -20,7 +20,8 @@ from .decoders import (LsDecoderConfig, biht_decode, estimation_error, ls_decode
                        pv_convex_decode)
 from .errors import ObgcsError
 from .generator import synth_generator
-from .measurement import CovarianceSpec, observe, sample_ensemble, sample_truth
+from .measurement import (CovarianceSpec, observe, sample_ensemble, sample_truth,
+                          scaling_constant)
 from .serialization import load_generator
 from .util import as_count, derive_seed, fmt17, rng_for
 
@@ -59,6 +60,7 @@ class ExperimentGrid:
             setattr(self, name, as_count(getattr(self, name), name))
         if self.workers is not None:
             self.workers = as_count(self.workers, "workers")
+        scaling_constant(self.sigma, self.q)  # ValueError naming a bad sigma or q
         if not self.pv_s > 0:
             raise ValueError(f"pv_s must be > 0, got {self.pv_s}")
 
@@ -86,11 +88,10 @@ class CellResult:
 def _run_cell(grid, net, cov, m, trial):
     """All requested decoders on one freshly sampled (ensemble, truth, y).
 
-    A decoder that fails with an ObgcsError (it diverged, or a covariance
-    norm it needs is not defined) or returns a zero vector, and every decoder
-    of a cell whose sampled truth has a zero or non-finite covariance norm
-    (nothing to recover, or the generator overflowed), gives a
-    converged=False row with NaN errors.
+    A decoder that fails with an ObgcsError (say, it diverged) or returns a
+    zero vector, and every decoder of a cell whose sampled truth has a zero
+    or non-finite covariance norm (nothing to recover, or the generator
+    overflowed), gives a converged=False row with NaN errors.
     """
     cell_seed = derive_seed(grid.base_seed, m, trial)
     ens = sample_ensemble(m, cov, grid.sigma, grid.q, cell_seed)

@@ -11,30 +11,34 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteError, NotSpdError, ShapeError
+from .errors import NonFiniteError, ShapeError
 from .generator import forward
 from .util import as_count, rng_for
 
 
 @dataclass
 class CovarianceSpec:
-    """Row covariance of the sensing matrix: toeplitz nu^|i-j|, the identity at nu = 0."""
+    """Row covariance of the sensing matrix: the AR(1) toeplitz nu^|i-j|, the identity at
+    nu = 0. ValueError unless n is a count and nu lies in (-1, 1): it is positive definite."""
 
     n: int
     nu: float = 0.0
     _dense: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        self.n = as_count(self.n, "n")
+        self.nu = float(self.nu)
+        if not -1.0 < self.nu < 1.0:
+            raise ValueError(f"toeplitz correlation must lie in (-1, 1), got {self.nu}")
+
     @classmethod
     def identity(cls, n):
-        return cls(n=as_count(n, "n"))
+        return cls(n=n)
 
     @classmethod
     def toeplitz(cls, n, nu):
-        nu = float(nu)
-        if not -1.0 < nu < 1.0:
-            raise ValueError(f"toeplitz correlation must lie in (-1, 1), got {nu}")
-        return cls(n=as_count(n, "n"), nu=nu)
+        return cls(n=n, nu=nu)
 
     def dense(self):
         """Sigma as a dense matrix, computed once and read-only."""
@@ -44,15 +48,23 @@ class CovarianceSpec:
             self._dense.flags.writeable = False
         return self._dense
 
+    @property
+    def _innovation(self):  # sqrt(1 - nu^2), keeping its digits as |nu| -> 1
+        return math.sqrt((1.0 - self.nu) * (1.0 + self.nu))
+
     def cholesky(self):
-        """Lower Cholesky factor of Sigma, computed once and read-only, or NotSpdError."""
+        """Lower Cholesky factor L of Sigma, computed once and read-only:
+        L_i1 = nu^(i-1) and L_ij = sqrt(1 - nu^2) nu^(i-j) for 2 <= j <= i."""
         if self._factor is None:
-            try:
-                self._factor = np.linalg.cholesky(self.dense())
-            except np.linalg.LinAlgError as exc:
-                raise NotSpdError(f"covariance is not positive definite: {exc}") from exc
+            self._factor = np.tril(self.dense())
+            self._factor[:, 1:] *= self._innovation
             self._factor.flags.writeable = False
         return self._factor
+
+    def whiten(self, A):
+        """A L^(-T), whose rows are N(0, I) when A's are N(0, Sigma). L^(-1) is
+        bidiagonal: z_1 = a_1 and z_i = (a_i - nu a_(i-1)) / sqrt(1 - nu^2)."""
+        return np.hstack([A[:, :1], (A[:, 1:] - self.nu * A[:, :-1]) / self._innovation])
 
 
 @dataclass
@@ -77,7 +89,7 @@ class MeasurementEnsemble:
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"noise level must be finite and nonnegative, got {self.sigma}")
         if not 0.0 <= self.q <= 1.0:
-            raise ValueError("flip-keep probability must lie in [0, 1]")
+            raise ValueError(f"flip-keep probability must lie in [0, 1], got {self.q}")
 
     @property
     def m(self):
@@ -112,20 +124,19 @@ def sign_pm1(v):
 
 
 def sample_ensemble(m, cov, sigma, q, seed):
-    """Draw A = Z C^T with Z iid standard normal and C the Cholesky factor.
+    """Draw A = Z L^T with Z iid standard normal and L the Cholesky factor.
 
-    Rows of A are then i.i.d. N(0, Sigma). At nu = 0 C is I, so A is the
-    draw Z itself (bitwise what Z @ I gives), with no product and
+    Rows of A are then i.i.d. N(0, Sigma), and cov.whiten(A) is Z. At nu = 0
+    L is I, so A is the draw Z itself (bitwise what Z @ I gives), with no product and
     no second m x n array. Deterministic in ``seed``; the matrix uses
     sub-stream 0 of the seed so observation noise (sub-stream 1) and flips
     (sub-stream 2) can be varied independently.
     """
     m = as_count(m, "m")
-    chol = cov.cholesky()
     rng = rng_for(seed, 0)
     A = rng.standard_normal((m, cov.n))
     if cov.nu != 0.0:
-        A = A @ chol.T
+        A = A @ cov.cholesky().T
     return MeasurementEnsemble(A=A, cov=cov, sigma=float(sigma), q=float(q), seed=int(seed))
 
 
@@ -182,7 +193,4 @@ def sigma_norm(cov, x):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (cov.n,):
         raise ShapeError(f"vector shape {x.shape} != {(cov.n,)}")
-    quad = float(x @ (cov.dense() @ x))
-    if quad < -1e-12:
-        raise NotSpdError(f"quadratic form came out negative ({quad})")
-    return math.sqrt(max(quad, 0.0))
+    return math.sqrt(max(float(x @ (cov.dense() @ x)), 0.0))

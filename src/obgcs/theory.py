@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DegenerateConeError, NotSpdError, ShapeError
+from .errors import CapacityError, DegenerateConeError, ShapeError
 from .generator import forward, forward_batch, lipschitz_upper_bound, split_output_layer
 from .util import as_count
 
@@ -188,15 +188,8 @@ def check_srec(ens, net, gamma, delta, num_pairs, seed):
     return SrecReport(violations=violations, min_ratio=min_ratio)
 
 
-def _inv_sqrt(mat):
-    vals, vecs = np.linalg.eigh(mat)
-    if np.any(vals <= 1e-12 * vals.max()):
-        raise NotSpdError("covariance is singular; cannot form its inverse square root")
-    return (vecs / np.sqrt(vals)) @ vecs.T
-
-
 def check_jl(ens, point_set, epsilon):
-    """Distortion of the whitened projection t -> (1/sqrt(m)) A Sigma^(-1/2) t.
+    """Distortion of the whitened projection t -> (1/sqrt(m)) A L^(-T) t (L: Cholesky factor).
 
     Measures max over point pairs of |ratio - 1| where ratio compares image
     distance to original distance; passes when every ratio lies in
@@ -210,8 +203,7 @@ def check_jl(ens, point_set, epsilon):
         raise ShapeError("need a (count, n) point set with count >= 2")
     if T.shape[1] != ens.n:
         raise ShapeError(f"points have dim {T.shape[1]}, ensemble expects {ens.n}")
-    W = _inv_sqrt(ens.cov.dense())
-    images = (ens.A @ (W @ T.T)) / math.sqrt(ens.m)  # (m, count)
+    images = (ens.cov.whiten(ens.A) @ T.T) / math.sqrt(ens.m)  # (m, count)
     count = T.shape[0]
     max_distortion = 0.0
     compared = 0

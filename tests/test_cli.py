@@ -390,6 +390,26 @@ class TestKeyTables:
             assert f"key {key!r} is not accepted by" in err
         assert not list(tmp_path.glob("out*"))
 
+    @pytest.mark.parametrize("command, text, key, message", [
+        # these exited 1 without the key: "flip-keep probability must lie in
+        # [0, 1]" or "toeplitz correlation must lie in (-1, 1), got 1.0"
+        (["measure"], "q = 1.5\n", "q", "must be a number in [0, 1], got '1.5'"),
+        (["measure"], "nu = 1.0\n", "nu", "must be a number in (-1, 1), got '1.0'"),
+        (["measure"], "sigma = -0.1\n", "sigma", "must be a finite number >= 0, got '-0.1'"),
+        (["grid"], "q = -0.5\n", "q", "must be a number in [0, 1], got '-0.5'"),
+        (["grid"], "nu = -1\n", "nu", "must be a number in (-1, 1), got '-1'"),
+        (["grid"], "sigma = inf\n", "sigma", "must be a finite number >= 0, got 'inf'"),
+        (["validate", "jl"], "nu = 1.5\n", "nu", "must be a number in (-1, 1), got '1.5'"),
+    ])
+    def test_out_of_range_model_setting_exits_1_naming_the_key(self, tmp_path, gen_file, capsys,
+                                                              command, text, key, message):
+        setup = {"measure": f"gen = {gen_file}\n", "grid": "k = 3\nn = 16\nm_values = 20\n"}
+        cfg = write(tmp_path / "bad.cfg", setup.get(command[0], "") + text)
+        out = str(tmp_path / "out")
+        assert main(command + ["--config", cfg, "--out", out, "--quiet"]) == 1
+        assert f"{cfg}: key {key!r} {message}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))
+
     @pytest.mark.parametrize("flags", [["--runs", "0"], ["--k", "0"], ["--m", "0"]])
     def test_flag_below_one_exits_1(self, capsys, flags):
         assert main(["validate", "epsnet" if flags[0] == "--k" else "srec"] + flags) == 1

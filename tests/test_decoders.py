@@ -635,17 +635,17 @@ def result_digest(res):
 UNFOLDED = {
     "c2_relu_output": (
         lambda: synth_generator(k=5, n=100, hidden_dims=[64], final_activation="relu"), 300,
-        "444b03d05957c662dd3b4009ebae3700f7d6d7f4d2edeb8469d3145964566ed2"),
+        "f7ee227e0470bf217d1e3136e13dc10d943667ae49923559c88653808c6f45b9"),
     "no_hidden_layer": (
         lambda: GeneratorNetwork([4, 40], [np.random.default_rng(3).standard_normal((40, 4))],
                                  [0.1 * np.ones(40)]), 120,
-        "1a0abec08de0e0b20de3456c00e07712fb201f858526b61338c76142772a4d17"),
+        "a01806674eeaf9f6627a0d1882479b0fb360843e23e86a55c7a2b976f6698313"),
     "theorem_generator": (
         lambda: build_theorem_generator(np.random.default_rng(5).random((5, 8)), 0.25).net, 60,
-        "9375f00820e5083bfbec5ade988a97caaf526fa7258c4c12aee5cb21ea9b519c"),
+        "74a18644e4ae6ff68d06d47d0d91ff465d2e28ade358a1b7f3275469733f01e5"),
     "c1_residual_form": (
         lambda: synth_generator(k=5, n=100, hidden_dims=[64]), 80,
-        "ba7fe4b4930c81c06658d9813ee12aece72e099236cc22b98d40ca639d28b4a0"),
+        "a5cd4704e1b77f553077ad394e85aac8196531ecba5ea711d012bc9382c4032f"),
 }
 
 

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import obgcs
-from obgcs import (CellResult, ExperimentGrid, GeneratorNetwork, NotSpdError,
-                   fit_scaling, flip_robustness_report, harness, read_csv,
-                   run_grid, save_generator, write_csv)
+from obgcs import (CellResult, CovarianceSpec, DivergenceError, ExperimentGrid,
+                   GeneratorNetwork, check_jl, fit_scaling, flip_robustness_report, harness,
+                   read_csv, run_grid, sample_ensemble, save_generator, write_csv)
 from obgcs.harness import CSV_HEADER
 from obgcs.util import derive_seed, rng_for
 
@@ -111,6 +111,20 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="m_values entry must be an integer, got 40.5"):
             tiny_grid(m_values=[40.5, 80])
 
+    @pytest.mark.parametrize("setting, fault", [
+        ({"sigma": -0.1}, "got sigma=-0.1, q=0.97"),
+        ({"sigma": math.inf}, "got sigma=inf, q=0.97"),
+        ({"q": 1.5}, "got sigma=0.1, q=1.5"),
+        ({"q": math.nan}, "got sigma=0.1, q=nan"),
+    ])
+    def test_bad_noise_setting_rejected_before_any_cell(self, monkeypatch, setting, fault):
+        # these were raised inside the first cell, by its ensemble
+        calls = []
+        monkeypatch.setattr(harness, "_run_cell", lambda *args: calls.append(args) or [])
+        with pytest.raises(ValueError, match=fault):
+            run_grid(tiny_grid(**setting))
+        assert calls == []
+
     def test_biht_s_above_n_rejected_before_any_cell(self, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "_run_cell", lambda *args: calls.append(args) or [])
@@ -121,12 +135,23 @@ class TestRunGrid:
         assert len(calls) == 2 * 2
 
     def test_one_covariance_factor_per_grid(self, monkeypatch):
-        # every cell shares one spec, so its Cholesky factor is computed once
-        calls = []
-        real = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or real(a))
+        # every cell shares one spec, so its closed-form Cholesky factor is
+        # built once; neither the grid nor the JL check calls LAPACK
+        lapack = []
+        for name in ("cholesky", "eigh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda a, real=real, name=name: lapack.append(name) or real(a))
+        factors = []
+        real_factor = CovarianceSpec.cholesky
+        monkeypatch.setattr(CovarianceSpec, "cholesky",
+                            lambda self: factors.append(real_factor(self)) or factors[-1])
         results = run_grid(tiny_grid(decoders=("ls", "biht", "pv"), biht_s=5))
-        assert len(results) == 2 * 2 * 3 and len(calls) == 1
+        assert len(results) == 2 * 2 * 3
+        assert len(factors) == 2 * 2 and all(f is factors[0] for f in factors)
+        ens = sample_ensemble(30, CovarianceSpec.toeplitz(20, 0.3), 0.0, 1.0, seed=1)
+        check_jl(ens, np.random.default_rng(2).standard_normal((4, 20)), 0.5)
+        assert lapack == []
 
     def test_csv_header_and_round_trip(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -185,7 +210,7 @@ class TestRunGrid:
 
         def failing(grid, name, obs, ens, net, m, trial):
             if (name, m, trial) == ("biht", 80, 1):
-                raise NotSpdError("covariance is not positive definite")
+                raise DivergenceError("non-finite loss")
             return decode(grid, name, obs, ens, net, m, trial)
 
         monkeypatch.setattr(harness, "_decode", failing)  # forked pool workers inherit it

@@ -31,11 +31,16 @@ class TestCovarianceSpec:
         assert files[0].read_bytes() == files[1].read_bytes()
         assert b'"cov":{"kind":"identity","n":7}' in files[1].read_bytes()
 
-    def test_nu_out_of_range(self):
-        with pytest.raises(ValueError):
-            CovarianceSpec.toeplitz(4, 1.0)
+    @pytest.mark.parametrize("build", [CovarianceSpec.toeplitz,
+                                       lambda n, nu: CovarianceSpec(n=n, nu=nu)])
+    @pytest.mark.parametrize("nu", [1.0, -1.0, 1.5, math.nan])
+    def test_nu_out_of_range(self, build, nu):
+        # a spec built directly was checked by nothing; nu = 1.5 was stopped
+        # only by LAPACK, at the first sample
+        with pytest.raises(ValueError, match=rf"must lie in \(-1, 1\), got {nu}"):
+            build(5, nu)
 
-    @pytest.mark.parametrize("build", [CovarianceSpec.identity,
+    @pytest.mark.parametrize("build", [CovarianceSpec.identity, lambda n: CovarianceSpec(n=n),
                                        lambda n: CovarianceSpec.toeplitz(n, 0.3)])
     @pytest.mark.parametrize("n,message", [(3.7, "n must be an integer, got 3.7"),
                                            (0, "n must be >= 1, got 0")])
@@ -54,7 +59,36 @@ class TestCovarianceSpec:
         # the cache is not part of the spec: equality and repr are unchanged
         assert cov == fresh and repr(cov) == repr(fresh) == \
             "CovarianceSpec(n=6, nu=0.3)"
-        np.testing.assert_array_equal(cov.cholesky(), np.linalg.cholesky(fresh.dense()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100])
+@pytest.mark.parametrize("nu", [-0.9, 0.0, 0.3, 0.999])
+class TestAr1Factor:
+    """The closed-form factor against the AR(1) process it stands for."""
+
+    def test_factor_times_its_transpose_is_sigma(self, n, nu):
+        cov = CovarianceSpec(n=n, nu=nu)
+        L = cov.cholesky()
+        assert np.array_equal(L, np.tril(L)) and np.all(np.diag(L) > 0)
+        np.testing.assert_allclose(L @ L.T, cov.dense(), rtol=0, atol=1e-15)
+
+    def test_whitening_gives_back_the_draw(self, n, nu):
+        cov = CovarianceSpec(n=n, nu=nu)
+        A = sample_ensemble(40, cov, 0.0, 1.0, seed=9).A
+        # whitening scales A's rounding by |L^-1|_inf = (1 + |nu|) / sqrt(1 - nu^2),
+        # which is 45 at nu = 0.999
+        tol = 1e-14 * (1 + abs(nu)) / math.sqrt(1 - nu * nu)
+        np.testing.assert_allclose(cov.whiten(A), TestSampleEnsemble._draw(40, n, 9),
+                                   rtol=0, atol=tol)
+
+    def test_matrix_is_the_column_recursion(self, n, nu):
+        # a_1 = z_1 and a_i = nu a_(i-1) + sqrt(1 - nu^2) z_i, column by column
+        Z = TestSampleEnsemble._draw(40, n, 9)
+        want = Z.copy()
+        for i in range(1, n):
+            want[:, i] = nu * want[:, i - 1] + math.sqrt(1 - nu * nu) * Z[:, i]
+        A = sample_ensemble(40, CovarianceSpec(n=n, nu=nu), 0.0, 1.0, seed=9).A
+        np.testing.assert_allclose(A, want, rtol=0, atol=1e-14)
 
 
 class TestSampleEnsemble:

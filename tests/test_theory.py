@@ -321,7 +321,7 @@ class TestJl:
     def test_non_finite_epsilon_rejected_before_projecting(self, monkeypatch, eps):
         # NaN used to read pass: False and inf pass: True
         calls = []
-        monkeypatch.setattr(theory, "_inv_sqrt", lambda *args: calls.append(args))
+        monkeypatch.setattr(CovarianceSpec, "whiten", lambda *args: calls.append(args))
         ens = sample_ensemble(50, CovarianceSpec.identity(20), 0.0, 1.0, seed=1)
         T = np.random.default_rng(2).standard_normal((4, 20))
         with pytest.raises(ValueError, match=f"epsilon must be finite, got {eps}"):
