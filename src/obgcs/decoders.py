@@ -109,14 +109,14 @@ def ls_decode(obs, ens, net, cfg):
     both its loss and its gradient. The step bookkeeping (Armijo test, BB
     step, stop rules) runs on plain floats over the running restarts only:
     on (R,) arrays numpy's cost per call exceeds the arithmetic. The loss is
-    quadratic in x = G(z): when m > n a one-off O(m n^2) build of
-    H = A^T A / m, b = A^T y / m and c = |y|^2 / m makes every trial
-    O(n^2 R), independent of m; when m <= n the residual A x - y is the
-    cheaper form. When m > n and the net ends in an identity layer
+    quadratic in x = G(z). When the net ends in an identity layer
     x = W h + b whose input width d is below n (``split_output_layer``),
-    the quadratic is taken in h instead: a one-off O(n^2 d) fold into
-    P = W^T H W makes every trial O(d^2 R), and the passes run the net
-    only up to its last ReLU. The returned
+    it is taken in h: a one-off fold into a d x d matrix P, O(m n d) from
+    B = A W when m <= n and O(m n^2) from H = A^T A / m when m > n, makes
+    every trial O(d^2 R), independent of m, and the passes run the net only
+    up to its last ReLU. Other nets take it in x: when m > n a one-off
+    O(m n^2) build of H makes every trial O(n^2 R); when m <= n the
+    residual A x - y is the cheaper form. The returned
     ``objective`` is recomputed from the residual, so a near-zero loss is
     not lost to cancellation.
     """
@@ -237,21 +237,26 @@ def _residual_term(A, y):
 def _data_term(net, A, y):
     """The net an LS pass runs and the data term on its output, as the pair
     ``(net', term)``: the data loss at z and its cotangent are
-    ``term(net'(z))``. The residual form when m <= n; else the Gram form,
-    in x = G(z) or, when ``split_output_layer`` splits the net as
-    x = W h + b, in its last hidden activation h: then the quadratic's
-    P = W^T H W, q = W^T (g - H b) and c' = c - 2 g^T b + b^T H b, and a
-    pass skips the output layer.
+    ``term(net'(z))``. When ``split_output_layer`` splits the net as
+    x = W h + b, the Gram form in its last hidden activation h, and a pass
+    skips the output layer: for m <= n from B = A W and r = y - A b, as
+    P = B^T B / m, q = B^T r / m and c' = |r|^2 / m; for m > n from
+    H = A^T A / m, g = A^T y / m and c = |y|^2 / m, as P = W^T H W,
+    q = W^T (g - H b) and c' = c - 2 g^T b + b^T H b. Otherwise the residual
+    form in x = G(z) when m <= n, and the Gram form in x when m > n.
     """
     m, n = A.shape
-    if m <= n:
-        return net, _residual_term(A, y)
-    H, g, c = (A.T @ A) / m, (A.T @ y) / m, float(y @ y) / m
     split = split_output_layer(net)
     if split is None:
-        return net, _gram_term(H, g, c)
+        if m <= n:
+            return net, _residual_term(A, y)
+        return net, _gram_term((A.T @ A) / m, (A.T @ y) / m, float(y @ y) / m)
     body, W, b = split
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite fold fails at the start
+        if m <= n:
+            B, r = A @ W, y - A @ b
+            return body, _gram_term((B.T @ B) / m, (B.T @ r) / m, float(r @ r) / m)
+        H, g, c = (A.T @ A) / m, (A.T @ y) / m, float(y @ y) / m
         Hb = H @ b
         return body, _gram_term(W.T @ (H @ W), W.T @ (g - Hb),
                                 c - 2.0 * float(g @ b) + float(b @ Hb))

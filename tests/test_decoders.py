@@ -394,9 +394,11 @@ class TestLsDecode:
         res = ls_decode(obs, ens, net, LsDecoderConfig(restarts=2, seed=30))
         assert np.isfinite(res.objective) and res.iterations >= 1
 
-    def test_overflowing_fold_is_a_divergence_without_a_warning(self):
-        # weights of 1e160 overflow W^T H W itself, before the first pass
-        ens = sample_ensemble(60, CovarianceSpec.identity(15), 0.0, 1.0, seed=28)
+    @pytest.mark.parametrize("m", [60, 10])
+    def test_overflowing_fold_is_a_divergence_without_a_warning(self, m):
+        # weights of 1e160 overflow the fold itself, W^T H W when m > n and
+        # B^T B when m <= n, before the first pass
+        ens = sample_ensemble(m, CovarianceSpec.identity(15), 0.0, 1.0, seed=28)
         net = synth_generator(k=3, n=15, hidden_dims=[8], seed=27)
         huge = GeneratorNetwork(net.layer_dims, [1e160 * w for w in net.weights], net.biases)
         assert split_output_layer(huge) is not None
@@ -509,14 +511,23 @@ class TestLsDecode:
 
 
 class TestLsParity:
+    @pytest.mark.parametrize("mode", ["lagrangian", "constrained"])
+    @pytest.mark.parametrize("make_net", [None, block_hidden_net],
+                             ids=["one_hidden", "block_hidden"])
     @pytest.mark.parametrize("m,seed", [(10, 1), (25, 2), (40, 3)])
-    def test_bitwise_equal_to_residual_form_when_m_le_n(self, m, seed):
-        obs, ens, net, cfg = parity_problem(m, seed)
+    def test_folded_gram_form_matches_residual_form_when_m_le_n(self, m, seed, make_net, mode):
+        # both nets are split, so at m <= n too the passes run up to the last
+        # ReLU, against P = B^T B / m with B = A W. As at m > n, a flat valley's
+        # endpoint moves with the rounding, with the same winning restart: by
+        # 1.3e-6 for block_hidden_net at seed 12, m=12, and by up to 7.8e-7 for
+        # two_hidden_net at seed 3 (m=25 and 40)
+        obs, ens, net, cfg = parity_problem(m, seed, net=make_net and make_net(seed), mode=mode)
+        assert split_output_layer(net) is not None
         res = ls_decode(obs, ens, net, cfg)
         x_ref, best_ref, trace_ref, *_ = reference_ls(obs, ens, net, cfg)
-        np.testing.assert_array_equal(res.x_hat, x_ref)
         assert res.restart_index == best_ref
-        np.testing.assert_array_equal(res.loss_trace, trace_ref)
+        np.testing.assert_allclose(res.x_hat, x_ref, rtol=0, atol=1e-8)
+        assert res.loss_trace[-1] == pytest.approx(trace_ref[-1], rel=0, abs=1e-10)
 
     @pytest.mark.parametrize("m,seed", [(41, 4), (120, 5), (600, 6), (3000, 7)])
     def test_gram_form_matches_residual_form_when_m_gt_n(self, m, seed):
@@ -529,13 +540,13 @@ class TestLsParity:
 
     @pytest.mark.parametrize("radius", [0.3, 1.0, 3.0])
     @pytest.mark.parametrize("m,seed", [(10, 1), (25, 2), (40, 3)])
-    def test_constrained_bitwise_equal_to_residual_form_when_m_le_n(self, m, seed, radius):
+    def test_constrained_gram_form_matches_residual_form_when_m_le_n(self, m, seed, radius):
         obs, ens, net, cfg = parity_problem(m, seed, mode="constrained", radius=radius)
         res = ls_decode(obs, ens, net, cfg)
         x_ref, best_ref, trace_ref, *_ = reference_ls(obs, ens, net, cfg)
-        np.testing.assert_array_equal(res.x_hat, x_ref)
         assert res.restart_index == best_ref
-        np.testing.assert_array_equal(res.loss_trace, trace_ref)
+        np.testing.assert_allclose(res.x_hat, x_ref, rtol=0, atol=1e-8)
+        assert res.loss_trace[-1] == pytest.approx(trace_ref[-1], rel=0, abs=1e-10)
 
     @pytest.mark.parametrize("constants", [
         {"_MAX_BACKTRACKS": 0}, {"_MAX_BACKTRACKS": 1}, {"_MAX_BACKTRACKS": 2},
@@ -546,10 +557,11 @@ class TestLsParity:
     def test_bitwise_equal_to_residual_form_with_few_halvings(self, m, seed, constants,
                                                               monkeypatch):
         # with a cap of a few halvings, searches run out while other restarts
-        # go on, and a running search can meet the cap after others stopped
+        # go on, and a running search can meet the cap after others stopped;
+        # relu_net is not split, so its passes are the residual form's
         for name, value in constants.items():
             monkeypatch.setattr(decoders, name, value)
-        obs, ens, net, cfg = parity_problem(m, seed)
+        obs, ens, net, cfg = parity_problem(m, seed, net=relu_net(seed))
         res = ls_decode(obs, ens, net, cfg)
         x_ref, best_ref, trace_ref, *_ = reference_ls(obs, ens, net, cfg)
         np.testing.assert_array_equal(res.x_hat, x_ref)
@@ -557,11 +569,10 @@ class TestLsParity:
         np.testing.assert_array_equal(res.loss_trace, trace_ref)
 
     @pytest.mark.parametrize("mode", ["lagrangian", "constrained"])
-    @pytest.mark.parametrize("make_net", [relu_net, block_hidden_net])
     @pytest.mark.parametrize("m,seed", [(10, 1), (25, 2), (40, 3)])
-    def test_other_nets_bitwise_equal_to_residual_form_when_m_le_n(self, m, seed, make_net,
-                                                                   mode):
-        obs, ens, net, cfg = parity_problem(m, seed, net=make_net(seed), mode=mode)
+    def test_unsplit_net_bitwise_equal_to_residual_form_when_m_le_n(self, m, seed, mode):
+        obs, ens, net, cfg = parity_problem(m, seed, net=relu_net(seed), mode=mode)
+        assert split_output_layer(net) is None
         res = ls_decode(obs, ens, net, cfg)
         x_ref, best_ref, trace_ref, *_ = reference_ls(obs, ens, net, cfg)
         np.testing.assert_array_equal(res.x_hat, x_ref)
@@ -630,22 +641,23 @@ def result_digest(res):
 
 
 # Decodes the output-layer fold must leave alone, pinned bit for bit (numpy's
-# bundled OpenBLAS on x86-64; another BLAS may round differently): three nets
-# split_output_layer does not split, at m > n, and C1's net at m <= n.
+# bundled OpenBLAS on x86-64; another BLAS may round differently): nets
+# split_output_layer does not split, three at m > n (the Gram form in x) and
+# C2's ReLU-output net at m <= n (the residual form).
 UNFOLDED = {
     "c2_relu_output": (
         lambda: synth_generator(k=5, n=100, hidden_dims=[64], final_activation="relu"), 300,
-        "f7ee227e0470bf217d1e3136e13dc10d943667ae49923559c88653808c6f45b9"),
+        "fc7a96c765d93acf89c47b25f2d2cc79b323db6d1acb2ec2a276935aec1c764d"),
     "no_hidden_layer": (
         lambda: GeneratorNetwork([4, 40], [np.random.default_rng(3).standard_normal((40, 4))],
                                  [0.1 * np.ones(40)]), 120,
-        "a01806674eeaf9f6627a0d1882479b0fb360843e23e86a55c7a2b976f6698313"),
+        "448fe1e3f6831a27dbf0b373ed32d6683ccf681d8df28d7b8cfc66b42b184f15"),
     "theorem_generator": (
         lambda: build_theorem_generator(np.random.default_rng(5).random((5, 8)), 0.25).net, 60,
         "74a18644e4ae6ff68d06d47d0d91ff465d2e28ade358a1b7f3275469733f01e5"),
-    "c1_residual_form": (
-        lambda: synth_generator(k=5, n=100, hidden_dims=[64]), 80,
-        "a5cd4704e1b77f553077ad394e85aac8196531ecba5ea711d012bc9382c4032f"),
+    "c2_residual_form": (
+        lambda: synth_generator(k=5, n=100, hidden_dims=[64], final_activation="relu"), 80,
+        "a59961270d286d8a06f4471377bc06aff272fcc1d2141a9efbcf6e39c909eb2f"),
 }
 
 
@@ -655,7 +667,7 @@ class TestUnfoldedDecodes:
         make_net, m, digest = UNFOLDED[name]
         net = make_net()
         n = net.signal_dim
-        assert split_output_layer(net) is None or m <= n
+        assert split_output_layer(net) is None
         cov = CovarianceSpec.toeplitz(n, 0.3)
         ens = sample_ensemble(m, cov, 0.1, 0.97, 11)
         obs = observe(ens, sample_truth(net, cov, rng_for(11, 1)), 11)

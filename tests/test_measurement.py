@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from obgcs import (CovarianceSpec, GeneratorNetwork, NonFiniteError, load_ensemble,
                    load_observation, observe, sample_ensemble, save_ensemble,
                    save_observation, scaling_constant, sigma_norm, sign_pm1)
-from obgcs.measurement import sample_truth
+from obgcs.measurement import _COLOR_BLOCK, sample_truth
 
 
 class TestCovarianceSpec:
@@ -60,6 +62,28 @@ class TestCovarianceSpec:
         assert cov == fresh and repr(cov) == repr(fresh) == \
             "CovarianceSpec(n=6, nu=0.3)"
 
+    @pytest.mark.parametrize("name,value", [("n", 7), ("nu", 0.5)])
+    def test_spec_is_immutable(self, name, value):
+        # a spec whose nu changed after its factor was cached colored and
+        # whitened with the old factor, and no error said so
+        cov = CovarianceSpec.toeplitz(6, 0.3)
+        dense, factor = cov.dense(), cov.cholesky()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cov, name, value)
+        assert (cov.n, cov.nu) == (6, 0.3)
+        assert cov.dense() is dense and cov.cholesky() is factor
+        assert not dense.flags.writeable and not factor.flags.writeable
+        assert cov == CovarianceSpec.toeplitz(6, 0.3)
+
+    def test_pickled_spec_keeps_its_caches_read_only(self):
+        # run_grid's workers get the spec by pickle; a pickled factor came back
+        # writable
+        cov = CovarianceSpec.toeplitz(20, -0.4)
+        factor = cov.cholesky()
+        back = pickle.loads(pickle.dumps(cov))
+        assert back == cov and back.cholesky().tobytes() == factor.tobytes()
+        assert not back.dense().flags.writeable and not back.cholesky().flags.writeable
+
 
 @pytest.mark.parametrize("n", [1, 2, 7, 100])
 @pytest.mark.parametrize("nu", [-0.9, 0.0, 0.3, 0.999])
@@ -89,6 +113,30 @@ class TestAr1Factor:
             want[:, i] = nu * want[:, i - 1] + math.sqrt(1 - nu * nu) * Z[:, i]
         A = sample_ensemble(40, CovarianceSpec(n=n, nu=nu), 0.0, 1.0, seed=9).A
         np.testing.assert_allclose(A, want, rtol=0, atol=1e-14)
+
+
+B = _COLOR_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 100, 784])
+@pytest.mark.parametrize("nu", [-0.999, -0.3, 0.3, 0.999])
+class TestColor:
+    """Coloring block by block against the dense product Z L^T. n = b - 1, b and
+    b + 1 are one block, an exact fit and a one-column tail."""
+
+    def test_color_is_the_draw_times_cholesky(self, n, nu):
+        cov = CovarianceSpec(n=n, nu=nu)
+        Z = TestSampleEnsemble._draw(30, n, 9)
+        want = Z @ cov.cholesky().T
+        # both sides round each entry's sum over a row of L, so the error
+        # scales with |L|_inf, which is up to sqrt((1 + |nu|) / (1 - |nu|)) = 45
+        tol = 1e-14 * np.abs(cov.cholesky()).sum(axis=1).max()
+        np.testing.assert_allclose(cov.color(Z), want, rtol=0, atol=tol)
+
+    def test_color_returns_its_input(self, n, nu):
+        cov = CovarianceSpec(n=n, nu=nu)
+        Z = TestSampleEnsemble._draw(5, n, 3)
+        assert cov.color(Z) is Z
 
 
 class TestSampleEnsemble:
@@ -169,6 +217,23 @@ class TestSampleEnsemble:
             tracemalloc.stop()
         assert ens.A.shape == (m, n)
         assert peak < 1.25 * m * n * 8  # one 16 MB matrix; a draw and its product are two
+
+    def test_toeplitz_ensemble_holds_one_matrix(self):
+        m, n = 20_000, 100
+        cov = CovarianceSpec.toeplitz(n, 0.3)
+        # the factor is cached, as run_grid's cells find it, and numpy's first
+        # draw in a process, which allocates 0.75 MB once, is made here
+        sample_ensemble(1, cov, 0.1, 0.97, seed=5)
+        tracemalloc.start()
+        try:
+            ens = sample_ensemble(m, cov, 0.1, 0.97, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.A.shape == (m, n)
+        # the 16 MB draw, colored in place, one m x b buffer and numpy's 0.2 MB
+        # of ufunc buffers; a product is a second 16 MB matrix
+        assert peak < m * (n + B) * 8 + 2 ** 19
 
 
 class TestObserve:
