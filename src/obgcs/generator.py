@@ -31,7 +31,9 @@ class GeneratorNetwork:
     the block-diagonal matrix whose b-th diagonal block is ``weights[i][b]``
     (output units ``b*rows ...``, input units ``b*cols ...``). It is applied
     block by block and never materialised densely; a matrix is read as one
-    block, and a one-block stack is stored as its matrix.
+    block, and a one-block stack is stored as its matrix. A stack whose
+    block stride is 0 (``np.broadcast_to`` of one block) repeats that block:
+    the checks and the norm read its one block, and nothing copies it.
     """
 
     layer_dims: list
@@ -59,7 +61,7 @@ class GeneratorNetwork:
                                  f"{(dims[i + 1], dims[i])}")
             if b.shape != (dims[i + 1],):
                 raise ShapeError(f"layer {i}: bias shape {b.shape} != {(dims[i + 1],)}")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            if not (np.all(np.isfinite(_distinct_blocks(w))) and np.all(np.isfinite(b))):
                 raise ShapeError(f"layer {i}: non-finite entries")
             ws.append(stack[0] if blocks == 1 else stack)
             bs.append(b)
@@ -74,6 +76,11 @@ class GeneratorNetwork:
     @property
     def signal_dim(self):
         return self.layer_dims[-1]
+
+
+def _distinct_blocks(w):
+    """``w``, or the one block a stack of block stride 0 repeats, as a stack."""
+    return w[:1] if w.ndim == 3 and w.strides[0] == 0 else w
 
 
 def _as_column(net, z):
@@ -178,8 +185,10 @@ def lipschitz_upper_bound(net):
         return net.lipschitz_bound
     # exact largest singular values (SVD): an iterative estimate converges
     # from below and would make the product fall short of the true bound; a
-    # block-diagonal matrix's norm is its largest block's
-    net.lipschitz_bound = float(np.prod([np.linalg.norm(w, 2, axis=(-2, -1)).max()
+    # block-diagonal matrix's norm is its largest block's, and a repeated
+    # block's is that block's
+    net.lipschitz_bound = float(np.prod([np.linalg.norm(_distinct_blocks(w), 2,
+                                                        axis=(-2, -1)).max()
                                          for w in net.weights]))
     return net.lipschitz_bound
 

@@ -60,9 +60,9 @@ class _Stack:
     """Hidden layers of ``blocks`` parallel single-output nets, ``width`` units each.
 
     Rows are (coeffs dict {prev_unit_index: weight}, bias) pairs. A weight is
-    a number, the same in every block, or a (blocks,) vector, one per block.
-    Every layer is allocated at ``width``; the rows a layer leaves unused are
-    the dead units that pad it to the declared width.
+    a number, the same in every block, or a (blocks,) vector, one per block;
+    a bias is a number. Every layer is allocated at ``width``; the rows a
+    layer leaves unused are the dead units that pad it to the declared width.
     """
 
     def __init__(self, input_dim, width, blocks=1):
@@ -72,19 +72,30 @@ class _Stack:
         self.layers = []  # list of (W (blocks, width, in_dim), b (blocks, width))
         self.top_width = input_dim  # rows the top layer uses
 
+    def _layer(self, rows, height, in_dim):
+        """``rows`` as a (blocks, height, in_dim) weight and (blocks, height) bias.
+
+        A layer whose weights are all numbers is the same in every block: it
+        is built once and held as a read-only broadcast of that block (block
+        stride 0), so only layers with per-block weights cost ``blocks`` copies.
+        """
+        shared = all(np.ndim(v) == 0 for coeffs, _ in rows for v in coeffs.values())
+        W = np.zeros((1 if shared else self.blocks, height, in_dim))
+        b = np.zeros((1, height))
+        for r, (coeffs, bias) in enumerate(rows):
+            for idx, val in coeffs.items():
+                W[:, r, idx] = val
+            b[:, r] = bias
+        return (np.broadcast_to(W, (self.blocks, height, in_dim)),
+                np.broadcast_to(b, (self.blocks, height)))
+
     def add_layer(self, rows):
         """rows: list of (coeffs dict {prev_unit_index: weight}, bias)."""
         if len(rows) > self.width:
             raise CapacityError(f"layer {len(self.layers)} needs {len(rows)} units "
                                 f"> width {self.width}")
         in_dim = self.width if self.layers else self.input_dim
-        W = np.zeros((self.blocks, self.width, in_dim))
-        b = np.zeros((self.blocks, self.width))
-        for r, (coeffs, bias) in enumerate(rows):
-            for idx, val in coeffs.items():
-                W[:, r, idx] = val
-            b[:, r] = bias
-        self.layers.append((W, b))
+        self.layers.append(self._layer(rows, self.width, in_dim))
         self.top_width = len(rows)
 
     def finish(self, readout):
@@ -94,12 +105,10 @@ class _Stack:
         input; every later layer is block-diagonal, held as its (blocks, rows,
         cols) stack.
         """
-        R = np.zeros((self.blocks, 1, self.width))
-        for idx, val in readout.items():
-            R[:, 0, idx] = val
         W0 = self.layers[0][0]
-        weights = [W0.reshape(-1, W0.shape[2])] + [W for W, _ in self.layers[1:]] + [R]
-        biases = [b.ravel() for _, b in self.layers] + [np.zeros(self.blocks)]
+        layers = self.layers + [self._layer([(readout, 0.0)], 1, self.width)]
+        weights = [W0.reshape(-1, W0.shape[2])] + [W for W, _ in layers[1:]]
+        biases = [b.ravel() for _, b in layers]
         dims = [self.input_dim] + [b.size for b in biases]
         return GeneratorNetwork(dims, weights, biases)
 
@@ -345,7 +354,8 @@ def build_theorem_generator(targets, tau, latent_dim=1):
     block per output coordinate: an interpolating fitter followed by the
     bit re-extraction pipeline. All blocks share the anchors, so they are
     built in one pass and differ only in the fitter's value-dependent fold
-    weights, held per block. The assembled network has depth 3*ell+2 and
+    weights, held per block; every other layer is held once, as a broadcast
+    of its one block (``_Stack``). The assembled network has depth 3*ell+2 and
     width (4*ceil(sqrt(s*n/ell)) + 6) * n; at every anchor the output equals
     the truncated target exactly (coordinatewise), hence lies within tau in
     L2. Certified at build time.

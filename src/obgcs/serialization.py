@@ -17,6 +17,7 @@ fields and the ``(name, shape)`` of every block, in file order.
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 
@@ -32,12 +33,16 @@ _F8 = np.dtype("<f8")
 _NUMBER = (int, float)
 
 
+def _header(magic, meta):
+    """The magic line and the metadata line."""
+    return magic + b"\n" + json.dumps(meta, separators=(",", ":")).encode("utf-8") + b"\n"
+
+
 def _write(path, magic, meta, blocks):
-    """The magic line, the metadata line, then each array of ``blocks`` in
-    turn as raw little-endian float64."""
+    """The header, then each array of ``blocks`` in turn as raw little-endian
+    float64."""
     with open(path, "wb") as fh:
-        fh.write(magic + b"\n")
-        fh.write(json.dumps(meta, separators=(",", ":")).encode("utf-8") + b"\n")
+        fh.write(_header(magic, meta))
         for arr in blocks:
             fh.write(np.ascontiguousarray(arr, dtype=_F8).tobytes())
 
@@ -110,9 +115,19 @@ def _m_n(meta):
 def save_generator(net, path):
     """Write a generator container, whatever the path's suffix; block-diagonal
     layers as their dense rows (``dense_rows``), so the file is the dense net's.
-    ``normalize_output`` is always false: the v1 format keeps the field."""
-    meta = {"layer_dims": list(net.layer_dims), "activation": net.final_activation,
-            "normalize_output": False}
+    ``normalize_output`` is always false: the v1 format keeps the field.
+
+    Raises OSError, before the path is opened, when the file is larger than
+    the free space of the disk it would be written to.
+    """
+    dims = list(net.layer_dims)
+    meta = {"layer_dims": dims, "activation": net.final_activation, "normalize_output": False}
+    size = len(_header(GEN_MAGIC, meta)) + _F8.itemsize * sum(
+        dout * (din + 1) for din, dout in zip(dims[:-1], dims[1:]))
+    free = shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free
+    if size > free:
+        raise OSError(f"{path}: the generator file takes {size} bytes, "
+                      f"but its disk has {free} bytes free")
     _write(path, GEN_MAGIC, meta, _generator_blocks(net))
 
 

@@ -1,6 +1,8 @@
 import json
 import re
+import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -350,6 +352,16 @@ class TestMemorize:
         assert main(["memorize", "--config", str(cfg), "--out", str(tmp_path / "m.bin"),
                      "--quiet"]) == 1
         assert "not shape (1, 0)" in capsys.readouterr().err
+
+    def test_net_larger_than_the_free_disk_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(shutil, "disk_usage",
+                            lambda path: SimpleNamespace(total=1000, used=0, free=1000))
+        cfg = write(tmp_path / "m.cfg", "s = 3\nn = 4\ntau = 0.25\n")
+        out = tmp_path / "mem.bin"
+        assert main(["memorize", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "but its disk has 1000 bytes free" in captured.err
+        assert not out.exists()
 
 
 class TestKeyTables:

@@ -1,6 +1,10 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -640,14 +644,14 @@ def result_digest(res):
     return h.hexdigest()
 
 
-# Decodes the output-layer fold must leave alone, pinned bit for bit (numpy's
-# bundled OpenBLAS on x86-64; another BLAS may round differently): nets
-# split_output_layer does not split, three at m > n (the Gram form in x) and
-# C2's ReLU-output net at m <= n (the residual form).
+# Decodes the output-layer fold must leave alone, pinned bit for bit on one
+# BLAS thread (numpy's bundled OpenBLAS on x86-64; another BLAS may round
+# differently): nets split_output_layer does not split, three at m > n (the
+# Gram form in x) and C2's ReLU-output net at m <= n (the residual form).
 UNFOLDED = {
     "c2_relu_output": (
         lambda: synth_generator(k=5, n=100, hidden_dims=[64], final_activation="relu"), 300,
-        "fc7a96c765d93acf89c47b25f2d2cc79b323db6d1acb2ec2a276935aec1c764d"),
+        "78faade16af62e61124ae73726d10024612eb71c34a3035a005a95ad79f70fd5"),
     "no_hidden_layer": (
         lambda: GeneratorNetwork([4, 40], [np.random.default_rng(3).standard_normal((40, 4))],
                                  [0.1 * np.ones(40)]), 120,
@@ -661,18 +665,39 @@ UNFOLDED = {
 }
 
 
+def unfolded_digest(name):
+    """The result digest of the pinned decode of ``UNFOLDED[name]``."""
+    make_net, m, _ = UNFOLDED[name]
+    net = make_net()
+    cov = CovarianceSpec.toeplitz(net.signal_dim, 0.3)
+    ens = sample_ensemble(m, cov, 0.1, 0.97, 11)
+    obs = observe(ens, sample_truth(net, cov, rng_for(11, 1)), 11)
+    cfg = LsDecoderConfig(restarts=5, steps_per_restart=200, seed=13)
+    return result_digest(ls_decode(obs, ens, net, cfg))
+
+
+@pytest.fixture(scope="module")
+def single_thread_digests():
+    """Every UNFOLDED digest, from a child interpreter on one BLAS thread: a
+    threaded GEMM splits the m=300 products across threads and rounds
+    differently, so the thread count of this process must not reach the pins."""
+    src = Path(decoders.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), str(Path(__file__).resolve().parent)])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    code = ("from test_decoders import UNFOLDED, unfolded_digest\n"
+            "print(*(unfolded_digest(name) for name in UNFOLDED))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=600, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return dict(zip(UNFOLDED, proc.stdout.split()))
+
+
 class TestUnfoldedDecodes:
     @pytest.mark.parametrize("name", list(UNFOLDED))
-    def test_result_bytes_are_pinned(self, name):
-        make_net, m, digest = UNFOLDED[name]
-        net = make_net()
-        n = net.signal_dim
-        assert split_output_layer(net) is None
-        cov = CovarianceSpec.toeplitz(n, 0.3)
-        ens = sample_ensemble(m, cov, 0.1, 0.97, 11)
-        obs = observe(ens, sample_truth(net, cov, rng_for(11, 1)), 11)
-        cfg = LsDecoderConfig(restarts=5, steps_per_restart=200, seed=13)
-        assert result_digest(ls_decode(obs, ens, net, cfg)) == digest
+    def test_result_bytes_are_pinned(self, name, single_thread_digests):
+        make_net, _, digest = UNFOLDED[name]
+        assert split_output_layer(make_net()) is None
+        assert single_thread_digests[name] == digest
 
 
 PARITY_NETS = [(5, [64]), (8, [64]), (5, [64, 64]), (16, [64]), (3, [8])]

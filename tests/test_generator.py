@@ -150,6 +150,30 @@ class TestBlockDiagonalWeights:
         exact = np.prod([np.linalg.norm(w, 2) for w in dense.weights])
         assert lipschitz_upper_bound(net) == pytest.approx(exact, rel=1e-12, abs=0)
 
+    def test_repeated_block_matches_its_copies(self):
+        # a stack of block stride 0 is read as its blocks, and its check and
+        # norm read its one block
+        net, _ = block_net_and_dense_twin(4)
+        block = net.weights[1][2]
+        shared = np.broadcast_to(block, (4, 3, 3))
+        weights = [net.weights[0], shared, net.weights[2]]
+        nets = [GeneratorNetwork(net.layer_dims, ws, net.biases)
+                for ws in (weights, [np.array(w) for w in weights])]
+        assert nets[0].weights[1].strides[0] == 0 and nets[1].weights[1].strides[0] != 0
+        Z = np.random.default_rng(6).standard_normal((3, 5))
+        V = np.random.default_rng(7).standard_normal((8, 5))
+        assert forward_batch(nets[0], Z).tobytes() == forward_batch(nets[1], Z).tobytes()
+        assert (latent_vjp_batch(nets[0], Z, V).tobytes()
+                == latent_vjp_batch(nets[1], Z, V).tobytes())
+        assert lipschitz_upper_bound(nets[0]) == lipschitz_upper_bound(nets[1])
+
+    def test_repeated_non_finite_block_rejected(self):
+        block = np.ones((3, 3))
+        block[1, 2] = np.nan
+        with pytest.raises(ShapeError, match="layer 1: non-finite entries"):
+            GeneratorNetwork([3, 12, 12], [np.ones((12, 3)), np.broadcast_to(block, (4, 3, 3))],
+                             [np.zeros(12), np.zeros(12)])
+
     @pytest.mark.parametrize("shape", [(4, 3, 3), (3, 4, 4), (4, 3, 2)])
     def test_blocks_must_tile_the_layer(self, shape):
         # layer 1 maps 12 -> 10: no (blocks, rows, cols) above tiles (10, 12)

@@ -8,7 +8,8 @@ import pytest
 
 from obgcs import (CapacityError, GeneratorNetwork, ObgcsError, ShapeError,
                    architecture_summary, build_indexed_memorizer, build_theorem_generator,
-                   forward, forward_batch, load_generator, recall_bit, save_generator)
+                   forward, forward_batch, lipschitz_upper_bound, load_generator, recall_bit,
+                   save_generator)
 from obgcs import memorizer
 from conftest import dense_weight
 
@@ -171,7 +172,8 @@ class TestTheoremGenerator:
             np.testing.assert_array_equal(forward(loaded, anchor), trunc)
 
     def test_peak_memory_at_benchmark_size(self):
-        # dense block-diagonal layers took 387 MB here; the block stacks 13 MB
+        # dense block-diagonal layers took 387 MB here, full block stacks
+        # 13 MB; one block per shared layer 1.7 MB
         targets = np.random.default_rng(18).random((20, 32))
         tracemalloc.start()
         try:
@@ -179,11 +181,12 @@ class TestTheoremGenerator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2 ** 20
+        assert peak < 16 * 2 ** 20
 
     def test_peak_memory_at_n64(self):
         # one pass over the blocks holds each layer once: 49 MB, where n
-        # separate block builds copied into one stack peaked at 97 MB
+        # separate block builds copied into one stack peaked at 97 MB; one
+        # block per shared layer 4.4 MB
         targets = np.random.default_rng(19).random((20, 64))
         tracemalloc.start()
         try:
@@ -191,7 +194,56 @@ class TestTheoremGenerator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2 ** 20
+        assert peak < 16 * 2 ** 20
+
+    def test_shared_layers_are_one_repeated_block(self):
+        # s=20, n=64, tau=0.1: ell = 12 and one fitter chunk, so the only
+        # per-block weights are the fold row of the fitter's second layer
+        mem = build_theorem_generator(np.random.default_rng(84).random((20, 64)), 0.1)
+        blocks = mem.net.weights[1:]
+        assert len(blocks) == 37 and all(w.shape[0] == 64 for w in blocks)
+        real = [i for i, w in enumerate(blocks, 1) if w.strides[0] != 0]
+        assert real == [1]
+        assert mem.net.weights[-1].strides[0] == 0  # the readout
+        for w in blocks:
+            assert not w.flags.writeable
+            if w.strides[0] == 0:
+                with pytest.raises(ValueError, match="read-only"):
+                    w[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_lipschitz_bound_equals_the_materialised_stacks(self, n):
+        net = build_theorem_generator(np.random.default_rng(n).random((20, n)), 0.1).net
+        copy = GeneratorNetwork(net.layer_dims, [np.array(w) for w in net.weights], net.biases)
+        assert all(w.strides[0] != 0 for w in copy.weights if w.ndim == 3)
+        assert lipschitz_upper_bound(net) == lipschitz_upper_bound(copy)
+
+    def test_image_size_build(self, monkeypatch):
+        # n = 784, the MNIST image size: 37 full stacks took 5.4 GB here
+        s, n, tau = 20, 784, 0.1
+        targets = np.random.default_rng(s + n).random((s, n))
+        tracemalloc.start()
+        try:
+            mem = build_theorem_generator(targets, tau)  # certifies, or raises
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 30
+        arch = architecture_summary(mem.net)
+        assert mem.width == (4 * mem.cap_w + 6) * n == 108_192 == arch["max_width"]
+        assert mem.depth == 3 * mem.ell + 2 == 47 == arch["affine_layers"]
+        norms = []
+        real_norm = np.linalg.norm
+
+        def counting(x, *args, **kwargs):
+            norms.append(x.shape)
+            return real_norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        assert math.isfinite(lipschitz_upper_bound(mem.net))
+        # one SVD per layer, but n for the one fold stack, whose blocks differ
+        assert len(norms) == 47
+        assert sum(math.prod(shape[:-2]) for shape in norms) == 46 + n
 
     @pytest.mark.parametrize("s,n,tau", [(200, 16, 0.1), (3, 4, 0.25)])
     def test_each_block_is_the_single_coordinate_build(self, s, n, tau):
@@ -221,6 +273,7 @@ class TestTheoremGenerator:
         (5, 8, 0.25, 1, "8ddd098e55bd3bc64f8c2e4bc7f33bf27a5d88e81a902882f451f45e82800364"),
         (20, 32, 0.1, 1, "bd7732fea48d20e18da51342525d914cb38504148bca043f00a26d8faafd9fe6"),
         (3, 4, 0.25, 2, "551c06fa22d1cc836d30b98e4de26ab3e3470c90baeddbe2117b7075da39a1f6"),
+        (20, 64, 0.1, 1, "dbea0284d1be114c7e8800734e5c973e4b93abbfe19e5c7701fa37b7a06a57c3"),
     ])
     def test_weights_keep_their_bytes(self, s, n, tau, latent_dim, digest):
         # spike anchors lie on e1, so every weight is computed exactly on any

@@ -2,6 +2,8 @@
 save -> load -> save byte identity."""
 
 import json
+import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -196,3 +198,32 @@ class TestByteIdentity:
         assert data.startswith(b"OBGCS-GEN v1\n")
         assert b'"normalize_output":false' in data.split(b"\n")[1]
         assert data == (tmp_path / "g.bin").read_bytes()
+
+
+class TestDiskSpace:
+    """A generator file is written only when its disk has room for it."""
+
+    @staticmethod
+    def free_bytes(monkeypatch, free):
+        """Make every disk report ``free`` bytes free; the list of paths asked."""
+        seen = []
+
+        def usage(path):
+            seen.append(path)
+            return SimpleNamespace(total=free, used=0, free=free)
+
+        monkeypatch.setattr(shutil, "disk_usage", usage)
+        return seen
+
+    def test_file_that_does_not_fit_is_not_opened(self, tmp_path, monkeypatch):
+        net = block_net()
+        save_generator(net, tmp_path / "fits.bin")
+        size = (tmp_path / "fits.bin").stat().st_size
+        seen = self.free_bytes(monkeypatch, size)
+        save_generator(net, tmp_path / "exact.bin")
+        assert (tmp_path / "exact.bin").stat().st_size == size
+        assert seen == [str(tmp_path)]
+        self.free_bytes(monkeypatch, size - 1)
+        with pytest.raises(OSError, match=rf"takes {size} bytes, .* has {size - 1} bytes free"):
+            save_generator(net, tmp_path / "big.bin")
+        assert not (tmp_path / "big.bin").exists()
